@@ -197,7 +197,6 @@ def theorem_floor(n: int) -> tuple[int, bool]:
 # --- compensated running sum of r(k) -----------------------------------------
 
 SUM_R_CHECKPOINT_EVERY = 10_000
-_SUM_R_FILE_HEADER = "# sum-r-cache v1"
 
 
 def _r_double_with_err(k: int) -> tuple[float, float]:
@@ -273,36 +272,9 @@ class SumRCache:
         """First k not yet consumed."""
         return self._next_k
 
-    def save(self, path: str) -> None:
-        """One checkpoint per line: n, partial_sum, err_bound (repr round-trips)."""
-        lines = [_SUM_R_FILE_HEADER]
-        lines += [f"{n} {repr(s)} {repr(e)}" for n, s, e in self._checkpoints]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
 
-    @classmethod
-    def load(cls, path: str) -> "SumRCache":
-        """Rebuild from a checkpoint file; unparsable trailing lines are dropped."""
-        cache = cls()
-        rows: list[tuple[int, float, float]] = []
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        if not lines or lines[0] != _SUM_R_FILE_HEADER:
-            raise ValueError(f"{path} is not a sum-r cache file")
-        for line in lines[1:]:
-            parts = line.split()
-            try:
-                n, s, e = int(parts[0]), float(parts[1]), float(parts[2])
-            except (IndexError, ValueError):
-                break
-            rows.append((n, s, e))
-        if rows:
-            cache._checkpoints = [(3, 0.0, 0.0)] + [r for r in rows if r[0] > 3]
-            last = cache._checkpoints[-1]
-            cache._next_k, cache._sum, cache._carry, cache._err = last[0], last[1], 0.0, last[2]
-        return cache
-
-
+# every double-precision sum_r in the process reads this one; value_at is a
+# pure function of n, so the order of queries never changes a result
 _default_sum_r = SumRCache()
 
 
@@ -314,12 +286,12 @@ def _sum_r_mpf(n: int):
     return total, float(total) * max(1, n - 3)
 
 
-def sum_r(n: int, precision: str = "double", cache: SumRCache | None = None) -> RealEval:
+def sum_r(n: int, precision: str = "double") -> RealEval:
     """Compensated sum of r(k) over 3 <= k <= n-1 with a tracked error bound."""
     if n < 3:
         raise DomainError("sum_r needs n >= 3")
     if precision == "double":
-        return (cache or _default_sum_r).value_at(n)
+        return _default_sum_r.value_at(n)
     with mp.workprec(PRECISION_BITS[precision]):
         total, scale = _sum_r_mpf(n)
         return _finish_mp(total, scale, precision)
@@ -328,10 +300,10 @@ def sum_r(n: int, precision: str = "double", cache: SumRCache | None = None) -> 
 # --- inequality sides built from the pieces above ----------------------------
 
 
-def _lemma_lhs(n: int, precision: str, cache: SumRCache | None) -> RealEval:
+def _lemma_lhs(n: int, precision: str) -> RealEval:
     """n^2/(2 log n) + (4 - 9/log 9) - sum_r(n); the constant is negative."""
     if precision == "double":
-        ssum = sum_r(max(n, 3), "double", cache)  # empty sum at n in {2, 3}
+        ssum = sum_r(max(n, 3), "double")  # empty sum at n in {2, 3}
         main = (n * n) / (2.0 * math.log(n))
         val = main + (4.0 - 9.0 / math.log(9.0)) - ssum.value
         err = _ERR_C * _U["double"] * (main + 9.0) + ssum.abs_err
@@ -343,11 +315,11 @@ def _lemma_lhs(n: int, precision: str, cache: SumRCache | None) -> RealEval:
         return _finish_mp(val, float(main) + 9.0 + sum_scale, precision)
 
 
-def lemma1_sides(n: int, precision: str = "double", cache: SumRCache | None = None) -> tuple[RealEval, RealEval]:
+def lemma1_sides(n: int, precision: str = "double") -> tuple[RealEval, RealEval]:
     """Both sides of the summed-floor lemma's displayed inequality (lhs < rhs)."""
     if n < 2:
         raise DomainError("lemma1_sides needs n >= 2")
-    lhs = _lemma_lhs(n, precision, cache)
+    lhs = _lemma_lhs(n, precision)
     if precision == "double":
         lg = math.log(n)
         rhs_val = (n * n) / (2.0 * lg) * (1.0 + 1.0 / (2.0 * lg) + 9.0 / (20.0 * lg * lg))
@@ -360,12 +332,12 @@ def lemma1_sides(n: int, precision: str = "double", cache: SumRCache | None = No
     return lhs, rhs
 
 
-def lemma1_proof_sides(n: int, precision: str = "double", cache: SumRCache | None = None) -> tuple[RealEval, RealEval]:
+def lemma1_proof_sides(n: int, precision: str = "double") -> tuple[RealEval, RealEval]:
     """Rearranged form: n^2/(4 log^2 n) + 9 n^2/(40 log^3 n) + sum_r(n) > 4 - 9/log 9."""
     if n < 2:
         raise DomainError("lemma1_proof_sides needs n >= 2")
     if precision == "double":
-        ssum = sum_r(max(n, 3), "double", cache)
+        ssum = sum_r(max(n, 3), "double")
         lg = math.log(n)
         main = (n * n) / (4.0 * lg * lg) + 9.0 * n * n / (40.0 * lg * lg * lg)
         lhs = RealEval(main + ssum.value, _ERR_C * _U["double"] * main + ssum.abs_err, "double")
@@ -380,8 +352,8 @@ def lemma1_proof_sides(n: int, precision: str = "double", cache: SumRCache | Non
         return lhs, rhs
 
 
-def lemma2_lhs(n: int, precision: str = "double", cache: SumRCache | None = None) -> RealEval:
+def lemma2_lhs(n: int, precision: str = "double") -> RealEval:
     """Left side of the pi(n^2) lower estimate; equals lemma1_sides(n)[0]."""
     if n < 3:
         raise DomainError("lemma2_lhs needs n >= 3")
-    return _lemma_lhs(n, precision, cache)
+    return _lemma_lhs(n, precision)

@@ -1,23 +1,22 @@
 """Command-line frontend.
 
 Exit codes: 0 completed clean, 1 completed with violations (or boundary
-cases in strict mode), 2 usage or domain error, 3 internal inconsistency
-(dual pi methods disagree, or a non-empty implication check).
+cases in strict mode), 2 usage, domain or file error, 3 internal
+inconsistency (dual pi methods disagree, or a non-empty implication check)
+or any other unexpected failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 from dataclasses import dataclass, field
 
 from . import mbound, verify
 from .analytic import delta, dusart_lower, dusart_upper
 from .counting import WINDOW_SIEVE_MAX, f_of, g_of, pi_exact
-from .errors import DomainError, InsufficientTable, Unsupported
+from .errors import DomainError
 
 DEFAULT_RANGES = {
     "c1": (5, 10000),
@@ -52,17 +51,8 @@ def _emit(text: str, path: str | None) -> None:
     """Print to stdout, or write the whole file atomically."""
     if path is None:
         sys.stdout.write(text)
-        return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".primesq-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    else:
+        verify.write_atomic(path, text)
 
 
 def _report_exit_code(report: verify.ConjectureReport, strict: bool) -> int:
@@ -152,15 +142,16 @@ def _run_table(cfg: CampaignConfig) -> int:
 
 def _run_report_all(cfg: CampaignConfig) -> int:
     kwargs = dict(workers=cfg.workers, precision_mode=cfg.precision_mode)
-    c1 = verify.verify_conjecture("c1", *DEFAULT_RANGES["c1"], **kwargs)
-    c2 = verify.verify_conjecture("c2", *DEFAULT_RANGES["c2"], **kwargs)
-    thm = verify.verify_theorem(*DEFAULT_RANGES["theorem"], **kwargs)
-    imp = verify.implication_check(*DEFAULT_RANGES["implication"], **kwargs)
-    lem1, lem2 = verify.verify_lemmas(*DEFAULT_RANGES["lemmas"], **kwargs)
-    dus = verify.verify_dusart(DEFAULT_DUSART_SAMPLES)
+    strict = cfg.precision_mode == "strict"
+    # rows are pure functions of n, so one pass over the union of the margin
+    # ranges serves all four reports; a "c2" campaign accepts any from >= 3
+    ranges = {t: DEFAULT_RANGES[t] for t in verify.MARGIN_TARGETS}
+    lo, hi = min(r[0] for r in ranges.values()), max(r[1] for r in ranges.values())
+    _, rows = verify.run_margin_campaign("c2", lo, hi, **kwargs)
+    reports = {t: verify.fold_margin_report(t, *ranges[t], rows, strict) for t in ranges}
+    reports["lemma1"], reports["lemma2"] = verify.verify_lemmas(*DEFAULT_RANGES["lemmas"], **kwargs)
+    reports["dusart"] = verify.verify_dusart(DEFAULT_DUSART_SAMPLES)
     c3 = mbound.c3_table(DEFAULT_C3_NS)
-    reports = {"c1": c1, "c2": c2, "theorem": thm, "implication": imp,
-               "lemma1": lem1, "lemma2": lem2, "dusart": dus}
     if cfg.output_format == "json" or cfg.output_path is not None:
         payload = dict(reports)
         payload["c3_table"] = [
@@ -170,7 +161,6 @@ def _run_report_all(cfg: CampaignConfig) -> int:
         text = "\n".join(verify.report_table(r) for r in reports.values())
         text += "\n" + mbound.c3_csv(c3)
     _emit(text, cfg.output_path)
-    strict = cfg.precision_mode == "strict"
     return max(_report_exit_code(r, strict) for r in reports.values())
 
 
@@ -278,9 +268,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _config_from_args(args)
         return run(config)
-    except (DomainError, Unsupported, InsufficientTable, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # input errors subclass ValueError
         print(f"primesq: error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"primesq: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

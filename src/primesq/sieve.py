@@ -1,4 +1,4 @@
-"""Base prime generation and bit-packed windowed sieving.
+"""Base prime generation and odd-only windowed sieving.
 
 Any interval [lo, hi) can be primality-resolved with base primes up to
 sqrt(hi - 1); memory stays proportional to the window, never to hi.
@@ -71,7 +71,7 @@ def shared_table(limit: int) -> PrimeTable:
 
 @dataclass(frozen=True)
 class SegmentBitmap:
-    """Primality marks for [lo, hi): one bit per odd integer, 2 special-cased."""
+    """Primality marks for [lo, hi): one bool byte per odd integer, 2 special-cased."""
 
     lo: int
     hi: int

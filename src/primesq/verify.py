@@ -1,20 +1,23 @@
 """Range campaigns over the conjecture, theorem, and lemma inequalities.
 
 Campaigns split [from, to] into fixed chunks; every chunk seeds its own
-pi(n^2) and running sums, so chunks are pure functions of their bounds and
-may run in any number of worker processes with bit-identical results.
-Reports aggregate rows in n-order only, never in completion order.
+pi(n^2), and every row is a pure function of n, so chunks may run in any
+number of worker processes with bit-identical results, and one pass over a
+range serves every report drawn from it. Reports fold rows in n-order only,
+never in completion order.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import tempfile
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .analytic import (
-    SumRCache,
     c1_rhs,
     c2_lhs,
     delta,
@@ -50,9 +53,11 @@ class ConjectureReport:
     runtime_note: str
 
 
-@dataclass(frozen=True)
-class MarginRecord:
-    """Per-n audit row; margins are rhs-f (c1), f-lhs (c2), f-t_floor (thm)."""
+class MarginRecord(NamedTuple):
+    """Per-n audit row; margins are rhs-f (c1), f-lhs (c2), f-t_floor (thm).
+
+    A checkpoint stores each row as the JSON array of its fields.
+    """
 
     n: int
     f: int
@@ -64,11 +69,29 @@ class MarginRecord:
     margin_c1: float
     margin_c2: float
     margin_thm: int
-    boundary_flag: bool
+    boundary_flag: int  # 0 or 1, written as such in checkpoints
+    cls_c1: int
+    cls_c2: int
+    cls_thm: int
 
     @property
     def margins(self) -> tuple[float, float, int]:
         return (self.margin_c1, self.margin_c2, self.margin_thm)
+
+
+class LemmaRecord(NamedTuple):
+    """Per-n lemma row; margin_l1 is the tighter of the display and proof forms."""
+
+    n: int
+    pi_n2: int
+    l1_lhs: float
+    l1_rhs: float
+    proof_lhs: float
+    proof_rhs: float
+    margin_l1: float
+    cls_l1: int
+    margin_l2: float
+    cls_l2: int
 
 
 def _classify(margin: float, err: float) -> int:
@@ -77,12 +100,7 @@ def _classify(margin: float, err: float) -> int:
     return CLS_PASS if margin > 0.0 else CLS_VIOLATION
 
 
-# margin row layout (JSON-friendly lists; floats round-trip through json):
-# [n, f, pi_n2, delta, c1_rhs, c2_lhs, t_floor,
-#  margin_c1, margin_c2, margin_thm, boundary_flag, cls_c1, cls_c2, cls_thm]
-
-
-def _margin_chunk(start: int, end: int, strict: bool) -> list[list]:
+def _margin_chunk(start: int, end: int, strict: bool) -> list[MarginRecord]:
     rows = []
     for rec in stream_f(start, end):
         n, f = rec.n, rec.f
@@ -105,25 +123,17 @@ def _margin_chunk(start: int, end: int, strict: bool) -> list[list]:
             cls_thm = CLS_BOUNDARY  # floor argument inconclusive at quad
         else:
             cls_thm = CLS_PASS if mt >= 0 else CLS_VIOLATION
-        rows.append(
-            [n, f, rec.pi_n2, d.value, c1.value, c2.value, tf,
-             m1, m2, mt, 1 if bflag else 0, cls1, cls2, cls_thm]
-        )
+        rows.append(MarginRecord(n, f, rec.pi_n2, d.value, c1.value, c2.value, tf,
+                                 m1, m2, mt, 1 if bflag else 0, cls1, cls2, cls_thm))
     return rows
 
 
-# lemma row layout:
-# [n, pi_n2, l1_lhs, l1_rhs, proof_lhs, proof_rhs,
-#  margin_l1, cls_l1, margin_l2, cls_l2]
-
-
-def _lemma_chunk(start: int, end: int, strict: bool) -> list[list]:
-    cache = SumRCache()
+def _lemma_chunk(start: int, end: int, strict: bool) -> list[LemmaRecord]:
     rows = []
     for rec in stream_f(start, end):
         n = rec.n
-        lhs, rhs = lemma1_sides(n, cache=cache)
-        plhs, prhs = lemma1_proof_sides(n, cache=cache)
+        lhs, rhs = lemma1_sides(n)
+        plhs, prhs = lemma1_proof_sides(n)
         m_disp = rhs.value - lhs.value
         m_proof = plhs.value - prhs.value
         e_disp = rhs.abs_err + lhs.abs_err
@@ -141,42 +151,57 @@ def _lemma_chunk(start: int, end: int, strict: bool) -> list[list]:
         if strict and cls2 == CLS_BOUNDARY:
             q = lemma2_lhs(n, "quad")
             cls2 = _classify(rec.pi_n2 - q.value, q.abs_err)
-        rows.append(
-            [n, rec.pi_n2, lhs.value, rhs.value, plhs.value, prhs.value,
-             m1, cls1, m2, cls2]
-        )
+        rows.append(LemmaRecord(n, rec.pi_n2, lhs.value, rhs.value, plhs.value, prhs.value,
+                                m1, cls1, m2, cls2))
     return rows
 
 
-def _chunk_job(args: tuple[str, int, int, bool]) -> list[list]:
+# chunk kind -> (chunk function, row type)
+_CHUNK_KINDS = {"margin": (_margin_chunk, MarginRecord), "lemma": (_lemma_chunk, LemmaRecord)}
+
+
+def _chunk_job(args: tuple[str, int, int, bool]) -> list[tuple]:
     kind, start, end, strict = args
-    if kind == "margin":
-        return _margin_chunk(start, end, strict)
-    if kind == "lemma":
-        return _lemma_chunk(start, end, strict)
-    raise ValueError(f"unknown chunk kind {kind!r}")
+    return _CHUNK_KINDS[kind][0](start, end, strict)
 
 
-def _chunks(from_n: int, to_n: int, size: int) -> list[tuple[int, int]]:
-    return [(s, min(s + size - 1, to_n)) for s in range(from_n, to_n + 1, size)]
+def _chunks(from_n: int, to_n: int) -> list[tuple[int, int]]:
+    return [(s, min(s + CHUNK_SIZE - 1, to_n)) for s in range(from_n, to_n + 1, CHUNK_SIZE)]
 
 
 # --- checkpoint file: one JSON line per record, torn tails discarded ---------
 
 
-def _checkpoint_header(command: str, from_n: int, to_n: int, chunk_size: int, precision: str) -> dict:
+def write_atomic(path: str, text: str) -> None:
+    """Replace the file at path with text, via a temp file in the same directory."""
+    directory = os.path.dirname(os.path.abspath(path))
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".primesq-")
+    except OSError as exc:  # name the caller's path, not the temp file
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _checkpoint_header(command: str, from_n: int, to_n: int, precision: str) -> dict:
     return {
         "format": "primesq-checkpoint",
         "version": CHECKPOINT_VERSION,
         "command": command,
         "from": from_n,
         "to": to_n,
-        "chunk_size": chunk_size,
+        "chunk_size": CHUNK_SIZE,
         "precision": precision,
     }
 
 
-def _load_checkpoint(path: str, header: dict) -> dict[int, dict]:
+def _load_checkpoint(path: str, header: dict, row_type: type) -> dict[int, dict]:
     """Completed chunk records keyed by chunk_start; {} when absent."""
     if not os.path.exists(path):
         return {}
@@ -201,6 +226,7 @@ def _load_checkpoint(path: str, header: dict) -> dict[int, dict]:
             break  # torn tail from an interrupted write
         if "chunk_start" not in rec:
             break
+        rec["rows"] = [row_type._make(row) for row in rec["rows"]]
         done[rec["chunk_start"]] = rec
     return done
 
@@ -210,11 +236,8 @@ class _CheckpointWriter:
         self.path = path
         if path is None:
             return
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header) + "\n")
-            for start in sorted(done):
-                fh.write(json.dumps(done[start]) + "\n")
-            fh.flush()
+        records = [header] + [done[start] for start in sorted(done)]
+        write_atomic(path, "".join(json.dumps(rec) + "\n" for rec in records))
 
     def append(self, rec: dict) -> None:
         if self.path is None:
@@ -225,12 +248,12 @@ class _CheckpointWriter:
 
 
 def _run_chunked(kind: str, command: str, from_n: int, to_n: int, *, workers: int,
-                 strict: bool, checkpoint_path: str | None, resume: bool,
-                 chunk_size: int) -> tuple[list[list], int]:
-    """All rows for [from_n, to_n] in n-order, plus the chunk count."""
-    header = _checkpoint_header(command, from_n, to_n, chunk_size, "strict" if strict else "fast")
-    chunks = _chunks(from_n, to_n, chunk_size)
-    done = _load_checkpoint(checkpoint_path, header) if (checkpoint_path and resume) else {}
+                 strict: bool, checkpoint_path: str | None, resume: bool) -> list[tuple]:
+    """All rows for [from_n, to_n] in n-order."""
+    header = _checkpoint_header(command, from_n, to_n, "strict" if strict else "fast")
+    chunks = _chunks(from_n, to_n)
+    row_type = _CHUNK_KINDS[kind][1]
+    done = _load_checkpoint(checkpoint_path, header, row_type) if (checkpoint_path and resume) else {}
     writer = _CheckpointWriter(checkpoint_path, header, done)
     todo = [(s, e) for (s, e) in chunks if s not in done]
     jobs = [(kind, s, e, strict) for (s, e) in todo]
@@ -239,65 +262,73 @@ def _run_chunked(kind: str, command: str, from_n: int, to_n: int, *, workers: in
             results = list(pool.map(_chunk_job, jobs))
     else:
         results = [_chunk_job(job) for job in jobs]
-    pi_idx = 2 if kind == "margin" else 1
     for (s, e), rows in zip(todo, results):
         rec = {"chunk_start": s, "chunk_end": e,
-               "pi_at_start": rows[0][pi_idx] if rows else None, "rows": rows}
+               "pi_at_start": rows[0].pi_n2 if rows else None, "rows": rows}
         done[s] = rec
         writer.append(rec)
-    all_rows: list[list] = []
-    for s, _ in chunks:
-        all_rows.extend(done[s]["rows"])
-    return all_rows, len(chunks)
+    return [row for s, _ in chunks for row in done[s]["rows"]]
 
 
-# --- aggregation --------------------------------------------------------------
+# --- reports: one fold over (n, margin, cls) items ----------------------------
 
 
-def _margin_and_cls(target: str, row: list) -> tuple[float, int]:
-    if target == "c1":
-        return float(row[7]), row[11]
-    if target == "c2":
-        return float(row[8]), row[12]
-    if target == "theorem":
-        return float(row[9]), row[13]
-    # implication: a c2 pass at n must force t_floor <= f
-    if row[12] == CLS_BOUNDARY or row[13] == CLS_BOUNDARY:
-        return float(row[9]), CLS_BOUNDARY
-    if row[12] == CLS_PASS and row[6] > row[1]:
-        return float(row[9]), CLS_VIOLATION
-    return float(row[9]), CLS_PASS
-
-
-def _aggregate_margin(target: str, from_n: int, to_n: int, rows: list[list],
-                      strict: bool, chunk_count: int, chunk_size: int) -> ConjectureReport:
+def _fold(target: str, from_n: int, to_n: int, items: Iterable[tuple[int, float, int]],
+          strict: bool, note: str) -> ConjectureReport:
+    checked = 0
     violations: list[int] = []
     boundary: list[int] = []
     min_margin: float | None = None
     argmin: int | None = None
-    last_negative: int | None = None
-    for row in rows:
-        n = row[0]
-        if row[6] < 0:
-            last_negative = n
-        margin, cls = _margin_and_cls(target, row)
+    for n, margin, cls in items:
+        checked += 1
         if cls == CLS_VIOLATION:
             violations.append(n)
         elif cls == CLS_BOUNDARY:
             boundary.append(n)
         elif min_margin is None or margin < min_margin:
             min_margin, argmin = margin, n
-    note = f"chunks={chunk_count};chunk_size={chunk_size};precision={'strict' if strict else 'fast'}"
+    base = (f"chunks={len(_chunks(from_n, to_n))};chunk_size={CHUNK_SIZE};"
+            f"precision={'strict' if strict else 'fast'}")
+    return ConjectureReport(target, (from_n, to_n), checked, violations, boundary,
+                            min_margin, argmin, base + note)
+
+
+def _implication_cls(r: MarginRecord) -> int:
+    """A c2 pass at n must force t_floor <= f."""
+    if r.cls_c2 == CLS_BOUNDARY or r.cls_thm == CLS_BOUNDARY:
+        return CLS_BOUNDARY
+    return CLS_VIOLATION if r.cls_c2 == CLS_PASS and r.t_floor > r.f else CLS_PASS
+
+
+_MARGIN_ITEM = {
+    "c1": lambda r: (r.n, r.margin_c1, r.cls_c1),
+    "c2": lambda r: (r.n, r.margin_c2, r.cls_c2),
+    "theorem": lambda r: (r.n, float(r.margin_thm), r.cls_thm),
+    "implication": lambda r: (r.n, float(r.margin_thm), _implication_cls(r)),
+}
+
+
+def fold_margin_report(target: str, from_n: int, to_n: int, rows: list[MarginRecord],
+                       strict: bool) -> ConjectureReport:
+    """The target's report over [from_n, to_n] from margin rows covering that range."""
+    rows = [r for r in rows if from_n <= r.n <= to_n]
+    note = ""
     if target in ("theorem", "implication"):
-        note += f";last_negative_t_floor={last_negative if last_negative is not None else 'none'}"
-    return ConjectureReport(target, (from_n, to_n), len(rows), violations, boundary,
-                            min_margin, argmin, note)
+        last = max((r.n for r in rows if r.t_floor < 0), default="none")
+        note = f";last_negative_t_floor={last}"
+    return _fold(target, from_n, to_n, map(_MARGIN_ITEM[target], rows), strict, note)
+
+
+def _strict_flag(precision_mode: str) -> bool:
+    if precision_mode not in ("fast", "strict"):
+        raise ValueError(f"unknown precision mode {precision_mode!r}")
+    return precision_mode == "strict"
 
 
 def run_margin_campaign(target: str, from_n: int, to_n: int, *, workers: int = 1,
                         precision_mode: str = "fast", checkpoint_path: str | None = None,
-                        resume: bool = False, chunk_size: int = CHUNK_SIZE,
-                        ) -> tuple[ConjectureReport, list[MarginRecord]]:
+                        resume: bool = False) -> tuple[ConjectureReport, list[MarginRecord]]:
     if target not in MARGIN_TARGETS:
         raise ValueError(f"unknown target {target!r}")
     min_from = 5 if target == "c1" else 3
@@ -305,16 +336,10 @@ def run_margin_campaign(target: str, from_n: int, to_n: int, *, workers: int = 1
         raise DomainError(f"{target} campaigns need from >= {min_from}")
     if to_n < from_n:
         raise DomainError("need from <= to")
-    if precision_mode not in ("fast", "strict"):
-        raise ValueError(f"unknown precision mode {precision_mode!r}")
-    strict = precision_mode == "strict"
-    rows, chunk_count = _run_chunked(
-        "margin", f"verify {target}", from_n, to_n, workers=workers, strict=strict,
-        checkpoint_path=checkpoint_path, resume=resume, chunk_size=chunk_size)
-    report = _aggregate_margin(target, from_n, to_n, rows, strict, chunk_count, chunk_size)
-    records = [MarginRecord(r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7], r[8], r[9], bool(r[10]))
-               for r in rows]
-    return report, records
+    strict = _strict_flag(precision_mode)
+    rows = _run_chunked("margin", f"verify {target}", from_n, to_n, workers=workers,
+                        strict=strict, checkpoint_path=checkpoint_path, resume=resume)
+    return fold_margin_report(target, from_n, to_n, rows, strict), rows
 
 
 def verify_conjecture(which: str, from_n: int, to_n: int, **kwargs) -> ConjectureReport:
@@ -340,57 +365,20 @@ def implication_check(from_n: int, to_n: int, **kwargs) -> ConjectureReport:
 
 def run_lemma_campaign(from_n: int, to_n: int, *, workers: int = 1,
                        precision_mode: str = "fast", checkpoint_path: str | None = None,
-                       resume: bool = False, chunk_size: int = CHUNK_SIZE,
-                       ) -> tuple[ConjectureReport, ConjectureReport]:
+                       resume: bool = False) -> tuple[ConjectureReport, ConjectureReport]:
     if from_n < 3:
         raise DomainError("lemma campaigns need from >= 3")
     if to_n < from_n:
         raise DomainError("need from <= to")
-    if precision_mode not in ("fast", "strict"):
-        raise ValueError(f"unknown precision mode {precision_mode!r}")
-    strict = precision_mode == "strict"
-    rows, chunk_count = _run_chunked(
-        "lemma", "verify lemmas", from_n, to_n, workers=workers, strict=strict,
-        checkpoint_path=checkpoint_path, resume=resume, chunk_size=chunk_size)
-    base_note = f"chunks={chunk_count};chunk_size={chunk_size};precision={'strict' if strict else 'fast'}"
-
-    viol1: list[int] = []
-    bdry1: list[int] = []
-    min1: float | None = None
-    arg1: int | None = None
-    for row in rows:
-        n, cls1, m1 = row[0], row[7], float(row[6])
-        if cls1 == CLS_VIOLATION:
-            viol1.append(n)
-        elif cls1 == CLS_BOUNDARY:
-            bdry1.append(n)
-        elif min1 is None or m1 < min1:
-            min1, arg1 = m1, n
-    rep1 = ConjectureReport("lemma1", (from_n, to_n), len(rows), viol1, bdry1, min1, arg1,
-                            base_note + ";forms=display+proof")
-
-    viol2: list[int] = []
-    bdry2: list[int] = []
-    min2: float | None = None
-    arg2: int | None = None
-    checked2 = 0
-    info_failures = 0
-    for row in rows:
-        n, m2, cls2 = row[0], float(row[8]), row[9]
-        if n < LEMMA2_MIN_N:
-            if cls2 != CLS_PASS:
-                info_failures += 1
-            continue
-        checked2 += 1
-        if cls2 == CLS_VIOLATION:
-            viol2.append(n)
-        elif cls2 == CLS_BOUNDARY:
-            bdry2.append(n)
-        elif min2 is None or m2 < min2:
-            min2, arg2 = m2, n
-    note2 = (base_note + f";asserted_from={max(from_n, LEMMA2_MIN_N)}"
-             + f";below_domain_failures={info_failures}")
-    rep2 = ConjectureReport("lemma2", (from_n, to_n), checked2, viol2, bdry2, min2, arg2, note2)
+    strict = _strict_flag(precision_mode)
+    rows = _run_chunked("lemma", "verify lemmas", from_n, to_n, workers=workers,
+                        strict=strict, checkpoint_path=checkpoint_path, resume=resume)
+    rep1 = _fold("lemma1", from_n, to_n, ((r.n, r.margin_l1, r.cls_l1) for r in rows),
+                 strict, ";forms=display+proof")
+    below = sum(1 for r in rows if r.n < LEMMA2_MIN_N and r.cls_l2 != CLS_PASS)
+    rep2 = _fold("lemma2", from_n, to_n,
+                 ((r.n, r.margin_l2, r.cls_l2) for r in rows if r.n >= LEMMA2_MIN_N), strict,
+                 f";asserted_from={max(from_n, LEMMA2_MIN_N)};below_domain_failures={below}")
     return rep1, rep2
 
 

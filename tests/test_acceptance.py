@@ -1,7 +1,7 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines; the whole module finishes in a couple of minutes on a desktop.
+lines; the whole module finishes in well under a minute on a desktop.
 """
 
 import json

@@ -156,3 +156,24 @@ def test_report_all_wiring(tmp_path, capsys, monkeypatch):
     assert all(payload[k]["violations"] == [] for k in
                ("c1", "c2", "theorem", "implication", "lemma1", "lemma2", "dusart"))
     assert payload["c3_table"] == [{"n": 597, "s_sum": 64, "m": 597, "ratio": 1.0}]
+
+
+def test_unwritable_path_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert run_cli("verify", "c2", "--from", "3", "--to", "10",
+                   "--checkpoint", str(missing / "ck.txt")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("primesq: error:") and err.count("\n") == 1
+    assert str(missing / "ck.txt") in err
+    assert run_cli("verify", "c2", "--from", "3", "--to", "10", "--out", str(missing / "r.json")) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_unexpected_exception_exits_3(capsys, monkeypatch):
+    def crash(config):
+        raise RuntimeError("simulated crash")
+
+    monkeypatch.setattr(cli, "run", crash)
+    assert run_cli("verify", "c2", "--from", "3", "--to", "10") == 3
+    err = capsys.readouterr().err
+    assert "RuntimeError" in err and err.count("\n") == 1

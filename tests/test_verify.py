@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import random
 from dataclasses import asdict
 
@@ -148,6 +149,40 @@ def test_checkpoint_resume_equivalence(tmp_path):
     ck.write_text("\n".join(lines[:2]) + "\n" + lines[2][:40])
     resumed, _ = run_margin_campaign("theorem", 3, 1200, checkpoint_path=str(ck), resume=True)
     assert report_json(full) == report_json(resumed)
+
+
+@pytest.mark.parametrize("fail_at", ["serialise", "rename"])
+def test_checkpoint_rewrite_is_atomic(tmp_path, monkeypatch, fail_at):
+    ck = tmp_path / "ck.txt"
+    full, full_rows = run_margin_campaign("theorem", 3, 1200, checkpoint_path=str(ck))
+    lines = ck.read_text().splitlines()
+    ck.write_text("\n".join(lines[:3]) + "\n")  # killed after two of three chunks
+    before = ck.read_bytes()
+
+    def fail(*args, **kwargs):
+        raise OSError("simulated failure during the checkpoint rewrite")
+
+    if fail_at == "serialise":
+        # header and first chunk serialise, the second chunk fails
+        real_dumps, calls = json.dumps, []
+
+        def dumps(obj, **kwargs):
+            calls.append(obj)
+            if len(calls) == 3:
+                fail()
+            return real_dumps(obj, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", dumps)
+    else:
+        monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        run_margin_campaign("theorem", 3, 1200, checkpoint_path=str(ck), resume=True)
+    monkeypatch.undo()
+    assert ck.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.txt"]  # no stray temp file
+    resumed, resumed_rows = run_margin_campaign("theorem", 3, 1200, checkpoint_path=str(ck), resume=True)
+    assert report_json(resumed) == report_json(full)
+    assert margin_rows_csv(resumed_rows) == margin_rows_csv(full_rows)
 
 
 def test_completed_checkpoint_skips_recomputation(tmp_path, monkeypatch):
