@@ -13,7 +13,17 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from .analytic import _U, PRECISION_BITS, RealEval, _dusart_raw, dusart_lower, dusart_upper, theorem_floor
+from .analytic import (
+    _U,
+    DUSART_LOWER_C,
+    DUSART_UPPER_C,
+    PRECISION_BITS,
+    RealEval,
+    _dusart,
+    dusart_lower,
+    dusart_upper,
+    theorem_floor,
+)
 from .errors import DomainError
 
 START_K = 597  # least k certifying both L(k^2) and U((k+1)^2)
@@ -39,10 +49,9 @@ def _extend_caches(n: int) -> None:
     k = START_K + len(_tfloors)
     while k <= n:
         _tfloors.append(theorem_floor(k)[0])
-        upper, _ = dusart_upper((k + 1) * (k + 1))
-        lower, _ = dusart_lower(k * k)
-        _gaps.append(upper.value - lower.value)
-        _gap_errs.append(upper.abs_err + lower.abs_err)
+        gap = bound_gap(k)
+        _gaps.append(gap.value)
+        _gap_errs.append(gap.abs_err)
         k += 1
 
 
@@ -91,8 +100,8 @@ def _tail_quad(m: int, n: int) -> mpf:
     with mp.workprec(PRECISION_BITS["quad"]):
         total = mpf(0)
         for k in range(m, n + 1):
-            total += _dusart_raw((k + 1) * (k + 1), mp.log, mpf("2.51"))
-            total -= _dusart_raw(k * k, mp.log, mpf("1.8"))
+            total += _dusart(mp.log, (k + 1) * (k + 1), DUSART_UPPER_C)[0]
+            total -= _dusart(mp.log, k * k, DUSART_LOWER_C)[0]
         return total
 
 

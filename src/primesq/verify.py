@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 from .analytic import (
+    RealEval,
     c1_rhs,
     c2_lhs,
     delta,
@@ -100,6 +101,22 @@ def _classify(margin: float, err: float) -> int:
     return CLS_PASS if margin > 0.0 else CLS_VIOLATION
 
 
+def _excess(hi, lo) -> tuple[float, float]:
+    """hi - lo and its error bound; each side is a RealEval or an exact integer."""
+    hv, he = (hi.value, hi.abs_err) if isinstance(hi, RealEval) else (hi, 0.0)
+    lv, le = (lo.value, lo.abs_err) if isinstance(lo, RealEval) else (lo, 0.0)
+    return hv - lv, he + le
+
+
+def _judge(margin: float, err: float, strict: bool, at_quad) -> int:
+    """Class of margin within err; under strict, a boundary is judged again
+    from at_quad(), which returns the same margin and its error at quad."""
+    cls = _classify(margin, err)
+    if strict and cls == CLS_BOUNDARY:
+        cls = _classify(*at_quad())
+    return cls
+
+
 def _margin_chunk(start: int, end: int, strict: bool) -> list[MarginRecord]:
     rows = []
     for rec in stream_f(start, end):
@@ -108,17 +125,11 @@ def _margin_chunk(start: int, end: int, strict: bool) -> list[MarginRecord]:
         c1 = c1_rhs(n)
         c2 = c2_lhs(n)
         tf, bflag = theorem_floor(n)
-        m1 = c1.value - f
-        m2 = f - c2.value
+        m1, e1 = _excess(c1, f)
+        m2, e2 = _excess(f, c2)
         mt = f - tf
-        cls1 = _classify(m1, c1.abs_err)
-        cls2 = _classify(m2, c2.abs_err)
-        if strict and cls1 == CLS_BOUNDARY:
-            q = c1_rhs(n, "quad")
-            cls1 = _classify(q.value - f, q.abs_err)
-        if strict and cls2 == CLS_BOUNDARY:
-            q = c2_lhs(n, "quad")
-            cls2 = _classify(f - q.value, q.abs_err)
+        cls1 = _judge(m1, e1, strict, lambda: _excess(c1_rhs(n, "quad"), f))
+        cls2 = _judge(m2, e2, strict, lambda: _excess(f, c2_lhs(n, "quad")))
         if strict and bflag:
             cls_thm = CLS_BOUNDARY  # floor argument inconclusive at quad
         else:
@@ -131,27 +142,16 @@ def _margin_chunk(start: int, end: int, strict: bool) -> list[MarginRecord]:
 def _lemma_chunk(start: int, end: int, strict: bool) -> list[LemmaRecord]:
     rows = []
     for rec in stream_f(start, end):
-        n = rec.n
+        n, pi = rec.n, rec.pi_n2
         lhs, rhs = lemma1_sides(n)
         plhs, prhs = lemma1_proof_sides(n)
-        m_disp = rhs.value - lhs.value
-        m_proof = plhs.value - prhs.value
-        e_disp = rhs.abs_err + lhs.abs_err
-        e_proof = plhs.abs_err + prhs.abs_err
-        # the lemma holds only if both forms do; report the tighter margin
-        if m_disp <= m_proof:
-            m1, cls1 = m_disp, _classify(m_disp, e_disp)
-        else:
-            m1, cls1 = m_proof, _classify(m_proof, e_proof)
-        if strict and cls1 == CLS_BOUNDARY:
-            qlhs, qrhs = lemma1_sides(n, "quad")
-            cls1 = _classify(qrhs.value - qlhs.value, qrhs.abs_err + qlhs.abs_err)
-        m2 = rec.pi_n2 - lhs.value
-        cls2 = _classify(m2, lhs.abs_err)
-        if strict and cls2 == CLS_BOUNDARY:
-            q = lemma2_lhs(n, "quad")
-            cls2 = _classify(rec.pi_n2 - q.value, q.abs_err)
-        rows.append(LemmaRecord(n, rec.pi_n2, lhs.value, rhs.value, plhs.value, prhs.value,
+        # the lemma holds only if both forms do; judge the tighter margin
+        disp, proof = _excess(rhs, lhs), _excess(plhs, prhs)
+        m1, e1 = disp if disp[0] <= proof[0] else proof
+        cls1 = _judge(m1, e1, strict, lambda: _excess(*reversed(lemma1_sides(n, "quad"))))
+        m2, e2 = _excess(pi, lhs)
+        cls2 = _judge(m2, e2, strict, lambda: _excess(pi, lemma2_lhs(n, "quad")))
+        rows.append(LemmaRecord(n, pi, lhs.value, rhs.value, plhs.value, prhs.value,
                                 m1, cls1, m2, cls2))
     return rows
 
@@ -258,7 +258,7 @@ def _run_chunked(kind: str, command: str, from_n: int, to_n: int, *, workers: in
     todo = [(s, e) for (s, e) in chunks if s not in done]
     jobs = [(kind, s, e, strict) for (s, e) in todo]
     if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             results = list(pool.map(_chunk_job, jobs))
     else:
         results = [_chunk_job(job) for job in jobs]
@@ -273,8 +273,13 @@ def _run_chunked(kind: str, command: str, from_n: int, to_n: int, *, workers: in
 # --- reports: one fold over (n, margin, cls) items ----------------------------
 
 
+def _campaign_note(from_n: int, to_n: int, strict: bool) -> str:
+    return (f"chunks={len(_chunks(from_n, to_n))};chunk_size={CHUNK_SIZE};"
+            f"precision={'strict' if strict else 'fast'}")
+
+
 def _fold(target: str, from_n: int, to_n: int, items: Iterable[tuple[int, float, int]],
-          strict: bool, note: str) -> ConjectureReport:
+          note: str) -> ConjectureReport:
     checked = 0
     violations: list[int] = []
     boundary: list[int] = []
@@ -288,10 +293,8 @@ def _fold(target: str, from_n: int, to_n: int, items: Iterable[tuple[int, float,
             boundary.append(n)
         elif min_margin is None or margin < min_margin:
             min_margin, argmin = margin, n
-    base = (f"chunks={len(_chunks(from_n, to_n))};chunk_size={CHUNK_SIZE};"
-            f"precision={'strict' if strict else 'fast'}")
     return ConjectureReport(target, (from_n, to_n), checked, violations, boundary,
-                            min_margin, argmin, base + note)
+                            min_margin, argmin, note)
 
 
 def _implication_cls(r: MarginRecord) -> int:
@@ -313,11 +316,11 @@ def fold_margin_report(target: str, from_n: int, to_n: int, rows: list[MarginRec
                        strict: bool) -> ConjectureReport:
     """The target's report over [from_n, to_n] from margin rows covering that range."""
     rows = [r for r in rows if from_n <= r.n <= to_n]
-    note = ""
+    note = _campaign_note(from_n, to_n, strict)
     if target in ("theorem", "implication"):
         last = max((r.n for r in rows if r.t_floor < 0), default="none")
-        note = f";last_negative_t_floor={last}"
-    return _fold(target, from_n, to_n, map(_MARGIN_ITEM[target], rows), strict, note)
+        note += f";last_negative_t_floor={last}"
+    return _fold(target, from_n, to_n, map(_MARGIN_ITEM[target], rows), note)
 
 
 def _strict_flag(precision_mode: str) -> bool:
@@ -373,12 +376,13 @@ def run_lemma_campaign(from_n: int, to_n: int, *, workers: int = 1,
     strict = _strict_flag(precision_mode)
     rows = _run_chunked("lemma", "verify lemmas", from_n, to_n, workers=workers,
                         strict=strict, checkpoint_path=checkpoint_path, resume=resume)
+    note = _campaign_note(from_n, to_n, strict)
     rep1 = _fold("lemma1", from_n, to_n, ((r.n, r.margin_l1, r.cls_l1) for r in rows),
-                 strict, ";forms=display+proof")
+                 note + ";forms=display+proof")
     below = sum(1 for r in rows if r.n < LEMMA2_MIN_N and r.cls_l2 != CLS_PASS)
     rep2 = _fold("lemma2", from_n, to_n,
-                 ((r.n, r.margin_l2, r.cls_l2) for r in rows if r.n >= LEMMA2_MIN_N), strict,
-                 f";asserted_from={max(from_n, LEMMA2_MIN_N)};below_domain_failures={below}")
+                 ((r.n, r.margin_l2, r.cls_l2) for r in rows if r.n >= LEMMA2_MIN_N),
+                 note + f";asserted_from={max(from_n, LEMMA2_MIN_N)};below_domain_failures={below}")
     return rep1, rep2
 
 
@@ -388,36 +392,31 @@ def verify_lemmas(from_n: int, to_n: int, **kwargs) -> tuple[ConjectureReport, C
 
 
 def verify_dusart(samples: list[int]) -> ConjectureReport:
-    """Sandwich pi(x) between the explicit bounds at each applicable sample."""
+    """Sandwich pi(x) between the explicit bounds at each applicable sample.
+
+    Each checked sample folds as its smaller applicable margin and its worse
+    class, a violation ranking above a boundary.
+    """
     if not samples:
         raise DomainError("need at least one sample")
     xs = sorted(set(int(x) for x in samples))
-    violations: list[int] = []
-    skipped: list[int] = []
-    min_margin: float | None = None
-    argmin: int | None = None
-    checked = 0
+    items: list[tuple[int, float, int]] = []
     for x in xs:
         lower, lower_ok = (None, False) if x <= 1 else dusart_lower(x)
         upper, upper_ok = (None, False) if x <= 1 else dusart_upper(x)
         if not lower_ok and not upper_ok:
-            skipped.append(x)
             continue
         pi = pi_exact(x, "combinatorial")
-        checked += 1
-        ok = True
-        for margin, applies in ((pi - lower.value, lower_ok), (upper.value - pi, upper_ok)):
-            if not applies:
-                continue
-            if margin <= 0.0:
-                ok = False
-            elif min_margin is None or margin < min_margin:
-                min_margin, argmin = margin, x
-        if not ok:
-            violations.append(x)
-    note = f"samples={len(xs)};skipped={len(skipped)}"
-    return ConjectureReport("dusart", (xs[0], xs[-1]), checked, violations, [],
-                            min_margin, argmin, note)
+        sides = []
+        if lower_ok:
+            sides.append(_excess(pi, lower))
+        if upper_ok:
+            sides.append(_excess(upper, pi))
+        classes = {_classify(margin, err) for margin, err in sides}
+        cls = CLS_VIOLATION if CLS_VIOLATION in classes else max(classes)
+        items.append((x, min(margin for margin, _ in sides), cls))
+    note = f"samples={len(xs)};skipped={len(xs) - len(items)}"
+    return _fold("dusart", xs[0], xs[-1], items, note)
 
 
 # --- emission -----------------------------------------------------------------

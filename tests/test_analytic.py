@@ -111,13 +111,21 @@ def test_theorem_floor_values():
         theorem_floor(2)
 
 
-def test_theorem_floor_matches_quad_oracle():
-    for n in range(3, 300):
-        fl, _ = theorem_floor(n)
-        with mp.workprec(160):
+def test_theorem_floor_matches_quad_oracle(monkeypatch):
+    import primesq.analytic as analytic
+
+    oracle = {}
+    with mp.workprec(160):
+        for n in range(3, 300):
             arg = (((n + 1) ** 2) / mp.log(n + 1) - (n * n) / mp.log(n)) / 2 \
                 - mp.log(n) ** 2 / mp.log(mp.log(n))
-            assert int(mp.floor(arg)) == fl, n
+            oracle[n] = int(mp.floor(arg))
+    assert {n: theorem_floor(n) for n in oracle} == {n: (fl, False) for n, fl in oracle.items()}
+    # no n here comes near an integer, so force the extended tier, then the quad tier
+    monkeypatch.setattr(analytic, "ESCALATE_DIST", 1.0)
+    assert {n: theorem_floor(n) for n in oracle} == {n: (fl, False) for n, fl in oracle.items()}
+    monkeypatch.setattr(analytic, "BOUNDARY_DIST", 1.0)
+    assert {n: theorem_floor(n) for n in oracle} == {n: (fl, True) for n, fl in oracle.items()}
 
 
 def test_sum_r_small_values():

@@ -1,17 +1,45 @@
-"""Byte-for-byte pins on the default report and on a checkpointed campaign.
+"""Byte-for-byte pins on the default report, a checkpointed campaign and the analytic layer.
 
-The digests were recorded from the implementation that ran c1, c2, theorem
-and implication as four separate campaigns; a refactor of rows, folds or
-checkpoint writes must reproduce them exactly.
+The report, CSV and checkpoint digests were recorded from the implementation
+that ran c1, c2, theorem and implication as four separate campaigns; a
+refactor of rows, folds or checkpoint writes must reproduce them exactly.
+
+The analytic digests were recorded from the implementation that wrote a
+separate float body and mpmath body for each quantity. They hash float.hex
+of every value and error bound on a grid of n at each precision, so a
+refactor of the analytic layer must keep every bit. The extended/quad error
+digest leaves out the Dusart bounds and bound_gap: their mpmath error scale
+was 2x/log x where the double path used the bound itself.
 """
 
 import hashlib
 
 from primesq import cli
+from primesq.analytic import (
+    c1_rhs,
+    c2_lhs,
+    delta,
+    dusart_lower,
+    dusart_upper,
+    lemma1_proof_sides,
+    lemma1_sides,
+    lemma2_lhs,
+    r_term,
+    sum_r,
+    theorem_floor,
+)
+from primesq.mbound import START_K, bound_gap
 
 REPORT_ALL_JSON = "70e33a9f6341af548bc718466e9459d72a87e15129a000f9dc1991f07e590fd1"
 C2_CSV = "3e0b6bf6a7e00c66b0147e4c41c14b7b94141080eafa2a85e82995e27ebeac91"
 C2_CHECKPOINT = "510e1d2687bed1ee7bf4a20fab597e9740a25f8f9bc6672205f0b2411ec78871"
+
+ANALYTIC_DOUBLE = "a908e38067a63261049aeb6df27efeeb9b8a797fd4e8fa994f0d6ea65038f3e0"
+ANALYTIC_MP_VALUES = "28f5d0c6e392cd504616218d98b7aceaa54bfe7c1758108f7e7f49eec8088e49"
+ANALYTIC_MP_ERRORS = "c4447bdf3c6e31f2df00fb638d42c4a09abefffb7655ca6987a9cea3b481ac5f"
+THEOREM_FLOOR_3_20000 = "a48e703dff016abf9ec2b0954ed389bd62ce4e31e267c54c59cb848222467294"
+
+ANALYTIC_GRID = (3, 4, 5, 6, 10, 17, 50, 179, 180, 597, 1234, 2000, 9999, 10000)
 
 
 def _sha256(data: bytes) -> str:
@@ -29,3 +57,40 @@ def test_c2_csv_and_checkpoint_digests(tmp_path, capsys):
                      "--format", "csv", "--checkpoint", str(ck)]) == 0
     assert _sha256(capsys.readouterr().out.encode()) == C2_CSV
     assert _sha256(ck.read_bytes()) == C2_CHECKPOINT
+
+
+def _analytic_evals(n: int, precision: str) -> list[tuple[str, object]]:
+    """(name, RealEval) of every analytic quantity at n and precision."""
+    x = n * n + 7
+    out = [("delta", delta(n, precision)), ("r_term", r_term(n, precision)),
+           ("c1_rhs", c1_rhs(n, precision)), ("c2_lhs", c2_lhs(n, precision)),
+           ("dusart_lower", dusart_lower(x, precision)[0]),
+           ("dusart_upper", dusart_upper(x, precision)[0])]
+    out += zip(("lemma1_lhs", "lemma1_rhs"), lemma1_sides(n, precision))
+    out += zip(("proof_lhs", "proof_rhs"), lemma1_proof_sides(n, precision))
+    out += [("lemma2_lhs", lemma2_lhs(n, precision)), ("sum_r", sum_r(n, precision))]
+    if n >= START_K:
+        out.append(("bound_gap", bound_gap(n, precision)))
+    return out
+
+
+def _analytic_digests() -> tuple[str, str, str]:
+    double, mp_values, mp_errors = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    for n in ANALYTIC_GRID:
+        for name, ev in _analytic_evals(n, "double"):
+            double.update(f"{n} {name} {ev.value.hex()} {ev.abs_err.hex()}\n".encode())
+        for precision in ("extended", "quad"):
+            for name, ev in _analytic_evals(n, precision):
+                mp_values.update(f"{n} {precision} {name} {ev.value.hex()}\n".encode())
+                if not name.startswith("dusart") and name != "bound_gap":
+                    mp_errors.update(f"{n} {precision} {name} {ev.abs_err.hex()}\n".encode())
+    return double.hexdigest(), mp_values.hexdigest(), mp_errors.hexdigest()
+
+
+def test_analytic_digests():
+    assert _analytic_digests() == (ANALYTIC_DOUBLE, ANALYTIC_MP_VALUES, ANALYTIC_MP_ERRORS)
+
+
+def test_theorem_floor_digest():
+    text = "".join(f"{n} {fl} {flag}\n" for n in range(3, 20001) for fl, flag in [theorem_floor(n)])
+    assert _sha256(text.encode()) == THEOREM_FLOOR_3_20000

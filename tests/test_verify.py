@@ -6,6 +6,7 @@ from dataclasses import asdict
 
 import pytest
 
+from primesq.analytic import RealEval
 from primesq.errors import DomainError
 from primesq.sieve import count_primes_open
 from primesq.verify import (
@@ -225,3 +226,86 @@ def test_domain_checks():
 def test_strict_mode_runs_clean():
     report = verify_conjecture("c2", 3, 200, precision_mode="strict")
     assert report.violations == [] and report.boundary_cases == []
+
+
+def _blurred(monkeypatch, name):
+    """Make verify's binding of name return a huge error at double; quad passes through."""
+    import primesq.verify as v
+
+    real = getattr(v, name)
+
+    def blur(ev):
+        return RealEval(ev.value, 1e30, ev.precision)
+
+    def patched(n, precision="double"):
+        out = real(n, precision)
+        if precision != "double":
+            return out
+        return tuple(map(blur, out)) if isinstance(out, tuple) else blur(out)
+
+    monkeypatch.setattr(v, name, patched)
+
+
+def test_strict_re_evaluates_every_boundary(monkeypatch):
+    import primesq.verify as v
+
+    for name in ("c1_rhs", "c2_lhs", "lemma1_sides", "lemma1_proof_sides", "lemma2_lhs"):
+        _blurred(monkeypatch, name)
+    real_floor = v.theorem_floor
+    monkeypatch.setattr(v, "theorem_floor", lambda n: (real_floor(n)[0], True))
+    ns = list(range(180, 201))
+    for target in ("c1", "c2"):
+        fast = verify_conjecture(target, 180, 200)
+        assert fast.boundary_cases == ns and fast.violations == []
+        strict = verify_conjecture(target, 180, 200, precision_mode="strict")
+        assert strict.boundary_cases == [] and strict.violations == [] and strict.checked == 21
+    assert verify_theorem(180, 200).boundary_cases == []
+    assert verify_theorem(180, 200, precision_mode="strict").boundary_cases == ns
+    for rep in verify_lemmas(180, 200):
+        assert rep.boundary_cases == ns and rep.violations == []
+    for rep in verify_lemmas(180, 200, precision_mode="strict"):
+        assert rep.boundary_cases == [] and rep.violations == [] and rep.checked == 21
+
+
+def test_campaign_pool_capped_at_chunks_left(monkeypatch):
+    import primesq.verify as v
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(v, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(v, "CHUNK_SIZE", 4)
+    report, _ = run_margin_campaign("c2", 3, 22, workers=64)  # five chunks
+    assert sizes == [5]
+    assert report.checked == 20 and report.violations == []
+
+
+def test_dusart_bound_within_error_is_boundary(monkeypatch):
+    import primesq.verify as v
+    from primesq.counting import pi_exact
+
+    x = 10**6
+    real_upper = v.dusart_upper
+    pi = pi_exact(x, "combinatorial")
+
+    def upper_at_pi(xx, precision="double"):
+        ev, ok = real_upper(xx, precision)
+        return RealEval(pi + 0.5 * ev.abs_err, ev.abs_err, ev.precision), ok
+
+    monkeypatch.setattr(v, "dusart_upper", upper_at_pi)
+    report = verify_dusart([100, x])
+    assert report.boundary_cases == [x] and report.violations == []
+    assert report.checked == 1 and report.min_margin is None
+    assert report.runtime_note == "samples=2;skipped=1"
