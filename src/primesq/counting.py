@@ -1,9 +1,11 @@
 """Exact prime counts: per-window counts, running pi(n^2), pi(x), and g(n).
 
-Two independent pi(x) methods are provided. The windowed sieve streams
-segments and counts marks; the combinatorial method recursively counts
-integers not divisible by the first a primes (partial sieve) and never
-touches the segment code, so the two cross-check each other.
+Window counts f(n), window-sieve pi(x) and pi at many points all come from
+one streaming count in the sieve layer (``count_primes_below``). The
+combinatorial method recursively counts integers not divisible by the first
+a primes (partial sieve) and never touches the segment code, so the two pi(x)
+methods cross-check each other. A campaign seeds pi(n^2) once with it and
+sums window counts from there.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import Unsupported
-from .sieve import DEFAULT_SEGMENT_ODDS, base_primes, shared_table, sieve_window
+from .sieve import base_primes, count_primes_below, shared_table
 
 PiMethod = Literal["window_sieve", "combinatorial"]
 
@@ -37,26 +39,11 @@ class FRecord:
     pi_n2: int
 
 
-def _window_counts(n_from: int, n_to: int, segment_odds: int = DEFAULT_SEGMENT_ODDS) -> np.ndarray:
+def _window_counts(n_from: int, n_to: int) -> np.ndarray:
     """Counts of primes in (k^2, (k+1)^2) for k = n_from..n_to, one sieve pass."""
-    lo = n_from * n_from
-    hi = (n_to + 1) * (n_to + 1)
-    table = shared_table(n_to + 1)
-    bounds = np.array([k * k for k in range(n_from, n_to + 2)], dtype=np.int64)
-    counts = np.zeros(n_to - n_from + 1, dtype=np.int64)
-    if lo < 2 < hi:
-        counts[0] += 1  # only the k=1 window reaches below 3
-    span = 2 * segment_odds
-    cur = max(lo, 3)
-    if cur % 2 == 0:
-        cur += 1
-    while cur < hi:
-        nxt = min(cur + span, hi)
-        seg = sieve_window(cur, nxt, table)
-        vals = seg.first_odd + 2 * np.flatnonzero(seg.bits).astype(np.int64)
-        counts += np.diff(np.searchsorted(vals, bounds))
-        cur = nxt
-    return counts
+    squares = np.arange(n_from, n_to + 2, dtype=np.int64) ** 2
+    # no square is prime, so [k^2, (k+1)^2) holds the same primes
+    return np.diff(count_primes_below(n_from * n_from, squares))
 
 
 def f_of(n: int) -> int:
@@ -166,21 +153,9 @@ def _pi_combinatorial(x: int) -> int:
             res -= pi(x // primes[i - 1]) - (i - 1)
         return res
 
-    return pi(x)
-
-
-def _pi_window(x: int, segment_odds: int = DEFAULT_SEGMENT_ODDS) -> int:
-    if x < 2:
-        return 0
-    table = shared_table(math.isqrt(x))
-    total = 0
-    span = 2 * segment_odds
-    cur = 2
-    while cur <= x:
-        nxt = min(cur + span, x + 1)
-        total += sieve_window(cur, nxt, table).count()
-        cur = nxt
-    return total
+    result = pi(x)
+    del phi, pi  # break the closures' self-references so the memo is freed now
+    return result
 
 
 def pi_exact(x: int, method: PiMethod = "combinatorial") -> int:
@@ -189,9 +164,7 @@ def pi_exact(x: int, method: PiMethod = "combinatorial") -> int:
         raise ValueError("need x >= 0")
     x = int(x)
     if method == "window_sieve":
-        if x > WINDOW_SIEVE_MAX:
-            raise Unsupported(f"window_sieve supports x <= {WINDOW_SIEVE_MAX}")
-        return _pi_window(x)
+        return pi_exact_many([x])[0]
     if method == "combinatorial":
         if x > COMBINATORIAL_MAX:
             raise Unsupported(f"combinatorial supports x <= {COMBINATORIAL_MAX}")
@@ -205,32 +178,13 @@ def pi_exact_many(xs: list[int]) -> list[int]:
         return []
     if min(xs) < 0:
         raise ValueError("need x >= 0")
-    top = max(xs)
-    if top > WINDOW_SIEVE_MAX:
+    if max(xs) > WINDOW_SIEVE_MAX:
         raise Unsupported(f"window_sieve supports x <= {WINDOW_SIEVE_MAX}")
-    order = np.argsort(np.array(xs, dtype=np.int64), kind="stable")
-    sorted_xs = [int(xs[i]) for i in order]
-    results = [0] * len(xs)
-    if top < 2:
-        return results
-    table = shared_table(math.isqrt(top))
-    span = 2 * DEFAULT_SEGMENT_ODDS
-    running = 0
-    j = 0
-    cur = 2
-    while cur <= top:
-        nxt = min(cur + span, top + 1)
-        seg = sieve_window(cur, nxt, table)
-        vals = seg.marked_values()
-        while j < len(sorted_xs) and sorted_xs[j] < nxt:
-            results[order[j]] = running + int(np.searchsorted(vals, sorted_xs[j], side="right"))
-            j += 1
-        running += int(vals.size)
-        cur = nxt
-    while j < len(sorted_xs):
-        results[order[j]] = running
-        j += 1
-    return results
+    arr = np.array(xs, dtype=np.int64)
+    order = np.argsort(arr, kind="stable")
+    out = np.empty_like(arr)
+    out[order] = count_primes_below(0, arr[order] + 1)
+    return out.tolist()
 
 
 def _first_prime_in_open(lo_sq: int, hi_sq: int, primes: list[int]) -> int | None:

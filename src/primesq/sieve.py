@@ -139,22 +139,36 @@ def sieve_window(lo: int, hi: int, table: PrimeTable) -> SegmentBitmap:
     return SegmentBitmap(lo, hi, bits, lo <= 2 < hi)
 
 
+def count_primes_below(lo: int, bounds, *, segment_odds: int = DEFAULT_SEGMENT_ODDS) -> np.ndarray:
+    """For each ascending bound b, the number of primes in [lo, b).
+
+    One pass streams sieve segments of segment_odds odd slots over
+    [lo, max bound); a bound at or below lo counts 0.
+    """
+    bounds = np.asarray(bounds, dtype=np.int64)
+    counts = np.zeros(bounds.size, dtype=np.int64)
+    hi = int(bounds[-1]) if bounds.size else lo
+    if hi <= lo:
+        return counts
+    table = shared_table(math.isqrt(hi - 1))
+    below = 0  # primes in [lo, cur)
+    cur = lo
+    while cur < hi:
+        nxt = min(cur + 2 * segment_odds, hi)
+        seg = sieve_window(cur, nxt, table)
+        i, j = np.searchsorted(bounds, (cur, nxt), side="right")  # bounds in (cur, nxt]
+        if i < j:
+            counts[i:j] = below + np.searchsorted(seg.marked_values(), bounds[i:j])
+        below += seg.count()
+        cur = nxt
+    return counts
+
+
 def count_primes_open(a: int, b: int, *, segment_odds: int = DEFAULT_SEGMENT_ODDS) -> int:
     """Number of primes p with a < p < b; 0 whenever b <= a + 1."""
     if a < 0 or b < 0:
         raise ValueError("need a >= 0 and b >= 0")
-    lo, hi = a + 1, b
-    if hi <= lo or hi <= 2:
-        return 0
-    table = shared_table(math.isqrt(hi - 1))
-    total = 0
-    span = 2 * segment_odds
-    cur = lo
-    while cur < hi:
-        nxt = min(cur + span, hi)
-        total += sieve_window(cur, nxt, table).count()
-        cur = nxt
-    return total
+    return int(count_primes_below(a + 1, [b], segment_odds=segment_odds)[0])
 
 
 def is_prime(x: int) -> bool:

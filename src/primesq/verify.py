@@ -1,10 +1,12 @@
 """Range campaigns over the conjecture, theorem, and lemma inequalities.
 
-Campaigns split [from, to] into fixed chunks; every chunk seeds its own
-pi(n^2), and every row is a pure function of n, so chunks may run in any
-number of worker processes with bit-identical results, and one pass over a
-range serves every report drawn from it. Reports fold rows in n-order only,
-never in completion order.
+Campaigns split [from, to] into fixed chunks. Worker processes count each
+chunk's windows f(n); the campaign process seeds pi(n^2) once, at the first
+chunk not yet in the checkpoint, sums f(n) from there in n-order and builds
+every row, which is a pure function of n. So any number of workers and any
+resume point give bit-identical results, and one pass over a range serves
+every report drawn from it. Reports fold rows in n-order only, never in
+completion order.
 """
 
 from __future__ import annotations
@@ -14,8 +16,11 @@ import os
 import tempfile
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .analytic import (
     RealEval,
@@ -29,7 +34,7 @@ from .analytic import (
     lemma2_lhs,
     theorem_floor,
 )
-from .counting import pi_exact, stream_f
+from .counting import _window_counts, pi_exact
 from .errors import DomainError
 
 CHUNK_SIZE = 512
@@ -117,59 +122,50 @@ def _judge(margin: float, err: float, strict: bool, at_quad) -> int:
     return cls
 
 
-def _margin_chunk(start: int, end: int, strict: bool) -> list[MarginRecord]:
-    rows = []
-    for rec in stream_f(start, end):
-        n, f = rec.n, rec.f
-        d = delta(n)
-        c1 = c1_rhs(n)
-        c2 = c2_lhs(n)
-        tf, bflag = theorem_floor(n)
-        m1, e1 = _excess(c1, f)
-        m2, e2 = _excess(f, c2)
-        mt = f - tf
-        cls1 = _judge(m1, e1, strict, lambda: _excess(c1_rhs(n, "quad"), f))
-        cls2 = _judge(m2, e2, strict, lambda: _excess(f, c2_lhs(n, "quad")))
-        if strict and bflag:
-            cls_thm = CLS_BOUNDARY  # floor argument inconclusive at quad
-        else:
-            cls_thm = CLS_PASS if mt >= 0 else CLS_VIOLATION
-        rows.append(MarginRecord(n, f, rec.pi_n2, d.value, c1.value, c2.value, tf,
-                                 m1, m2, mt, 1 if bflag else 0, cls1, cls2, cls_thm))
-    return rows
+def _margin_row(n: int, f: int, pi: int, strict: bool) -> MarginRecord:
+    d = delta(n)
+    c1 = c1_rhs(n)
+    c2 = c2_lhs(n)
+    tf, bflag = theorem_floor(n)
+    m1, e1 = _excess(c1, f)
+    m2, e2 = _excess(f, c2)
+    mt = f - tf
+    cls1 = _judge(m1, e1, strict, lambda: _excess(c1_rhs(n, "quad"), f))
+    cls2 = _judge(m2, e2, strict, lambda: _excess(f, c2_lhs(n, "quad")))
+    if strict and bflag:
+        cls_thm = CLS_BOUNDARY  # floor argument inconclusive at quad
+    else:
+        cls_thm = CLS_PASS if mt >= 0 else CLS_VIOLATION
+    return MarginRecord(n, f, pi, d.value, c1.value, c2.value, tf,
+                        m1, m2, mt, 1 if bflag else 0, cls1, cls2, cls_thm)
 
 
-def _lemma_chunk(start: int, end: int, strict: bool) -> list[LemmaRecord]:
-    rows = []
-    for rec in stream_f(start, end):
-        n, pi = rec.n, rec.pi_n2
-        lhs, rhs = lemma1_sides(n)
-        plhs, prhs = lemma1_proof_sides(n)
-        # the lemma holds only if both forms do; judge the tighter margin
-        disp, proof = _excess(rhs, lhs), _excess(plhs, prhs)
-        m1, e1 = disp if disp[0] <= proof[0] else proof
-        cls1 = _judge(m1, e1, strict, lambda: _excess(*reversed(lemma1_sides(n, "quad"))))
-        m2, e2 = _excess(pi, lhs)
-        cls2 = _judge(m2, e2, strict, lambda: _excess(pi, lemma2_lhs(n, "quad")))
-        rows.append(LemmaRecord(n, pi, lhs.value, rhs.value, plhs.value, prhs.value,
-                                m1, cls1, m2, cls2))
-    return rows
+def _lemma_row(n: int, f: int, pi: int, strict: bool) -> LemmaRecord:
+    lhs, rhs = lemma1_sides(n)
+    plhs, prhs = lemma1_proof_sides(n)
+    # the lemma holds only if both forms do; judge the tighter margin
+    disp, proof = _excess(rhs, lhs), _excess(plhs, prhs)
+    m1, e1 = disp if disp[0] <= proof[0] else proof
+    cls1 = _judge(m1, e1, strict, lambda: _excess(*reversed(lemma1_sides(n, "quad"))))
+    m2, e2 = _excess(pi, lhs)
+    cls2 = _judge(m2, e2, strict, lambda: _excess(pi, lemma2_lhs(n, "quad")))
+    return LemmaRecord(n, pi, lhs.value, rhs.value, plhs.value, prhs.value, m1, cls1, m2, cls2)
 
 
-# chunk kind -> (chunk function, row type)
-_CHUNK_KINDS = {"margin": (_margin_chunk, MarginRecord), "lemma": (_lemma_chunk, LemmaRecord)}
+# row kind -> (row function of (n, f(n), pi(n^2), strict), row type)
+_ROW_KINDS = {"margin": (_margin_row, MarginRecord), "lemma": (_lemma_row, LemmaRecord)}
 
 
-def _chunk_job(args: tuple[str, int, int, bool]) -> list[tuple]:
-    kind, start, end, strict = args
-    return _CHUNK_KINDS[kind][0](start, end, strict)
+def _counts_job(chunk: tuple[int, int]) -> np.ndarray:
+    """Worker job: the chunk's window counts f(n), nothing else."""
+    return _window_counts(*chunk)
 
 
 def _chunks(from_n: int, to_n: int) -> list[tuple[int, int]]:
     return [(s, min(s + CHUNK_SIZE - 1, to_n)) for s in range(from_n, to_n + 1, CHUNK_SIZE)]
 
 
-# --- checkpoint file: one JSON line per record, torn tails discarded ---------
+# --- checkpoint file: one JSON line per chunk, in order; torn tails discarded -
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -201,43 +197,44 @@ def _checkpoint_header(command: str, from_n: int, to_n: int, precision: str) -> 
     }
 
 
-def _load_checkpoint(path: str, header: dict, row_type: type) -> dict[int, dict]:
-    """Completed chunk records keyed by chunk_start; {} when absent."""
+def _load_checkpoint(path: str, header: dict, row_type: type,
+                     chunks: list[tuple[int, int]]) -> list[dict]:
+    """The checkpoint's records of chunks[0], chunks[1], ... up to the first
+    missing or torn one; [] when absent."""
     if not os.path.exists(path):
-        return {}
+        return []
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
-        return {}
+        return []
     try:
         found = json.loads(lines[0])
     except json.JSONDecodeError:
-        return {}
+        return []
     if found != header:
         raise DomainError(
             f"checkpoint {path} belongs to a different campaign "
             f"({found.get('command')} over {found.get('from')}..{found.get('to')})"
         )
-    done: dict[int, dict] = {}
-    for line in lines[1:]:
+    done: list[dict] = []
+    for line, (start, _) in zip(lines[1:], chunks):
         try:
             rec = json.loads(line)
         except json.JSONDecodeError:
             break  # torn tail from an interrupted write
-        if "chunk_start" not in rec:
+        if rec.get("chunk_start") != start:
             break
         rec["rows"] = [row_type._make(row) for row in rec["rows"]]
-        done[rec["chunk_start"]] = rec
+        done.append(rec)
     return done
 
 
 class _CheckpointWriter:
-    def __init__(self, path: str | None, header: dict, done: dict[int, dict]):
+    def __init__(self, path: str | None, header: dict, done: list[dict]):
         self.path = path
         if path is None:
             return
-        records = [header] + [done[start] for start in sorted(done)]
-        write_atomic(path, "".join(json.dumps(rec) + "\n" for rec in records))
+        write_atomic(path, "".join(json.dumps(rec) + "\n" for rec in [header] + done))
 
     def append(self, rec: dict) -> None:
         if self.path is None:
@@ -249,25 +246,30 @@ class _CheckpointWriter:
 
 def _run_chunked(kind: str, command: str, from_n: int, to_n: int, *, workers: int,
                  strict: bool, checkpoint_path: str | None, resume: bool) -> list[tuple]:
-    """All rows for [from_n, to_n] in n-order."""
+    """All rows for [from_n, to_n] in n-order.
+
+    Workers count the windows of the chunks still to do while this process
+    seeds pi(n^2) once at the first of them; it then builds every row from the
+    running sum and checkpoints each chunk as soon as its rows exist.
+    """
     header = _checkpoint_header(command, from_n, to_n, "strict" if strict else "fast")
     chunks = _chunks(from_n, to_n)
-    row_type = _CHUNK_KINDS[kind][1]
-    done = _load_checkpoint(checkpoint_path, header, row_type) if (checkpoint_path and resume) else {}
+    row_fn, row_type = _ROW_KINDS[kind]
+    done = _load_checkpoint(checkpoint_path, header, row_type, chunks) if (checkpoint_path and resume) else []
     writer = _CheckpointWriter(checkpoint_path, header, done)
-    todo = [(s, e) for (s, e) in chunks if s not in done]
-    jobs = [(kind, s, e, strict) for (s, e) in todo]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            results = list(pool.map(_chunk_job, jobs))
-    else:
-        results = [_chunk_job(job) for job in jobs]
-    for (s, e), rows in zip(todo, results):
-        rec = {"chunk_start": s, "chunk_end": e,
-               "pi_at_start": rows[0].pi_n2 if rows else None, "rows": rows}
-        done[s] = rec
-        writer.append(rec)
-    return [row for s, _ in chunks for row in done[s]["rows"]]
+    todo = chunks[len(done):]
+    parallel = workers > 1 and len(todo) > 1
+    with ProcessPoolExecutor(max_workers=min(workers, len(todo))) if parallel else nullcontext() as pool:
+        counts = (pool.map if parallel else map)(_counts_job, todo)  # workers fork before the seed
+        pi = pi_exact(todo[0][0] ** 2, "combinatorial") if todo else 0
+        for (s, e), fs in zip(todo, counts):
+            rec = {"chunk_start": s, "chunk_end": e, "pi_at_start": pi, "rows": []}
+            for n, f in zip(range(s, e + 1), fs.tolist()):
+                rec["rows"].append(row_fn(n, f, pi, strict))
+                pi += f
+            writer.append(rec)
+            done.append(rec)
+    return [row for rec in done for row in rec["rows"]]
 
 
 # --- reports: one fold over (n, margin, cls) items ----------------------------

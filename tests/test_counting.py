@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -103,6 +104,16 @@ def test_pi_unsupported_ranges():
         pi_exact(COMBINATORIAL_MAX + 1, "combinatorial")
     with pytest.raises(ValueError):
         pi_exact(10, "abacus")
+
+
+def test_combinatorial_pi_leaves_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        pi_exact(10**7, "combinatorial")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_g_examples():

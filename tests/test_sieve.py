@@ -7,6 +7,7 @@ from primesq.errors import InsufficientTable
 from primesq.sieve import (
     base_primes,
     concat,
+    count_primes_below,
     count_primes_open,
     grown,
     is_prime,
@@ -94,8 +95,14 @@ def test_count_open_matches_marks_at_random_cutoffs():
 def test_segment_size_independence():
     a, b = 10**6, 10**6 + 40_000
     baseline = count_primes_open(a, b)
+    rng = random.Random(5)
+    bounds = sorted([k * k for k in range(202)] + [rng.randrange(201**2) for _ in range(40)])
+    many = count_primes_below(0, bounds)
+    marks = sieve_window(0, 201**2, base_primes(201)).marked_values()
+    assert many.tolist() == np.searchsorted(marks, bounds).tolist()
     for odds in (128, 1777, 65536):
         assert count_primes_open(a, b, segment_odds=odds) == baseline
+        assert count_primes_below(0, bounds, segment_odds=odds).tolist() == many.tolist()
 
 
 def test_partition_concat_equals_whole():

@@ -194,9 +194,62 @@ def test_completed_checkpoint_skips_recomputation(tmp_path, monkeypatch):
     def boom(args):
         raise AssertionError("chunk recomputed on a completed checkpoint")
 
-    monkeypatch.setattr(v, "_chunk_job", boom)
+    monkeypatch.setattr(v, "_counts_job", boom)
     again, _ = run_margin_campaign("c2", 3, 600, checkpoint_path=str(ck), resume=True)
     assert report_json(full) == report_json(again)
+
+
+def test_chunk_checkpointed_as_soon_as_done(tmp_path, monkeypatch):
+    import primesq.verify as v
+
+    whole, ck = tmp_path / "whole.txt", tmp_path / "ck.txt"
+    full, full_rows = run_margin_campaign("c2", 3, 2000, checkpoint_path=str(whole))  # four chunks
+    real_job, jobs = v._counts_job, []
+
+    def job(chunk):
+        jobs.append(chunk)
+        if len(jobs) == 3:
+            raise RuntimeError("killed while counting the third chunk")
+        return real_job(chunk)
+
+    monkeypatch.setattr(v, "_counts_job", job)
+    with pytest.raises(RuntimeError):
+        run_margin_campaign("c2", 3, 2000, checkpoint_path=str(ck))
+    assert ck.read_text().splitlines() == whole.read_text().splitlines()[:3]
+    jobs.clear()
+    resumed, rows = run_margin_campaign("c2", 3, 2000, checkpoint_path=str(ck), resume=True)
+    assert jobs == [(1027, 1538), (1539, 2000)]
+    assert report_json(resumed) == report_json(full)
+    assert margin_rows_csv(rows) == margin_rows_csv(full_rows)
+    assert ck.read_bytes() == whole.read_bytes()
+
+
+def test_one_pi_seed_per_campaign(tmp_path, monkeypatch):
+    import primesq.counting as counting
+    import primesq.verify as v
+
+    real, seeds = counting.pi_exact, []
+
+    def counted(x, method="combinatorial"):
+        seeds.append(x)
+        return real(x, method)
+
+    monkeypatch.setattr(counting, "pi_exact", counted)
+    monkeypatch.setattr(v, "pi_exact", counted)
+
+    def seeds_of(run, *args, **kwargs):
+        seeds.clear()
+        run(*args, **kwargs)
+        return list(seeds)
+
+    ck = str(tmp_path / "ck.txt")
+    for workers in (1, 2):
+        assert seeds_of(run_margin_campaign, "c2", 3, 2000, workers=workers, checkpoint_path=ck) == [9]
+    lines = (tmp_path / "ck.txt").read_text().splitlines()
+    (tmp_path / "ck.txt").write_text("\n".join(lines[:3]) + "\n")  # two of four chunks
+    assert seeds_of(run_margin_campaign, "c2", 3, 2000, checkpoint_path=ck, resume=True) == [1027**2]
+    assert seeds_of(run_margin_campaign, "c2", 3, 2000, checkpoint_path=ck, resume=True) == []
+    assert seeds_of(verify_lemmas, 3, 1100) == [9]
 
 
 def test_checkpoint_campaign_mismatch(tmp_path):
