@@ -2,10 +2,10 @@
 
 Window counts f(n), window-sieve pi(x) and pi at many points all come from
 one streaming count in the sieve layer (``count_primes_below``). The
-combinatorial method recursively counts integers not divisible by the first
-a primes (partial sieve) and never touches the segment code, so the two pi(x)
-methods cross-check each other. A campaign seeds pi(n^2) once with it and
-sums window counts from there.
+combinatorial method tabulates Legendre's partial-sieve recurrence over the
+values x // i and shares no code with the sieve layer, so the two pi(x)
+methods cross-check each other. A campaign seeds pi(n^2) with it, sums
+window counts from there and checks the final sum against it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import Unsupported
-from .sieve import base_primes, count_primes_below, shared_table
+from .sieve import count_primes_below, shared_table
 
 PiMethod = Literal["window_sieve", "combinatorial"]
 
@@ -68,94 +68,30 @@ def stream_f(from_n: int, to_n: int) -> list[FRecord]:
 
 
 # --- combinatorial pi ------------------------------------------------------
-# phi(x, a) = #{1 <= m <= x : m has no prime factor among the first a primes}.
-# Small a bottoms out on wheel tables; pi(x) follows a Meissel-style recursion
-# whose correction terms all reduce to lookups below x^(2/3).
-
-_WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
-
-
-def _build_wheels() -> list[tuple[int, int, np.ndarray]]:
-    out = []
-    w = 1
-    for i in range(len(_WHEEL_PRIMES)):
-        w *= _WHEEL_PRIMES[i]
-        c = np.ones(w, dtype=np.int64)
-        for q in _WHEEL_PRIMES[: i + 1]:
-            c[::q] = 0
-        cs = np.cumsum(c)  # cs[r] = #{1 <= m <= r coprime}, c[0] = 0
-        cnt = np.append(cs, cs[-1])  # m = w itself is divisible
-        out.append((w, int(cnt[w]), cnt))
-    return out
-
-
-_WHEELS = _build_wheels()
-
-_small_tables_cache: dict[int, tuple[list[int], np.ndarray]] = {}
-
-
-def _small_tables(limit: int) -> tuple[list[int], np.ndarray]:
-    """(primes, pi table) up to a power-of-two bound >= limit, cached."""
-    key = 1 << max(limit.bit_length(), 12)
-    hit = _small_tables_cache.get(key)
-    if hit is not None:
-        return hit
-    table = base_primes(key)
-    is_p = np.zeros(key + 1, dtype=bool)
-    is_p[table.primes] = True
-    pi = np.cumsum(is_p, dtype=np.int64)
-    entry = (table.primes.tolist(), pi)
-    _small_tables_cache[key] = entry
-    return entry
-
-
-def _icbrt(n: int) -> int:
-    x = int(round(n ** (1.0 / 3.0)))
-    while x > 0 and x * x * x > n:
-        x -= 1
-    while (x + 1) ** 3 <= n:
-        x += 1
-    return x
+# Legendre's recurrence: S(v, p), the count of 2 <= m <= v that are prime or
+# have no prime factor <= p, is S(v, p-1) - (S(v // p, p-1) - S(p-1, p-1)) for
+# a prime p <= isqrt(v), and pi(x) = S(x, isqrt(x)). Only v = x // i occur:
+# small[v] for v <= isqrt(x), large[i] for x // i. Per prime, large then small
+# update in place; numpy evaluates each right side first, so it reads S(., p-1).
+# Time O(x^(3/4) / log x), memory O(sqrt(x)).
 
 
 def _pi_combinatorial(x: int) -> int:
     if x < 2:
         return 0
-    limit = max(math.isqrt(x), int(round(x ** (2.0 / 3.0)))) + 10
-    primes, pi_small = _small_tables(limit)
-    memo: dict[int, int] = {}
-    n_wheels = len(_WHEEL_PRIMES)
-
-    def phi(x: int, a: int) -> int:
-        if x <= 0:
-            return 0
-        if a == 0:
-            return x
-        if a <= n_wheels:
-            w, tot, cnt = _WHEELS[a - 1]
-            return (x // w) * tot + int(cnt[x % w])
-        if x < primes[a - 1]:
-            return 1
-        key = (x << 12) | a
-        v = memo.get(key)
-        if v is None:
-            v = phi(x, a - 1) - phi(x // primes[a - 1], a - 1)
-            memo[key] = v
-        return v
-
-    def pi(x: int) -> int:
-        if x <= limit:
-            return int(pi_small[x])
-        a = pi(_icbrt(x))
-        b = pi(math.isqrt(x))
-        res = phi(x, a) + a - 1
-        for i in range(a + 1, b + 1):
-            res -= pi(x // primes[i - 1]) - (i - 1)
-        return res
-
-    result = pi(x)
-    del phi, pi  # break the closures' self-references so the memo is freed now
-    return result
+    r = math.isqrt(x)
+    idx = np.arange(r + 1, dtype=np.int64)
+    small = np.maximum(idx - 1, 0)
+    large = x // np.maximum(idx, 1) - 1  # large[0] is unused
+    for p in range(2, r + 1):
+        if small[p] == small[p - 1]:
+            continue  # p is composite: S(p, p-1) = S(p-1, p-1)
+        sp, last = small[p - 1], min(r, x // (p * p))
+        k = min(r // p, last)  # large[i * p] holds S(x // (i * p)) for i <= k
+        large[1:k + 1] -= large[p:k * p + 1:p] - sp
+        large[k + 1:last + 1] -= small[x // (idx[k + 1:last + 1] * p)] - sp
+        small[p * p:] -= small[idx[p * p:] // p] - sp
+    return int(large[1])
 
 
 def pi_exact(x: int, method: PiMethod = "combinatorial") -> int:

@@ -7,6 +7,9 @@ every row, which is a pure function of n. So any number of workers and any
 resume point give bit-identical results, and one pass over a range serves
 every report drawn from it. Reports fold rows in n-order only, never in
 completion order.
+
+A run that computed any chunk checks its final sum against the combinatorial
+pi((to+1)^2), so campaigns need (to+1)^2 <= COMBINATORIAL_MAX.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .analytic import (
     lemma2_lhs,
     theorem_floor,
 )
-from .counting import _window_counts, pi_exact
+from .counting import COMBINATORIAL_MAX, _window_counts, pi_exact
 from .errors import DomainError
 
 CHUNK_SIZE = 512
@@ -250,8 +253,11 @@ def _run_chunked(kind: str, command: str, from_n: int, to_n: int, *, workers: in
 
     Workers count the windows of the chunks still to do while this process
     seeds pi(n^2) once at the first of them; it then builds every row from the
-    running sum and checkpoints each chunk as soon as its rows exist.
+    running sum and checkpoints each chunk as soon as its rows exist. At the
+    end the sum must equal the combinatorial pi((to+1)^2).
     """
+    if (to_n + 1) ** 2 > COMBINATORIAL_MAX:
+        raise DomainError(f"campaigns need (to+1)^2 <= {COMBINATORIAL_MAX} (combinatorial pi range)")
     header = _checkpoint_header(command, from_n, to_n, "strict" if strict else "fast")
     chunks = _chunks(from_n, to_n)
     row_fn, row_type = _ROW_KINDS[kind]
@@ -269,6 +275,9 @@ def _run_chunked(kind: str, command: str, from_n: int, to_n: int, *, workers: in
                 pi += f
             writer.append(rec)
             done.append(rec)
+    end = pi_exact((to_n + 1) ** 2, "combinatorial") if todo else pi
+    if pi != end:
+        raise RuntimeError(f"window counts sum to pi({to_n + 1}^2) = {pi}, the combinatorial pi gives {end}")
     return [row for rec in done for row in rec["rows"]]
 
 

@@ -19,6 +19,11 @@ def test_compute_pi_single_method(capsys):
     assert capsys.readouterr().out.strip() == "168"
 
 
+def test_combinatorial_pi_at_documented_limit(capsys):
+    assert run_cli("compute", "pi", "--x", "1000000000000", "--method", "combinatorial") == 0
+    assert capsys.readouterr().out.strip() == "37607912018"
+
+
 def test_compute_f_g_delta(capsys):
     assert run_cli("compute", "f", "--n", "4") == 0
     assert capsys.readouterr().out.strip() == "3"
@@ -68,6 +73,17 @@ def test_verify_csv_output(tmp_path):
     assert lines[0] == ("n,f,pi_n2,delta,c1_rhs,c2_lhs,t_floor,"
                         "margin_c1,margin_c2,margin_thm,boundary_flag")
     assert len(lines) == 1 + 38
+
+
+def test_campaign_at_far_n(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    assert run_cli("verify", "c2", "--from", "700000", "--to", "700001",
+                   "--format", "csv", "--out", str(out)) == 0
+    first, second = (line.split(",") for line in out.read_text().splitlines()[1:])
+    assert int(first[2]) + int(first[1]) == int(second[2])  # pi_n2 + f chains
+    assert run_cli("verify", "c2", "--from", "999999", "--to", "1000000") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("primesq: error:") and err.count("\n") == 1
 
 
 def test_lemmas_and_dusart_reject_csv(capsys):

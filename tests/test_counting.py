@@ -74,6 +74,7 @@ def test_pi_exact_examples():
         assert pi_exact(0, method) == 0
     assert pi_exact(10**6, "window_sieve") == 78498
     assert pi_exact(10**6, "combinatorial") == 78498
+    assert pi_exact(10**11, "combinatorial") == 4118054813
 
 
 def test_pi_against_naive_oracle():

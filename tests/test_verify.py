@@ -244,12 +244,32 @@ def test_one_pi_seed_per_campaign(tmp_path, monkeypatch):
 
     ck = str(tmp_path / "ck.txt")
     for workers in (1, 2):
-        assert seeds_of(run_margin_campaign, "c2", 3, 2000, workers=workers, checkpoint_path=ck) == [9]
+        assert seeds_of(run_margin_campaign, "c2", 3, 2000, workers=workers, checkpoint_path=ck) == [9, 2001**2]
     lines = (tmp_path / "ck.txt").read_text().splitlines()
     (tmp_path / "ck.txt").write_text("\n".join(lines[:3]) + "\n")  # two of four chunks
-    assert seeds_of(run_margin_campaign, "c2", 3, 2000, checkpoint_path=ck, resume=True) == [1027**2]
+    assert seeds_of(run_margin_campaign, "c2", 3, 2000, checkpoint_path=ck, resume=True) == [1027**2, 2001**2]
     assert seeds_of(run_margin_campaign, "c2", 3, 2000, checkpoint_path=ck, resume=True) == []
-    assert seeds_of(verify_lemmas, 3, 1100) == [9]
+    assert seeds_of(verify_lemmas, 3, 1100) == [9, 1101**2]
+
+
+def test_campaign_sum_checked_against_combinatorial_pi(monkeypatch, capsys):
+    import primesq.verify as v
+    from primesq import cli
+
+    real_job = v._counts_job
+
+    def off_by_one(chunk):
+        counts = real_job(chunk)
+        if chunk[1] == 1100:  # last of the three chunks of 3..1100
+            counts[-1] += 1
+        return counts
+
+    monkeypatch.setattr(v, "_counts_job", off_by_one)
+    with pytest.raises(RuntimeError, match="combinatorial"):
+        run_margin_campaign("c2", 3, 1100)
+    assert cli.main(["verify", "c2", "--from", "3", "--to", "1100"]) == 3
+    err = capsys.readouterr().err
+    assert "RuntimeError" in err and err.count("\n") == 1
 
 
 def test_checkpoint_campaign_mismatch(tmp_path):
