@@ -3,8 +3,9 @@
 Exit codes: 0 completed clean, 1 completed with violations (or boundary
 cases in strict mode), 2 usage, domain or file error, 3 internal
 inconsistency (dual pi methods disagree, a campaign's summed window counts
-miss the combinatorial pi((to+1)^2), or a non-empty implication check) or
-any other unexpected failure.
+miss the combinatorial pi((to+1)^2), the chunks a resume loads do not chain
+into its pi(n^2) seed, or a non-empty implication check) or any other
+unexpected failure.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
 """Exact prime counts: per-window counts, running pi(n^2), pi(x), and g(n).
 
 Window counts f(n), window-sieve pi(x) and pi at many points all come from
-one streaming count in the sieve layer (``count_primes_below``). The
-combinatorial method tabulates Legendre's partial-sieve recurrence over the
-values x // i and shares no code with the sieve layer, so the two pi(x)
-methods cross-check each other. A campaign seeds pi(n^2) with it, sums
-window counts from there and checks the final sum against it.
+one streaming count in the sieve layer (``count_primes_below``); f(n) is
+defined for (n+1)^2 <= F_WINDOW_MAX. The combinatorial method tabulates
+Legendre's partial-sieve recurrence over the values x // i and shares no
+code with the sieve layer, so the two pi(x) methods cross-check each other.
+A campaign seeds pi(n^2) with it, sums window counts from there and checks
+the final sum against it. g(n) finds the first prime of each window with a
+deterministic Miller-Rabin test, without the sieve, so it cross-checks f.
 """
 
 from __future__ import annotations
@@ -16,13 +18,18 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import Unsupported
-from .sieve import count_primes_below, shared_table
+from .errors import DomainError, Unsupported
+from .sieve import count_primes_below
 
 PiMethod = Literal["window_sieve", "combinatorial"]
 
 WINDOW_SIEVE_MAX = 10**10
 COMBINATORIAL_MAX = 10**12
+F_WINDOW_MAX = 10**14  # f(n) needs (n+1)^2 <= this, i.e. n <= 9999999
+
+# The first 12 prime bases decide Miller-Rabin for every x below
+# psi_12 = 318665857834031151167461 (Sorenson & Webster, Math. Comp. 2017).
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 @dataclass(frozen=True)
@@ -41,7 +48,9 @@ class FRecord:
 
 def _window_counts(n_from: int, n_to: int) -> np.ndarray:
     """Counts of primes in (k^2, (k+1)^2) for k = n_from..n_to, one sieve pass."""
-    squares = np.arange(n_from, n_to + 2, dtype=np.int64) ** 2
+    if (n_to + 1) ** 2 > F_WINDOW_MAX:
+        raise DomainError(f"f(n) needs (n+1)^2 <= {F_WINDOW_MAX}, so n <= {math.isqrt(F_WINDOW_MAX) - 1}")
+    squares = np.arange(n_from, n_to + 2, dtype=np.int64) ** 2  # <= F_WINDOW_MAX, no wrap
     # no square is prime, so [k^2, (k+1)^2) holds the same primes
     return np.diff(count_primes_below(n_from * n_from, squares))
 
@@ -123,39 +132,41 @@ def pi_exact_many(xs: list[int]) -> list[int]:
     return out.tolist()
 
 
-def _first_prime_in_open(lo_sq: int, hi_sq: int, primes: list[int]) -> int | None:
-    """Smallest prime strictly between lo_sq and hi_sq, or None.
+def miller_rabin(x: int) -> bool:
+    """Whether x is prime; exact for 0 <= x < psi_12 (about 3.18e23).
 
-    Trial division against the supplied base primes; callers guarantee the
-    list covers sqrt(hi_sq - 1). Scans stop at the first hit, which for
-    square-bounded windows lands within a few dozen candidates.
+    Trial division by the bases first, then a strong probable-prime test
+    to each base.
     """
-    if lo_sq < 2 < hi_sq:
-        return 2
-    x = lo_sq + 1
-    if x % 2 == 0:
-        x += 1
-    while x < hi_sq:
-        composite = False
-        for p in primes:
-            if p * p > x:
+    for a in MILLER_RABIN_BASES:
+        if x % a == 0:
+            return x == a
+    if x < 2:
+        return False
+    d, s = x - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MILLER_RABIN_BASES:
+        y = pow(a, d, x)
+        if y == 1 or y == x - 1:
+            continue
+        for _ in range(s - 1):
+            y = y * y % x
+            if y == x - 1:
                 break
-            if x % p == 0:
-                composite = True
-                break
-        if not composite:
-            return x
-        x += 2
-    return None
+        else:
+            return False
+    return True
 
 
 def g_of(n: int) -> int:
     """How many t <= n have at least one prime in (t^2, (t+1)^2)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    primes = shared_table(n + 1).primes.tolist()
     hits = 0
     for t in range(1, n + 1):
-        if _first_prime_in_open(t * t, (t + 1) * (t + 1), primes) is not None:
-            hits += 1
+        x, end = t * t + 1, (t + 1) * (t + 1)
+        while x < end and not miller_rabin(x):
+            x += 1
+        hits += x < end
     return hits

@@ -3,6 +3,11 @@
 Any interval [lo, hi) can be primality-resolved with base primes up to
 sqrt(hi - 1); memory stays proportional to the window, never to hi.
 Windows store one boolean per odd integer, with 2 special-cased.
+
+One numpy expression finds every base prime's first odd multiple in the
+window. Primes below SLICE_PRIME_MAX strike by slice assignment; all larger
+ones strike together, one fancy-index round per multiple, so the Python
+steps per window do not grow with the number of base primes.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ from .errors import InsufficientTable
 
 # Odd slots per segment used by streaming counts (covers 2^21 integers).
 DEFAULT_SEGMENT_ODDS = 1 << 20
+# Base primes below this strike by slice assignment; larger ones in rounds.
+SLICE_PRIME_MAX = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -46,27 +53,19 @@ def base_primes(limit: int) -> PrimeTable:
     return PrimeTable(limit, np.flatnonzero(is_p).astype(np.int64))
 
 
-def grown(table: PrimeTable, new_limit: int) -> PrimeTable:
-    """Return a table covering new_limit; doubling keeps re-sieves amortized.
-
-    Growing never changes previously listed primes, it only appends.
-    """
-    if new_limit <= table.limit:
-        return table
-    return base_primes(max(new_limit, 2 * table.limit))
-
-
 _shared: PrimeTable = base_primes(1 << 16)
 
 
 def shared_table(limit: int) -> PrimeTable:
-    """Package-wide prime table, grown on demand. Returned values are immutable."""
+    """Package-wide prime table covering limit. Returned values are immutable.
+
+    The table grows to at least twice its limit, so re-sieves amortize;
+    growing never changes previously listed primes, it only appends.
+    """
     global _shared
-    t = _shared
-    if t.limit < limit:
-        t = grown(t, limit)
-        _shared = t
-    return t
+    if _shared.limit < limit:
+        _shared = base_primes(max(limit, 2 * _shared.limit))
+    return _shared
 
 
 @dataclass(frozen=True)
@@ -128,14 +127,19 @@ def sieve_window(lo: int, hi: int, table: PrimeTable) -> SegmentBitmap:
     if hi > 9:
         # 9 is the least odd composite; below that nothing needs marking
         cut = int(np.searchsorted(table.primes, math.isqrt(hi - 1), side="right"))
-        for p in table.primes[:cut].tolist():
-            if p == 2:
-                continue
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start % 2 == 0:
-                start += p
-            if start < hi:
-                bits[(start - first_odd) // 2 :: p] = False
+        p = table.primes[1:cut]  # the odd base primes; primes[0] is 2
+        # the first odd multiple m*p >= max(p^2, lo) has the least odd m >= max(p, ceil(lo/p))
+        m = np.maximum(p, -(-lo // p)) | 1
+        idx = (m * p - first_odd) >> 1  # its slot; a step of p slots is 2p integers
+        k = int(np.searchsorted(p, SLICE_PRIME_MAX))
+        for i, q in zip(idx[:k].tolist(), p[:k].tolist()):
+            bits[i::q] = False
+        idx, p = idx[k:], p[k:]
+        while idx.size:
+            live = idx < n_odds
+            idx, p = idx[live], p[live]
+            bits[idx] = False
+            idx += p
     return SegmentBitmap(lo, hi, bits, lo <= 2 < hi)
 
 

@@ -9,7 +9,10 @@ every report drawn from it. Reports fold rows in n-order only, never in
 completion order.
 
 A run that computed any chunk checks its final sum against the combinatorial
-pi((to+1)^2), so campaigns need (to+1)^2 <= COMBINATORIAL_MAX.
+pi((to+1)^2), so campaigns need (to+1)^2 <= COMBINATORIAL_MAX. The last chunk
+reaches the checkpoint only after that check passes, and a resume checks that
+the chunks it loads chain into the pi(n^2) it seeds, so a checkpoint that
+failed its check can never be resumed into rows.
 """
 
 from __future__ import annotations
@@ -232,6 +235,26 @@ def _load_checkpoint(path: str, header: dict, row_type: type,
     return done
 
 
+def _loaded_end(done: list[dict]) -> int:
+    """pi((e+1)^2) for the last n = e of the loaded chunks, which must chain.
+
+    Each chunk's pi_at_start plus its counts must give the next pi_at_start.
+    Margin rows carry f(n); lemma rows carry only pi(n^2), so a lemma chunk
+    ends at its last pi(n^2) plus one window count.
+    """
+    pi = done[0]["pi_at_start"]
+    for rec in done:
+        if rec["pi_at_start"] != pi:
+            raise RuntimeError(f"checkpoint chunk {rec['chunk_start']} starts at pi = {rec['pi_at_start']}, "
+                               f"the chunks before it end at {pi}")
+        last = rec["rows"][-1]
+        if isinstance(last, MarginRecord):
+            pi += sum(row.f for row in rec["rows"])
+        else:
+            pi = last.pi_n2 + int(_window_counts(last.n, last.n)[0])
+    return pi
+
+
 class _CheckpointWriter:
     def __init__(self, path: str | None, header: dict, done: list[dict]):
         self.path = path
@@ -252,9 +275,10 @@ def _run_chunked(kind: str, command: str, from_n: int, to_n: int, *, workers: in
     """All rows for [from_n, to_n] in n-order.
 
     Workers count the windows of the chunks still to do while this process
-    seeds pi(n^2) once at the first of them; it then builds every row from the
-    running sum and checkpoints each chunk as soon as its rows exist. At the
-    end the sum must equal the combinatorial pi((to+1)^2).
+    seeds pi(n^2) once at the first of them, which the loaded chunks must
+    chain into; it then builds every row from the running sum and checkpoints
+    each chunk as soon as its rows exist, the last one only once the sum
+    equals the combinatorial pi((to+1)^2).
     """
     if (to_n + 1) ** 2 > COMBINATORIAL_MAX:
         raise DomainError(f"campaigns need (to+1)^2 <= {COMBINATORIAL_MAX} (combinatorial pi range)")
@@ -268,16 +292,24 @@ def _run_chunked(kind: str, command: str, from_n: int, to_n: int, *, workers: in
     with ProcessPoolExecutor(max_workers=min(workers, len(todo))) if parallel else nullcontext() as pool:
         counts = (pool.map if parallel else map)(_counts_job, todo)  # workers fork before the seed
         pi = pi_exact(todo[0][0] ** 2, "combinatorial") if todo else 0
+        if done and todo and (loaded := _loaded_end(done)) != pi:
+            if parallel:
+                pool.shutdown(cancel_futures=True)
+            raise RuntimeError(f"checkpoint chunks sum to pi({todo[0][0]}^2) = {loaded}, "
+                               f"the combinatorial pi gives {pi}")
         for (s, e), fs in zip(todo, counts):
             rec = {"chunk_start": s, "chunk_end": e, "pi_at_start": pi, "rows": []}
             for n, f in zip(range(s, e + 1), fs.tolist()):
                 rec["rows"].append(row_fn(n, f, pi, strict))
                 pi += f
-            writer.append(rec)
             done.append(rec)
+            if e < to_n:  # the last chunk waits for the final check
+                writer.append(rec)
     end = pi_exact((to_n + 1) ** 2, "combinatorial") if todo else pi
     if pi != end:
         raise RuntimeError(f"window counts sum to pi({to_n + 1}^2) = {pi}, the combinatorial pi gives {end}")
+    if todo:
+        writer.append(done[-1])
     return [row for rec in done for row in rec["rows"]]
 
 

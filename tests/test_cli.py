@@ -193,3 +193,11 @@ def test_unexpected_exception_exits_3(capsys, monkeypatch):
     assert run_cli("verify", "c2", "--from", "3", "--to", "10") == 3
     err = capsys.readouterr().err
     assert "RuntimeError" in err and err.count("\n") == 1
+
+
+def test_compute_f_range(capsys):
+    assert run_cli("compute", "f", "--n", "4000000000") == 2
+    err = capsys.readouterr().err
+    assert "9999999" in err and err.count("\n") == 1
+    assert run_cli("compute", "f", "--n", "9999999") == 0
+    assert int(capsys.readouterr().out) > 0

@@ -1,19 +1,24 @@
 import gc
 import random
 
+import numpy as np
 import pytest
 
 from primesq.counting import (
     COMBINATORIAL_MAX,
+    F_WINDOW_MAX,
     WINDOW_SIEVE_MAX,
     FRecord,
+    _window_counts,
     f_of,
     g_of,
+    miller_rabin,
     pi_exact,
     pi_exact_many,
     stream_f,
 )
-from primesq.errors import Unsupported
+from primesq.errors import DomainError, Unsupported
+from primesq.sieve import is_prime
 
 
 def naive_pi(limit: int) -> list[int]:
@@ -138,3 +143,36 @@ def test_preconditions():
         stream_f(5, 4)
     with pytest.raises(ValueError):
         g_of(0)
+
+
+def test_miller_rabin_matches_trial_division():
+    assert [x for x in range(200_000) if miller_rabin(x)] == [x for x in range(200_000) if is_prime(x)]
+
+
+@pytest.mark.parametrize("x", [3215031751, 2152302898747, 3474749660383, 341550071728321,
+                               3825123056546413051])
+def test_miller_rabin_rejects_strong_pseudoprimes(x):
+    # each is the least strong pseudoprime to the first k prime bases, k = 4..9
+    assert not miller_rabin(x)
+
+
+def test_miller_rabin_large_primes():
+    for p in (10**12 + 39, 10**14 + 31, 2**61 - 1):
+        assert miller_rabin(p)
+    assert not miller_rabin((10**12 + 39) * 1000003)
+
+
+def test_g_matches_window_counts():
+    counts = _window_counts(1, 3000)
+    for n in (1, 2, 3, 10, 99, 1000, 2999, 3000):
+        assert g_of(n) == int(np.count_nonzero(counts[:n])), n
+
+
+def test_f_range_limit():
+    assert F_WINDOW_MAX == 10**14
+    with pytest.raises(DomainError):
+        f_of(9_999_999 + 1)
+    with pytest.raises(DomainError):
+        f_of(4_000_000_000)
+    with pytest.raises(DomainError):
+        stream_f(9_999_990, 10**7)

@@ -1,16 +1,19 @@
+import math
 import random
 
 import numpy as np
 import pytest
 
+from primesq import sieve
+from primesq.counting import miller_rabin
 from primesq.errors import InsufficientTable
 from primesq.sieve import (
     base_primes,
     concat,
     count_primes_below,
     count_primes_open,
-    grown,
     is_prime,
+    shared_table,
     sieve_window,
 )
 
@@ -33,11 +36,15 @@ def test_base_primes_strictly_increasing_and_complete():
     assert listed == [x for x in range(301) if is_prime(x)]
 
 
-def test_growing_never_changes_prefix():
-    small = base_primes(100)
-    big = grown(small, 1000)
-    assert big.limit >= 1000
+def test_growing_never_changes_prefix(monkeypatch):
+    monkeypatch.setattr(sieve, "_shared", base_primes(100))
+    small = shared_table(50)
+    assert small.limit == 100
+    big = shared_table(150)
+    assert big.limit == 200  # grown to at least twice the old limit
     assert big.primes[: len(small)].tolist() == small.primes.tolist()
+    assert shared_table(1000).limit == 1000
+    assert shared_table(999) is shared_table(1000)
 
 
 def test_sieve_window_examples():
@@ -135,3 +142,49 @@ def test_window_preconditions():
         sieve_window(10, 5, base_primes(10))
     with pytest.raises(ValueError):
         count_primes_open(-1, 10)
+
+
+def _check_window(lo, hi, table, oracle=is_prime):
+    seg = sieve_window(lo, hi, table)
+    assert seg.marked_values().tolist() == [x for x in range(lo, hi) if oracle(x)], (lo, hi)
+    assert seg.count() == len(seg.marked_values())
+
+
+def test_tiny_windows_match_trial_division():
+    for hi in range(0, 40):
+        table = base_primes(math.isqrt(max(hi - 1, 0)))
+        for lo in range(0, hi + 1):  # includes every empty, 1-wide and 2-straddling window
+            _check_window(lo, hi, table)
+
+
+def test_far_windows_match_trial_division():
+    rng = random.Random(20261018)
+    table = shared_table(10**7)
+    for _ in range(6):
+        lo = int(10 ** rng.uniform(12, 14))
+        _check_window(lo, lo + rng.randrange(1, 64), table)
+    for lo in (10**12, 10**14 - 40):
+        _check_window(lo, lo, table)
+        _check_window(lo, lo + 1, table)
+        _check_window(lo, lo + 40, table)
+
+
+@pytest.mark.parametrize("p", [3, 127, 16381, 16411, 999983])
+def test_windows_at_a_prime_square(p):
+    # p is the last base prime each window needs; 16381 < SLICE_PRIME_MAX < 16411
+    sq = p * p
+    for lo in range(sq - 2, sq + 3):
+        for width in (0, 1, 2, 3, 40):
+            hi = lo + width
+            _check_window(lo, hi, base_primes(math.isqrt(max(hi - 1, 0))))
+
+
+def test_slice_split_sits_between_the_test_primes():
+    assert 16381 < sieve.SLICE_PRIME_MAX < 16411
+
+
+def test_wide_far_windows_match_miller_rabin():
+    # wide enough that primes above SLICE_PRIME_MAX strike several times
+    for lo in (16411**2 - 5, 10**12 + 12345):
+        hi = lo + 4 * 16411 + 7
+        _check_window(lo, hi, shared_table(math.isqrt(hi)), miller_rabin)

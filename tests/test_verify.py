@@ -7,6 +7,7 @@ from dataclasses import asdict
 import pytest
 
 from primesq.analytic import RealEval
+from primesq.counting import _window_counts
 from primesq.errors import DomainError
 from primesq.sieve import count_primes_open
 from primesq.verify import (
@@ -382,3 +383,61 @@ def test_dusart_bound_within_error_is_boundary(monkeypatch):
     assert report.boundary_cases == [x] and report.violations == []
     assert report.checked == 1 and report.min_margin is None
     assert report.runtime_note == "samples=2;skipped=1"
+
+
+def _raised_first_count(n_from, n_to):
+    counts = _window_counts(n_from, n_to)
+    if n_from == 3:
+        counts[0] += 1
+    return counts
+
+
+def _raise_first_count(monkeypatch):
+    import primesq.verify as v
+
+    # patched where the worker job looks it up, so forked workers see it too
+    monkeypatch.setattr(v, "_window_counts", _raised_first_count)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_check_leaves_no_resumable_checkpoint(tmp_path, monkeypatch, capsys, workers):
+    from primesq import cli
+
+    ck = tmp_path / "ck.txt"
+    argv = ["verify", "c2", "--from", "3", "--to", "1100", "--workers", str(workers),
+            "--checkpoint", str(ck), "--format", "csv"]
+    _raise_first_count(monkeypatch)
+    assert cli.main(argv) == 3
+    lines = ck.read_text().splitlines()
+    assert len(lines) == 1 + 2  # the last of three chunks is held back
+    if workers == 2:  # two chunks left to count, so the pool runs
+        ck.write_text("\n".join(lines[:2]) + "\n")
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert cli.main(argv + ["--resume"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "RuntimeError" in captured.err and captured.err.count("\n") == 1
+
+
+def test_failed_lemma_check_leaves_no_resumable_checkpoint(tmp_path, monkeypatch):
+    ck = str(tmp_path / "ck.txt")
+    _raise_first_count(monkeypatch)
+    with pytest.raises(RuntimeError):
+        verify_lemmas(3, 1100, checkpoint_path=ck)
+    monkeypatch.undo()
+    with pytest.raises(RuntimeError, match="checkpoint chunks sum"):
+        verify_lemmas(3, 1100, checkpoint_path=ck, resume=True)
+
+
+def test_partial_resume_requires_chained_chunks(tmp_path):
+    ck = tmp_path / "ck.txt"
+    full, _ = run_margin_campaign("c2", 3, 1100, checkpoint_path=str(ck))
+    header, first, second, _ = ck.read_text().splitlines()
+    rec = json.loads(second)
+    rec["pi_at_start"] += 1
+    ck.write_text("\n".join([header, first, json.dumps(rec)]) + "\n")
+    with pytest.raises(RuntimeError, match="chunks before it end"):
+        run_margin_campaign("c2", 3, 1100, checkpoint_path=str(ck), resume=True)
+    ck.write_text("\n".join([header, first, second]) + "\n")
+    resumed, _ = run_margin_campaign("c2", 3, 1100, checkpoint_path=str(ck), resume=True)
+    assert report_json(resumed) == report_json(full)
