@@ -3,8 +3,9 @@
 Window counts f(n), window-sieve pi(x) and pi at many points all come from
 one streaming count in the sieve layer (``count_primes_below``); f(n) is
 defined for (n+1)^2 <= F_WINDOW_MAX. The combinatorial method tabulates
-Legendre's partial-sieve recurrence over the values x // i and shares no
-code with the sieve layer, so the two pi(x) methods cross-check each other.
+Legendre's partial-sieve recurrence over the values x // i for the primes
+up to x^(1/3) and finishes with Meissel's split; it shares no code with the
+sieve layer, so the two pi(x) methods cross-check each other.
 A campaign seeds pi(n^2) with it, sums window counts from there and checks
 the final sum against it. g(n) finds the first prime of each window with a
 deterministic Miller-Rabin test, without the sieve, so it cross-checks f.
@@ -12,6 +13,7 @@ deterministic Miller-Rabin test, without the sieve, so it cross-checks f.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Literal
@@ -27,9 +29,12 @@ WINDOW_SIEVE_MAX = 10**10
 COMBINATORIAL_MAX = 10**12
 F_WINDOW_MAX = 10**14  # f(n) needs (n+1)^2 <= this, i.e. n <= 9999999
 
-# The first 12 prime bases decide Miller-Rabin for every x below
-# psi_12 = 318665857834031151167461 (Sorenson & Webster, Math. Comp. 2017).
+# The first k prime bases decide Miller-Rabin for every x below psi_k, the
+# least strong pseudoprime to all of them (Sorenson & Webster, Math. Comp. 2017).
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MILLER_RABIN_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                    341550071728321, 341550071728321, 3825123056546413051,
+                    3825123056546413051, 3825123056546413051, 318665857834031151167461)
 
 
 @dataclass(frozen=True)
@@ -82,17 +87,31 @@ def stream_f(from_n: int, to_n: int) -> list[FRecord]:
 # a prime p <= isqrt(v), and pi(x) = S(x, isqrt(x)). Only v = x // i occur:
 # small[v] for v <= isqrt(x), large[i] for x // i. Per prime, large then small
 # update in place; numpy evaluates each right side first, so it reads S(., p-1).
-# Time O(x^(3/4) / log x), memory O(sqrt(x)).
+# Meissel's split (Lehmer, Illinois J. Math. 1959) stops the loop at
+# y = icbrt(x): then small[v] = pi(v) for every v, and each prime q in (y, r]
+# has x // q < q^2, so large[q] = pi(x // q) and the steps left sum at once:
+# pi(x) = large[1] - sum(large[q] - small[q] + 1). Time O(x^(3/4) / log x)
+# with one Python step per prime <= x^(1/3), not x^(1/2); memory O(sqrt(x)).
+
+
+def _icbrt(x: int) -> int:
+    """floor(x^(1/3)), exact for 0 <= x < 2^53.
+
+    There the float root is off by far less than 1/2, so it rounds to the
+    floor or to one above it.
+    """
+    y = round(x ** (1 / 3))
+    return y - (y**3 > x)
 
 
 def _pi_combinatorial(x: int) -> int:
     if x < 2:
         return 0
-    r = math.isqrt(x)
+    r, y = math.isqrt(x), _icbrt(x)
     idx = np.arange(r + 1, dtype=np.int64)
     small = np.maximum(idx - 1, 0)
     large = x // np.maximum(idx, 1) - 1  # large[0] is unused
-    for p in range(2, r + 1):
+    for p in range(2, y + 1):
         if small[p] == small[p - 1]:
             continue  # p is composite: S(p, p-1) = S(p-1, p-1)
         sp, last = small[p - 1], min(r, x // (p * p))
@@ -100,7 +119,8 @@ def _pi_combinatorial(x: int) -> int:
         large[1:k + 1] -= large[p:k * p + 1:p] - sp
         large[k + 1:last + 1] -= small[x // (idx[k + 1:last + 1] * p)] - sp
         small[p * p:] -= small[idx[p * p:] // p] - sp
-    return int(large[1])
+    q = y + 1 + np.flatnonzero(small[y + 1:] > small[y:-1])  # the primes in (y, r]
+    return int(large[1] - (large[q] - small[q] + 1).sum())
 
 
 def pi_exact(x: int, method: PiMethod = "combinatorial") -> int:
@@ -136,7 +156,7 @@ def miller_rabin(x: int) -> bool:
     """Whether x is prime; exact for 0 <= x < psi_12 (about 3.18e23).
 
     Trial division by the bases first, then a strong probable-prime test
-    to each base.
+    to the first k bases, the fewest whose psi_k exceeds x.
     """
     for a in MILLER_RABIN_BASES:
         if x % a == 0:
@@ -146,7 +166,7 @@ def miller_rabin(x: int) -> bool:
     d, s = x - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
-    for a in MILLER_RABIN_BASES:
+    for a in MILLER_RABIN_BASES[:bisect.bisect_right(MILLER_RABIN_PSI, x) + 1]:
         y = pow(a, d, x)
         if y == 1 or y == x - 1:
             continue

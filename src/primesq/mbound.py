@@ -168,20 +168,3 @@ def c3_csv(records: list[MnRecord]) -> str:
         ratio = "" if rec.ratio is None else f"{rec.ratio:.6f}"
         lines.append(f"{rec.n},{rec.s_sum},{m},{ratio}")
     return "\n".join(lines) + "\n"
-
-
-def forward_tail_sum(m: int, n: int) -> tuple[float, float]:
-    """Forward-order compensated tail sum, for order-independence checks."""
-    if m < START_K or n < m:
-        raise DomainError("need 597 <= m <= n")
-    _extend_caches(n)
-    u = _U["double"]
-    s = c = err = 0.0
-    for i in range(m - START_K, n - START_K + 1):
-        g = _gaps[i]
-        err += _gap_errs[i] + 2.0 * u * g
-        y = g - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-    return s - c, err + u * abs(s)

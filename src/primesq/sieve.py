@@ -8,6 +8,9 @@ One numpy expression finds every base prime's first odd multiple in the
 window. Primes below SLICE_PRIME_MAX strike by slice assignment; all larger
 ones strike together, one fancy-index round per multiple, so the Python
 steps per window do not grow with the number of base primes.
+
+Counts stream such windows and sum their marks up to each bound; no window
+is ever turned into a list of primes.
 """
 
 from __future__ import annotations
@@ -84,28 +87,8 @@ class SegmentBitmap:
     def first_odd(self) -> int:
         return self.lo if self.lo % 2 == 1 else self.lo + 1
 
-    def is_marked(self, m: int) -> bool:
-        if not (self.lo <= m < self.hi):
-            raise ValueError(f"{m} outside [{self.lo}, {self.hi})")
-        if m % 2 == 0:
-            return m == 2 and self.has_two
-        return bool(self.bits[(m - self.first_odd) // 2])
-
-    def marked_values(self) -> np.ndarray:
-        odd = self.first_odd + 2 * np.flatnonzero(self.bits).astype(np.int64)
-        if self.has_two:
-            return np.concatenate((np.array([2], dtype=np.int64), odd))
-        return odd
-
     def count(self) -> int:
         return int(np.count_nonzero(self.bits)) + (1 if self.has_two else 0)
-
-
-def concat(a: SegmentBitmap, b: SegmentBitmap) -> SegmentBitmap:
-    """Join two adjacent segments into one over the union window."""
-    if a.hi != b.lo:
-        raise ValueError("segments are not adjacent")
-    return SegmentBitmap(a.lo, b.hi, np.concatenate((a.bits, b.bits)), a.has_two or b.has_two)
 
 
 def sieve_window(lo: int, hi: int, table: PrimeTable) -> SegmentBitmap:
@@ -147,7 +130,8 @@ def count_primes_below(lo: int, bounds, *, segment_odds: int = DEFAULT_SEGMENT_O
     """For each ascending bound b, the number of primes in [lo, b).
 
     One pass streams sieve segments of segment_odds odd slots over
-    [lo, max bound); a bound at or below lo counts 0.
+    [lo, max bound); a bound at or below lo counts 0. Each segment's bounds
+    are walked in order, summing the marks between consecutive odd slots.
     """
     bounds = np.asarray(bounds, dtype=np.int64)
     counts = np.zeros(bounds.size, dtype=np.int64)
@@ -162,7 +146,13 @@ def count_primes_below(lo: int, bounds, *, segment_odds: int = DEFAULT_SEGMENT_O
         seg = sieve_window(cur, nxt, table)
         i, j = np.searchsorted(bounds, (cur, nxt), side="right")  # bounds in (cur, nxt]
         if i < j:
-            counts[i:j] = below + np.searchsorted(seg.marked_values(), bounds[i:j])
+            ends = ((bounds[i:j] - seg.first_odd + 1) // 2).tolist()  # odd slots below each bound
+            got, at = below, 0
+            for k, end in enumerate(ends, i):
+                got += int(np.count_nonzero(seg.bits[at:end]))
+                counts[k], at = got, end
+            if seg.has_two:
+                counts[i:j] += bounds[i:j] > 2
         below += seg.count()
         cur = nxt
     return counts

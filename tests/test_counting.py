@@ -9,6 +9,8 @@ from primesq.counting import (
     F_WINDOW_MAX,
     WINDOW_SIEVE_MAX,
     FRecord,
+    _icbrt,
+    _pi_combinatorial,
     _window_counts,
     f_of,
     g_of,
@@ -97,6 +99,22 @@ def test_pi_methods_agree():
         assert pi_exact(x, "window_sieve") == pi_exact(x, "combinatorial"), x
 
 
+def test_icbrt_exact_at_cubes():
+    assert [_icbrt(x) for x in range(9)] == [0, 1, 1, 1, 1, 1, 1, 1, 2]
+    for k in range(2, 10**4 + 1):
+        assert (_icbrt(k**3 - 1), _icbrt(k**3), _icbrt(k**3 + 1)) == (k - 1, k, k), k
+
+
+def test_combinatorial_pi_matches_window_sieve():
+    # cubes and squares sit where the Meissel split moves its cut or a table ends
+    xs = list(range(3000))
+    xs += [k**3 + d for k in range(2, 300) for d in (-1, 0, 1)]
+    xs += [k * k + d for k in range(1, 400) for d in (-1, 0)]
+    rng = random.Random(20261018)
+    xs += [rng.randrange(10**9) for _ in range(300)]
+    assert [_pi_combinatorial(x) for x in xs] == pi_exact_many(xs)
+
+
 def test_pi_exact_many_matches_singles():
     rng = random.Random(3)
     xs = [rng.randrange(0, 200_000) for _ in range(30)] + [1, 2, 199_999]
@@ -149,10 +167,10 @@ def test_miller_rabin_matches_trial_division():
     assert [x for x in range(200_000) if miller_rabin(x)] == [x for x in range(200_000) if is_prime(x)]
 
 
-@pytest.mark.parametrize("x", [3215031751, 2152302898747, 3474749660383, 341550071728321,
-                               3825123056546413051])
+@pytest.mark.parametrize("x", [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                               341550071728321, 3825123056546413051])
 def test_miller_rabin_rejects_strong_pseudoprimes(x):
-    # each is the least strong pseudoprime to the first k prime bases, k = 4..9
+    # each is the least strong pseudoprime to the first k prime bases, k = 1..9
     assert not miller_rabin(x)
 
 

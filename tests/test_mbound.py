@@ -11,12 +11,13 @@ from primesq.mbound import (
     bound_gap,
     c3_csv,
     c3_table,
-    forward_tail_sum,
     m_of,
     m_of_linear,
     s_sum,
     _tail_arrays,
 )
+
+from oracles import forward_tail_sum
 
 # frozen from a 40-digit term-by-term evaluation with a linear-scan search
 M_ORACLE = {597: 597, 650: 635, 1000: 911, 2000: 1801}

@@ -9,13 +9,14 @@ from primesq.counting import miller_rabin
 from primesq.errors import InsufficientTable
 from primesq.sieve import (
     base_primes,
-    concat,
     count_primes_below,
     count_primes_open,
     is_prime,
     shared_table,
     sieve_window,
 )
+
+from oracles import concat, is_marked, marked_values
 
 
 def test_base_primes_examples():
@@ -48,9 +49,9 @@ def test_growing_never_changes_prefix(monkeypatch):
 
 
 def test_sieve_window_examples():
-    assert sieve_window(4, 9, base_primes(2)).marked_values().tolist() == [5, 7]
-    assert sieve_window(0, 2, base_primes(10)).marked_values().tolist() == []
-    assert sieve_window(25, 36, base_primes(5)).marked_values().tolist() == [29, 31]
+    assert marked_values(sieve_window(4, 9, base_primes(2))).tolist() == [5, 7]
+    assert marked_values(sieve_window(0, 2, base_primes(10))).tolist() == []
+    assert marked_values(sieve_window(25, 36, base_primes(5))).tolist() == [29, 31]
 
 
 def test_sieve_window_insufficient_table():
@@ -60,10 +61,10 @@ def test_sieve_window_insufficient_table():
 
 def test_sieve_window_marks_two():
     seg = sieve_window(0, 10, base_primes(3))
-    assert seg.marked_values().tolist() == [2, 3, 5, 7]
-    assert seg.is_marked(2)
-    assert not seg.is_marked(1)
-    assert not seg.is_marked(4)
+    assert marked_values(seg).tolist() == [2, 3, 5, 7]
+    assert is_marked(seg, 2)
+    assert not is_marked(seg, 1)
+    assert not is_marked(seg, 4)
 
 
 def test_count_primes_open_examples():
@@ -83,7 +84,7 @@ def test_marks_match_trial_division_to_1e5():
     seg = sieve_window(0, n + 1, base_primes(400))
     total = 0
     for x in range(n + 1):
-        marked = seg.is_marked(x)
+        marked = is_marked(seg, x)
         assert marked == is_prime(x), f"disagreement at {x}"
         total += marked
     assert count_primes_open(1, n + 1) == total == 9592
@@ -92,7 +93,7 @@ def test_marks_match_trial_division_to_1e5():
 def test_count_open_matches_marks_at_random_cutoffs():
     n = 100_000
     seg = sieve_window(0, n + 1, base_primes(400))
-    vals = seg.marked_values()
+    vals = marked_values(seg)
     rng = random.Random(7)
     for _ in range(25):
         cutoff = rng.randrange(2, n)
@@ -105,11 +106,29 @@ def test_segment_size_independence():
     rng = random.Random(5)
     bounds = sorted([k * k for k in range(202)] + [rng.randrange(201**2) for _ in range(40)])
     many = count_primes_below(0, bounds)
-    marks = sieve_window(0, 201**2, base_primes(201)).marked_values()
+    marks = marked_values(sieve_window(0, 201**2, base_primes(201)))
     assert many.tolist() == np.searchsorted(marks, bounds).tolist()
     for odds in (128, 1777, 65536):
         assert count_primes_open(a, b, segment_odds=odds) == baseline
         assert count_primes_below(0, bounds, segment_odds=odds).tolist() == many.tolist()
+
+
+@pytest.mark.parametrize("odds", [1, 2, 7, sieve.DEFAULT_SEGMENT_ODDS])
+@pytest.mark.parametrize("lo", [0, 1, 2, 3])
+def test_count_primes_below_every_bound(lo, odds):
+    # every integer is a bound, so segments hold several and some end exactly on one
+    bounds = list(range(1, 300))
+    expected = [sum(is_prime(x) for x in range(lo, b)) for b in bounds]
+    assert count_primes_below(lo, bounds, segment_odds=odds).tolist() == expected
+
+
+def test_count_primes_below_many_bounds_in_one_segment():
+    lo, hi = 10**6 + 1, 10**6 + 200_001
+    rng = random.Random(17)
+    bounds = sorted([lo - 3, lo, lo + 1, hi, hi] + [rng.randrange(lo, hi) for _ in range(3000)])
+    marks = marked_values(sieve_window(lo, hi, base_primes(math.isqrt(hi))))
+    expected = np.searchsorted(marks, np.maximum(bounds, lo)).tolist()
+    assert count_primes_below(lo, bounds).tolist() == expected
 
 
 def test_partition_concat_equals_whole():
@@ -127,14 +146,14 @@ def test_partition_concat_equals_whole():
     for piece in pieces[1:]:
         joined = concat(joined, piece)
     assert joined.lo == whole.lo and joined.hi == whole.hi
-    assert joined.marked_values().tolist() == whole.marked_values().tolist()
+    assert marked_values(joined).tolist() == marked_values(whole).tolist()
 
 
 def test_squares_never_marked():
     table = base_primes(300)
     for n in range(1, 60):
         seg = sieve_window(n * n, n * n + 1, table)
-        assert not seg.is_marked(n * n)
+        assert not is_marked(seg, n * n)
 
 
 def test_window_preconditions():
@@ -146,8 +165,8 @@ def test_window_preconditions():
 
 def _check_window(lo, hi, table, oracle=is_prime):
     seg = sieve_window(lo, hi, table)
-    assert seg.marked_values().tolist() == [x for x in range(lo, hi) if oracle(x)], (lo, hi)
-    assert seg.count() == len(seg.marked_values())
+    assert marked_values(seg).tolist() == [x for x in range(lo, hi) if oracle(x)], (lo, hi)
+    assert seg.count() == len(marked_values(seg))
 
 
 def test_tiny_windows_match_trial_division():
