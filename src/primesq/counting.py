@@ -7,14 +7,19 @@ Legendre's partial-sieve recurrence over the values x // i for the primes
 up to x^(1/3) and finishes with Meissel's split; it shares no code with the
 sieve layer, so the two pi(x) methods cross-check each other.
 A campaign seeds pi(n^2) with it, sums window counts from there and checks
-the final sum against it. g(n) finds the first prime of each window with a
-deterministic Miller-Rabin test, without the sieve, so it cross-checks f.
+the final sum against it. g(n), defined on f's range, finds the first prime
+of each window without the sieve, so it cross-checks f: a numpy kernel
+strikes the multiples of the Miller-Rabin bases in a block of windows and
+runs deterministic Miller-Rabin on the survivors, with modular arithmetic
+exact below 2^47 > F_WINDOW_MAX.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Literal
 
@@ -27,7 +32,7 @@ PiMethod = Literal["window_sieve", "combinatorial"]
 
 WINDOW_SIEVE_MAX = 10**10
 COMBINATORIAL_MAX = 10**12
-F_WINDOW_MAX = 10**14  # f(n) needs (n+1)^2 <= this, i.e. n <= 9999999
+F_WINDOW_MAX = 10**14  # f(n) and g(n) need (n+1)^2 <= this, i.e. n <= 9999999
 
 # The first k prime bases decide Miller-Rabin for every x below psi_k, the
 # least strong pseudoprime to all of them (Sorenson & Webster, Math. Comp. 2017).
@@ -51,10 +56,14 @@ class FRecord:
     pi_n2: int
 
 
+def _check_window_range(n: int) -> None:
+    if (n + 1) ** 2 > F_WINDOW_MAX:
+        raise DomainError(f"f(n) and g(n) need (n+1)^2 <= {F_WINDOW_MAX}, so n <= {math.isqrt(F_WINDOW_MAX) - 1}")
+
+
 def _window_counts(n_from: int, n_to: int) -> np.ndarray:
     """Counts of primes in (k^2, (k+1)^2) for k = n_from..n_to, one sieve pass."""
-    if (n_to + 1) ** 2 > F_WINDOW_MAX:
-        raise DomainError(f"f(n) needs (n+1)^2 <= {F_WINDOW_MAX}, so n <= {math.isqrt(F_WINDOW_MAX) - 1}")
+    _check_window_range(n_to)
     squares = np.arange(n_from, n_to + 2, dtype=np.int64) ** 2  # <= F_WINDOW_MAX, no wrap
     # no square is prime, so [k^2, (k+1)^2) holds the same primes
     return np.diff(count_primes_below(n_from * n_from, squares))
@@ -152,41 +161,138 @@ def pi_exact_many(xs: list[int]) -> list[int]:
     return out.tolist()
 
 
-def miller_rabin(x: int) -> bool:
-    """Whether x is prime; exact for 0 <= x < psi_12 (about 3.18e23).
+# --- g(n): the first prime of each window, a block of windows at a time ------
+# Candidates stay below F_WINDOW_MAX < 2^47 < psi_7, so Miller-Rabin needs at
+# most the first 7 bases and runs in numpy int64/float64 arithmetic. A block
+# of G_BLOCK windows lays out the next G_SPAN candidates of each as a matrix
+# and strikes the multiples of the 12 bases with residue patterns gathered by
+# lo mod w, one gather per wheel w, no division per candidate. Then, in
+# rounds, each unresolved row tests its next survivors until it finds a prime
+# or runs out; a row with none gets the next G_SPAN candidates of its window
+# in a later pass, until the window ends.
 
-    Trial division by the bases first, then a strong probable-prime test
-    to the first k bases, the fewest whose psi_k exceeds x.
+G_BLOCK = 8192  # windows per block
+G_SPAN = 64  # candidates per window per pass
+_POW_BITS = 3  # exponent bits per multiplication; a^7 < 2^37 for every base a
+_WHEELS = ((2, 3, 5, 7, 11, 13), (17, 19, 23), (29, 31, 37))  # MILLER_RABIN_BASES
+
+
+@functools.cache
+def _strike_patterns() -> list[tuple[int, np.ndarray]]:
+    """(w, pattern) per wheel w: pattern[r, j] says whether r + j is prime to w.
+
+    Each pattern is a sliding-window view of one table over 0..w + G_SPAN - 1.
     """
-    for a in MILLER_RABIN_BASES:
-        if x % a == 0:
-            return x == a
-    if x < 2:
-        return False
-    d, s = x - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in MILLER_RABIN_BASES[:bisect.bisect_right(MILLER_RABIN_PSI, x) + 1]:
-        y = pow(a, d, x)
-        if y == 1 or y == x - 1:
-            continue
-        for _ in range(s - 1):
-            y = y * y % x
-            if y == x - 1:
-                break
-        else:
-            return False
-    return True
+    out = []
+    for primes in _WHEELS:
+        w = math.prod(primes)
+        v = np.arange(w + G_SPAN)
+        prime_to_w = np.logical_and.reduce([v % p != 0 for p in primes])
+        out.append((w, np.lib.stride_tricks.sliding_window_view(prime_to_w, G_SPAN)))
+    return out
+
+
+def _mulmod(a: np.ndarray, b, m: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """A residue of a * b mod m in (-m, m), for m < 2^47, |a| < m and either
+    b = a or 0 < b < 2^37; inv = 1 / m in float64.
+
+    a and b are exact in float64. The float quotient a*b*inv has three
+    roundings, so it is off by at most 3 * 2^-53 * |a*b/m|, which is below
+    3 * 2^-53 * 2^47 < 0.05 in both cases. Its nearest integer q therefore has
+    |a*b - q*m| <= 0.55 m. Both int64 products wrap, but their difference is
+    that residue, which int64 holds exactly.
+    """
+    q = np.rint(a.astype(np.float64) * b * inv).astype(np.int64)
+    return a * b - q * m
+
+
+def _strong_probable_prime(x: np.ndarray, a: int) -> np.ndarray:
+    """Whether each odd x, a < x < 2^47, is a strong probable prime to base a.
+
+    a^d mod x by left-to-right exponentiation: _POW_BITS squarings, then one
+    multiplication by a^digit for the next _POW_BITS bits of d.
+    """
+    inv = 1.0 / x.astype(np.float64)
+    d = x - 1
+    s = np.frexp((d & -d).astype(np.float64))[1] - 1  # 2^s exactly divides x - 1
+    d >>= s
+    powers = a ** np.arange(1 << _POW_BITS, dtype=np.int64)
+    y = np.ones_like(x)
+    for shift in range(int(d.max()).bit_length() // _POW_BITS * _POW_BITS, -1, -_POW_BITS):
+        for _ in range(_POW_BITS):
+            y = _mulmod(y, y, x, inv)
+        y = _mulmod(y, powers[(d >> shift) & ((1 << _POW_BITS) - 1)], x, inv)
+    y %= x
+    ok = (y == 1) | (y == x - 1)
+    for r in range(1, int(s.max())):
+        y = _mulmod(y, y, x, inv) % x
+        ok |= (y == x - 1) & (r < s)
+    return ok
+
+
+def _is_prime_many(x: np.ndarray) -> np.ndarray:
+    """Whether each int64 x, 0 <= x < 2^47, is prime.
+
+    Odd x above the bases take a strong probable-prime test to the first k
+    bases, the fewest whose psi_k exceeds the largest of them.
+    """
+    small = x <= MILLER_RABIN_BASES[-1]
+    prime = small & np.isin(x, MILLER_RABIN_BASES)
+    test = np.flatnonzero(~small & ((x & 1) == 1))
+    top = int(x[test].max()) if test.size else 0
+    for a in MILLER_RABIN_BASES[:bisect.bisect_right(MILLER_RABIN_PSI, top) + 1]:
+        if test.size:
+            test = test[_strong_probable_prime(x[test], a)]
+    prime[test] = True
+    return prime
+
+
+def _span_first_primes(lo: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """First prime in [lo, min(lo + G_SPAN, end)) per row, or 0; lo ascending."""
+    rows = lo.size
+    alive = np.arange(G_SPAN) < (end - lo)[:, None]
+    # rows with lo <= 37 may hold a base itself, which striking would remove
+    near = int(np.searchsorted(lo, MILLER_RABIN_BASES[-1], side="right"))
+    for w, pattern in _strike_patterns():
+        alive[near:] &= pattern[lo[near:] % w]
+    hit = np.flatnonzero(alive)  # row * G_SPAN + column of each survivor, in row-major order
+    stop = np.cumsum(np.count_nonzero(alive, axis=1))
+    at = np.concatenate(([0], stop[:-1]))  # each row's next untested survivor
+    found = np.zeros(rows, dtype=np.int64)
+    live = np.flatnonzero(at < stop)
+    while live.size:
+        # test up to `take` survivors of each live row, so a round stays about `rows` long
+        take = np.minimum(stop[live] - at[live], max(1, rows // live.size))
+        row = np.repeat(live, take)
+        first = np.cumsum(take) - take
+        k = at[row] + np.arange(row.size) - np.repeat(first, take)
+        x = lo[row] + (hit[k] - row * G_SPAN)
+        prime = _is_prime_many(x)
+        done, i = np.unique(row[prime], return_index=True)  # a row's first prime comes first
+        found[done] = x[prime][i]
+        at[live] += take
+        live = live[(found[live] == 0) & (at[live] < stop[live])]
+    return found
+
+
+def _first_primes(t_from: int, t_to: int) -> Iterator[np.ndarray]:
+    """The first prime in (t^2, (t+1)^2), or 0 where there is none, for
+    t = t_from..t_to: one array per block of G_BLOCK windows."""
+    for t0 in range(t_from, t_to + 1, G_BLOCK):
+        t = np.arange(t0, min(t0 + G_BLOCK - 1, t_to) + 1, dtype=np.int64)
+        lo, end = t * t + 1, (t + 1) * (t + 1)
+        found = np.zeros(t.size, dtype=np.int64)
+        rows = np.arange(t.size)
+        while rows.size:
+            found[rows] = _span_first_primes(lo[rows], end[rows])
+            lo[rows] += G_SPAN
+            rows = rows[(found[rows] == 0) & (lo[rows] < end[rows])]
+        yield found
 
 
 def g_of(n: int) -> int:
-    """How many t <= n have at least one prime in (t^2, (t+1)^2)."""
+    """How many t <= n have at least one prime in (t^2, (t+1)^2); (n+1)^2 <= F_WINDOW_MAX."""
     if n < 1:
         raise ValueError("need n >= 1")
-    hits = 0
-    for t in range(1, n + 1):
-        x, end = t * t + 1, (t + 1) * (t + 1)
-        while x < end and not miller_rabin(x):
-            x += 1
-        hits += x < end
-    return hits
+    _check_window_range(n)
+    return sum(int(np.count_nonzero(block)) for block in _first_primes(1, n))

@@ -12,7 +12,8 @@ A run that computed any chunk checks its final sum against the combinatorial
 pi((to+1)^2), so campaigns need (to+1)^2 <= COMBINATORIAL_MAX. The last chunk
 reaches the checkpoint only after that check passes, and a resume checks that
 the chunks it loads chain into the pi(n^2) it seeds, so a checkpoint that
-failed its check can never be resumed into rows.
+failed its check can never be resumed into rows. A complete resume seeds
+nothing but still checks that its chunks and margin rows chain.
 """
 
 from __future__ import annotations
@@ -239,8 +240,9 @@ def _loaded_end(done: list[dict]) -> int:
     """pi((e+1)^2) for the last n = e of the loaded chunks, which must chain.
 
     Each chunk's pi_at_start plus its counts must give the next pi_at_start.
-    Margin rows carry f(n); lemma rows carry only pi(n^2), so a lemma chunk
-    ends at its last pi(n^2) plus one window count.
+    Margin rows carry f(n), and each one's pi(n^2) must be the sum so far;
+    lemma rows carry only pi(n^2), so a lemma chunk ends at its last pi(n^2)
+    plus one window count.
     """
     pi = done[0]["pi_at_start"]
     for rec in done:
@@ -249,7 +251,11 @@ def _loaded_end(done: list[dict]) -> int:
                                f"the chunks before it end at {pi}")
         last = rec["rows"][-1]
         if isinstance(last, MarginRecord):
-            pi += sum(row.f for row in rec["rows"])
+            for row in rec["rows"]:
+                if row.pi_n2 != pi:
+                    raise RuntimeError(f"checkpoint row n = {row.n} has pi(n^2) = {row.pi_n2}, "
+                                       f"the counts before it sum to {pi}")
+                pi += row.f
         else:
             pi = last.pi_n2 + int(_window_counts(last.n, last.n)[0])
     return pi
@@ -278,7 +284,8 @@ def _run_chunked(kind: str, command: str, from_n: int, to_n: int, *, workers: in
     seeds pi(n^2) once at the first of them, which the loaded chunks must
     chain into; it then builds every row from the running sum and checkpoints
     each chunk as soon as its rows exist, the last one only once the sum
-    equals the combinatorial pi((to+1)^2).
+    equals the combinatorial pi((to+1)^2). A complete resume seeds nothing;
+    its chunks must still chain.
     """
     if (to_n + 1) ** 2 > COMBINATORIAL_MAX:
         raise DomainError(f"campaigns need (to+1)^2 <= {COMBINATORIAL_MAX} (combinatorial pi range)")
@@ -291,7 +298,7 @@ def _run_chunked(kind: str, command: str, from_n: int, to_n: int, *, workers: in
     parallel = workers > 1 and len(todo) > 1
     with ProcessPoolExecutor(max_workers=min(workers, len(todo))) if parallel else nullcontext() as pool:
         counts = (pool.map if parallel else map)(_counts_job, todo)  # workers fork before the seed
-        pi = pi_exact(todo[0][0] ** 2, "combinatorial") if todo else 0
+        pi = pi_exact(todo[0][0] ** 2, "combinatorial") if todo else _loaded_end(done)
         if done and todo and (loaded := _loaded_end(done)) != pi:
             if parallel:
                 pool.shutdown(cancel_futures=True)

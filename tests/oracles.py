@@ -1,11 +1,15 @@
-"""Test-only code: views of sieve segments, and a second order of summing mbound's gaps."""
+"""Test-only code: views of sieve segments, a second order of summing mbound's gaps,
+and scalar Miller-Rabin, the reference for the vectorised kernel."""
 
 from __future__ import annotations
+
+import bisect
 
 import numpy as np
 
 from primesq import mbound
 from primesq.analytic import _U
+from primesq.counting import MILLER_RABIN_BASES, MILLER_RABIN_PSI
 from primesq.errors import DomainError
 from primesq.sieve import SegmentBitmap
 
@@ -49,3 +53,30 @@ def forward_tail_sum(m: int, n: int) -> tuple[float, float]:
         c = (t - s) - y
         s = t
     return s - c, err + u * abs(s)
+
+
+def miller_rabin(x: int) -> bool:
+    """Whether x is prime; exact for 0 <= x < psi_12 (about 3.18e23).
+
+    Trial division by the bases first, then a strong probable-prime test
+    to the first k bases, the fewest whose psi_k exceeds x.
+    """
+    for a in MILLER_RABIN_BASES:
+        if x % a == 0:
+            return x == a
+    if x < 2:
+        return False
+    d, s = x - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MILLER_RABIN_BASES[:bisect.bisect_right(MILLER_RABIN_PSI, x) + 1]:
+        y = pow(a, d, x)
+        if y == 1 or y == x - 1:
+            continue
+        for _ in range(s - 1):
+            y = y * y % x
+            if y == x - 1:
+                break
+        else:
+            return False
+    return True

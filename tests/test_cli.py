@@ -201,3 +201,11 @@ def test_compute_f_range(capsys):
     assert "9999999" in err and err.count("\n") == 1
     assert run_cli("compute", "f", "--n", "9999999") == 0
     assert int(capsys.readouterr().out) > 0
+
+
+def test_compute_g_range(capsys):
+    assert run_cli("compute", "g", "--n", "10000000") == 2
+    err = capsys.readouterr().err
+    assert "9999999" in err and err.count("\n") == 1
+    assert run_cli("compute", "g", "--n", "3000") == 0
+    assert capsys.readouterr().out == "3000\n"

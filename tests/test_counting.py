@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 
 import numpy as np
@@ -7,20 +8,25 @@ import pytest
 from primesq.counting import (
     COMBINATORIAL_MAX,
     F_WINDOW_MAX,
+    G_BLOCK,
     WINDOW_SIEVE_MAX,
     FRecord,
+    _first_primes,
     _icbrt,
+    _is_prime_many,
+    _mulmod,
     _pi_combinatorial,
     _window_counts,
     f_of,
     g_of,
-    miller_rabin,
     pi_exact,
     pi_exact_many,
     stream_f,
 )
 from primesq.errors import DomainError, Unsupported
-from primesq.sieve import is_prime
+from primesq.sieve import is_prime, shared_table, sieve_window
+
+from oracles import marked_values, miller_rabin
 
 
 def naive_pi(limit: int) -> list[int]:
@@ -194,3 +200,116 @@ def test_f_range_limit():
         f_of(4_000_000_000)
     with pytest.raises(DomainError):
         stream_f(9_999_990, 10**7)
+    with pytest.raises(DomainError):
+        g_of(9_999_999 + 1)
+    with pytest.raises(DomainError):
+        g_of(4_000_000_000)
+
+
+# --- the vectorised Miller-Rabin kernel against the scalar oracle ------------
+
+
+def _kernel_agrees(xs):
+    xs = [int(x) for x in xs]
+    assert _is_prime_many(np.array(xs, dtype=np.int64)).tolist() == [miller_rabin(x) for x in xs]
+
+
+def _primes_near(v, count):
+    """The count primes just below v and the count primes from v up."""
+    below, above, x, y = [], [], v - 1, v
+    while len(below) < count:
+        below += [x] * miller_rabin(x)
+        x -= 1
+    while len(above) < count:
+        above += [y] * miller_rabin(y)
+        y += 1
+    return below + above
+
+
+def test_kernel_matches_miller_rabin_below_2e5():
+    _kernel_agrees(range(200_000))
+
+
+def test_kernel_rejects_pseudoprimes():
+    # psi_1..psi_6, the least strong pseudoprimes to the first k bases, and Carmichael numbers;
+    # alone, psi_k is the largest x of its batch, which must then take k + 1 bases
+    psi = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383]
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185, 9746347772161]
+    for x in psi + carmichael:
+        assert not _is_prime_many(np.array([x], dtype=np.int64))[0], x
+    _kernel_agrees(psi + carmichael)
+
+
+def test_kernel_on_squares_and_products_of_close_primes():
+    xs = []
+    for v in (65536, math.isqrt(2**47), 10**7):  # products near 2^32, 2^47 and 10^14
+        ps = _primes_near(v, 3)
+        xs += [p * q for p in ps for q in ps if p * q < 2**47]
+        xs += [p - 2 for p in ps] + ps
+    assert any(x > 2**32 for x in xs) and max(xs) > 10**14
+    _kernel_agrees(xs)
+
+
+def test_kernel_on_random_large_odd_x():
+    rng = random.Random(20261018)
+    xs = [2**32 + d for d in range(-301, 301, 2)]
+    xs += [rng.randrange(2**31, 2**32) | 1 for _ in range(2000)]
+    xs += [rng.randrange(2**32, 2**33) | 1 for _ in range(2000)]
+    xs += [rng.randrange(10**13, 10**14) | 1 for _ in range(3000)]
+    _kernel_agrees(xs)
+
+
+def test_mulmod_exact_near_2_32_and_10_14():
+    top = 10**14 - 1
+    while not miller_rabin(top):
+        top -= 2
+    for m in (2**32 - 5, 2**32 + 15, top):
+        pairs = [(m - 1, m - 1), (m - 1, m - 2), (m - 2, m - 2), (m - 1, 37**7), (m - 2, 1)]
+        a = np.array([p[0] for p in pairs], dtype=np.int64)
+        b = np.array([p[1] for p in pairs], dtype=np.int64)
+        mm = np.full(len(pairs), m, dtype=np.int64)
+        r = _mulmod(a, b, mm, 1.0 / mm.astype(np.float64)).tolist()
+        assert [v % m for v in r] == [x * y % m for x, y in pairs], m
+        assert all(abs(v) < m for v in r), m
+
+
+def _sieve_first_primes(t_from, t_to, span=None):
+    """First value sieve_window marks in (t^2, (t+1)^2), or in its first span integers."""
+    out = []
+    for t in range(t_from, t_to + 1):
+        lo, hi = t * t + 1, (t + 1) ** 2
+        if span is not None:
+            hi = min(hi, lo + span)
+        marked = marked_values(sieve_window(lo, hi, shared_table(math.isqrt(hi))))
+        assert marked.size or span is None, t  # a span too short to hold the first prime
+        out.append(int(marked[0]) if marked.size else 0)
+    return out
+
+
+def _kernel_first_primes(t_from, t_to):
+    return np.concatenate(list(_first_primes(t_from, t_to))).tolist()
+
+
+def test_first_primes_match_sieve_small_t():
+    assert _kernel_first_primes(1, 3000) == _sieve_first_primes(1, 3000)
+
+
+def test_first_primes_match_sieve_where_candidates_cross_2_32():
+    # 65536^2 = 2^32: windows below it test candidates under 2^32, windows above it over 2^32
+    assert _kernel_first_primes(65500, 65570) == _sieve_first_primes(65500, 65570)
+
+
+def test_first_primes_at_a_block_edge():
+    blocks = list(_first_primes(1, G_BLOCK + 1))
+    assert [b.size for b in blocks] == [G_BLOCK, 1]
+    got = np.concatenate(blocks)[G_BLOCK - 3:].tolist()
+    assert got == _sieve_first_primes(G_BLOCK - 2, G_BLOCK + 1)
+    assert _kernel_first_primes(G_BLOCK - 2, G_BLOCK + 1) == got
+    assert [g_of(n) for n in (G_BLOCK - 1, G_BLOCK, G_BLOCK + 1)] == [G_BLOCK - 1, G_BLOCK, G_BLOCK + 1]
+
+
+@pytest.mark.parametrize("near", [10**6, 9_999_999])
+def test_first_primes_match_sieve_far(near):
+    rng = random.Random(near)
+    t0 = min(rng.randrange(near - 10**5, near), 9_999_999 - 40)
+    assert _kernel_first_primes(t0, t0 + 40) == _sieve_first_primes(t0, t0 + 40, span=4096)

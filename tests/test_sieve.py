@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from primesq import sieve
-from primesq.counting import miller_rabin
 from primesq.errors import InsufficientTable
 from primesq.sieve import (
     base_primes,
@@ -16,7 +15,7 @@ from primesq.sieve import (
     sieve_window,
 )
 
-from oracles import concat, is_marked, marked_values
+from oracles import concat, is_marked, marked_values, miller_rabin
 
 
 def test_base_primes_examples():

@@ -441,3 +441,24 @@ def test_partial_resume_requires_chained_chunks(tmp_path):
     ck.write_text("\n".join([header, first, second]) + "\n")
     resumed, _ = run_margin_campaign("c2", 3, 1100, checkpoint_path=str(ck), resume=True)
     assert report_json(resumed) == report_json(full)
+
+
+@pytest.mark.parametrize("chunk, field", [(0, "f"), (1, "pi_n2"), (2, "f"), (2, "pi_n2")])
+def test_complete_resume_checks_its_chain(tmp_path, capsys, chunk, field):
+    from primesq import cli
+    from primesq.verify import MarginRecord
+
+    ck = tmp_path / "ck.txt"
+    argv = ["verify", "c2", "--from", "3", "--to", "1100", "--checkpoint", str(ck), "--format", "csv"]
+    assert cli.main(argv) == 0
+    good = capsys.readouterr().out
+    lines = ck.read_text().splitlines()
+    rec = json.loads(lines[1 + chunk])
+    rec["rows"][5][MarginRecord._fields.index(field)] += 1
+    ck.write_text("\n".join(lines[:1 + chunk] + [json.dumps(rec)] + lines[2 + chunk:]) + "\n")
+    assert cli.main(argv + ["--resume"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "RuntimeError" in captured.err and captured.err.count("\n") == 1
+    ck.write_text("\n".join(lines) + "\n")
+    assert cli.main(argv + ["--resume"]) == 0
+    assert capsys.readouterr().out == good
