@@ -25,15 +25,8 @@ from .analytic import (
 )
 from .counting import FRecord, f_of, g_of, pi_exact, pi_exact_many, stream_f
 from .errors import DomainError, InsufficientTable, Unsupported
-from .mbound import MnRecord, bound_gap, c3_table, m_of, m_of_linear, s_sum
-from .sieve import (
-    PrimeTable,
-    SegmentBitmap,
-    base_primes,
-    count_primes_open,
-    is_prime,
-    sieve_window,
-)
+from .mbound import MnRecord, bound_gap, c3_table, m_of, s_sum
+from .sieve import PrimeTable, SegmentBitmap, base_primes, sieve_window
 from .verify import (
     ConjectureReport,
     MarginRecord,
@@ -63,19 +56,16 @@ __all__ = [
     "c1_rhs",
     "c2_lhs",
     "c3_table",
-    "count_primes_open",
     "delta",
     "dusart_lower",
     "dusart_upper",
     "f_of",
     "g_of",
     "implication_check",
-    "is_prime",
     "lemma1_proof_sides",
     "lemma1_sides",
     "lemma2_lhs",
     "m_of",
-    "m_of_linear",
     "pi_exact",
     "pi_exact_many",
     "r_term",

@@ -9,6 +9,12 @@ half an ulp for the rounding of the result to a float. Squares are formed in
 integer arithmetic before conversion, so they are exact for every n this
 package sweeps.
 
+The double path also takes an int64 array of n, as campaigns and mbound
+evaluate a chunk at a time. It applies math.log to each element, not np.log,
+which can differ in the last bit; elementwise + - * /, np.floor and np.rint
+round as the scalar operations do, so every element is bit-identical to the
+scalar result.
+
 The one place rounding can flip a verdict is the floor of a near-integer
 argument, so theorem_floor evaluates its argument at 53, then 96, then 160
 bits, and flags arguments that stay within 1e-30 of an integer at 160 bits.
@@ -20,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 from mpmath import mp
+import numpy as np  # after mpmath: numpy first leaves a ~0.5 MB higher peak RSS in g_of and f_of
 
 from .errors import DomainError
 
@@ -48,17 +55,35 @@ DUSART_UPPER_C = "2.51"
 
 @dataclass(frozen=True)
 class RealEval:
-    """A real value with a sound absolute-error bound for how it was computed."""
+    """A real value with a sound absolute-error bound for how it was computed;
+    float arrays on the double path over an array of n."""
 
-    value: float
-    abs_err: float
+    value: float | np.ndarray
+    abs_err: float | np.ndarray
     precision: str
+
+
+def _log(x):
+    """math.log of a number, or of each element of an array."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(math.log, x.tolist()), float, x.size)
+    return math.log(x)
+
+
+def _least(x):
+    """x, or the least element of an array."""
+    return x.min() if isinstance(x, np.ndarray) else x
+
+
+def _as_float(x):
+    """A value as a float; float arrays pass through."""
+    return x if isinstance(x, np.ndarray) else float(x)
 
 
 def _evaluate(formula, precision: str, *args) -> RealEval:
     """Value and error bound of formula(log, *args) -> (value, error scale) at precision."""
     if precision == "double":
-        val, scale = formula(math.log, *args)
+        val, scale = formula(_log, *args)
         return RealEval(val, _ERR_DOUBLE * scale, "double")
     with mp.workprec(PRECISION_BITS[precision]):
         val, scale = formula(mp.log, *args)
@@ -90,7 +115,8 @@ def _s(log, n: int):
 
 def _dusart(log, x, c: str):
     lx = log(x)
-    val = (x / lx) * (1 + 1 / lx + type(lx)(c) / (lx * lx))
+    const = float(c) if isinstance(lx, np.ndarray) else type(lx)(c)
+    val = (x / lx) * (1 + 1 / lx + const / (lx * lx))
     return val, val
 
 
@@ -103,10 +129,14 @@ def _floor_offset(log, n: int, k: int):
 
 
 def _r_sum(log, n: int):
-    """Sum of r(k) over 3 <= k < n and its error scale."""
-    if log is math.log:  # the process-wide running sum; its bound rescales exactly
-        s = sum_r(n)
-        return s.value, s.abs_err / _ERR_DOUBLE
+    """Sum of r(k) over 3 <= k < n (none for n <= 3) and its error scale."""
+    if log is _log:  # the process-wide running sum, read in n-order; its bound rescales exactly
+        if not isinstance(n, np.ndarray):
+            s = sum_r(max(n, 3))
+            return s.value, s.abs_err / _ERR_DOUBLE
+        sums = _default_sum_r.values_at(np.maximum(n, 3).tolist())
+        value, err = np.array([(s.value, s.abs_err) for s in sums]).T
+        return value, err / _ERR_DOUBLE
     total = 0
     for k in range(3, n):
         total += _r(log, k)[0]
@@ -120,10 +150,10 @@ def _lemma_const(log):
 
 def _lemma_lhs(log, n: int):
     """n^2/(2 log n) + (4 - 9/log 9) - sum_r(n)."""
-    total, total_scale = _r_sum(log, max(n, 3))  # empty sum at n in {2, 3}
+    total, total_scale = _r_sum(log, n)
     const, const_scale = _lemma_const(log)
     main = (n * n) / (2 * log(n))
-    return main + const - total, float(main) + const_scale + total_scale
+    return main + const - total, _as_float(main) + const_scale + total_scale
 
 
 def _lemma1_rhs(log, n: int):
@@ -133,10 +163,10 @@ def _lemma1_rhs(log, n: int):
 
 
 def _proof_lhs(log, n: int):
-    total, total_scale = _r_sum(log, max(n, 3))
+    total, total_scale = _r_sum(log, n)
     lg = log(n)
     main = (n * n) / (4 * lg * lg) + 9 * (n * n) / (40 * lg * lg * lg)
-    return main + total, float(main) + total_scale
+    return main + total, _as_float(main) + total_scale
 
 
 # --- public quantities ----------------------------------------------------------
@@ -144,21 +174,21 @@ def _proof_lhs(log, n: int):
 
 def delta(n: int, precision: str = "double") -> RealEval:
     """Half the increment of x^2/log x from n to n+1; positive for n >= 2."""
-    if n < 2:
+    if _least(n) < 2:
         raise DomainError("delta needs n >= 2")
     return _evaluate(_delta, precision, n)
 
 
 def r_term(n: int, precision: str = "double") -> RealEval:
     """log^2(n) / loglog(n), defined for n >= 3 (needs loglog n > 0)."""
-    if n <= 2:
+    if _least(n) <= 2:
         raise DomainError("r_term needs n >= 3")
     return _evaluate(_r, precision, n)
 
 
 def c1_rhs(n: int, precision: str = "double") -> RealEval:
     """Upper-conjecture right side: delta(n) + log^2(n)*loglog(n)."""
-    if n <= 2:
+    if _least(n) <= 2:
         raise DomainError("c1_rhs needs n >= 3")
     d = delta(n, precision)
     s = _evaluate(_s, precision, n)
@@ -167,7 +197,7 @@ def c1_rhs(n: int, precision: str = "double") -> RealEval:
 
 def c2_lhs(n: int, precision: str = "double") -> RealEval:
     """Lower-conjecture left side: delta(n) - r(n) - 1."""
-    if n <= 2:
+    if _least(n) <= 2:
         raise DomainError("c2_lhs needs n >= 3")
     d = delta(n, precision)
     r = r_term(n, precision)
@@ -176,22 +206,35 @@ def c2_lhs(n: int, precision: str = "double") -> RealEval:
 
 def dusart_lower(x: float, precision: str = "double") -> tuple[RealEval, bool]:
     """Explicit lower bound L(x) on pi(x); the flag marks x >= 32299 validity."""
-    if x <= 1:
+    if _least(x) <= 1:
         raise DomainError("dusart_lower needs x > 1")
     return _evaluate(_dusart, precision, x, DUSART_LOWER_C), x >= DUSART_LOWER_MIN_X
 
 
 def dusart_upper(x: float, precision: str = "double") -> tuple[RealEval, bool]:
     """Explicit upper bound U(x) on pi(x); the flag marks x >= 355991 validity."""
-    if x <= 1:
+    if _least(x) <= 1:
         raise DomainError("dusart_upper needs x > 1")
     return _evaluate(_dusart, precision, x, DUSART_UPPER_C), x >= DUSART_UPPER_MIN_X
 
 
 def theorem_floor(n: int) -> tuple[int, bool]:
-    """floor(delta(n) - r(n)) plus a flag for quad-resistant near-integers."""
-    if n <= 2:
+    """floor(delta(n) - r(n)) plus a flag for quad-resistant near-integers.
+
+    Over an array of n, arrays of both: the double tier runs on the whole
+    array, and only the n it leaves undecided climb the ladder one by one.
+    """
+    if _least(n) <= 2:
         raise DomainError("theorem_floor needs n >= 3")
+    if isinstance(n, np.ndarray):
+        ev = _evaluate(_floor_offset, "double", n, 0)
+        floors = np.floor(ev.value).astype(np.int64)
+        step = np.rint(ev.value)  # round half to even, as round() does
+        undecided = np.abs(ev.value - step) < np.maximum(ESCALATE_DIST, 4.0 * ev.abs_err)
+        flags = np.zeros(n.size, dtype=bool)
+        for i in np.flatnonzero(undecided).tolist():
+            floors[i], flags[i] = theorem_floor(int(n[i]))
+        return floors, flags
     near = 0
     # each tier: its precision and the least distance to an integer it accepts
     for precision, clear in (("double", ESCALATE_DIST), ("extended", BOUNDARY_DIST), ("quad", BOUNDARY_DIST)):
@@ -250,20 +293,22 @@ class SumRCache:
 
     def value_at(self, n: int) -> RealEval:
         """Sum of r(k) for 3 <= k <= n-1 (empty when n == 3)."""
-        if n < 3:
-            raise DomainError("sum_r needs n >= 3")
-        if n < self._next_k:
-            # rewind to the best checkpoint at or below n and replay
-            base = self._checkpoints[0]
-            for ck in self._checkpoints:
-                if ck[0] <= n:
-                    base = ck
-            fresh = SumRCache()
-            fresh._next_k, fresh._sum, fresh._err = base[0], base[1], base[2]
-            fresh._advance(n)
-            return fresh._settled()
-        self._advance(n)
-        return self._settled()
+        return self.values_at([n])[0]
+
+    def values_at(self, ns: list[int]) -> list[RealEval]:
+        """value_at of each of the ascending ns; a query that starts below the
+        head replays once, on a copy, from the best checkpoint at or below ns[0]."""
+        if ns[0] < 3 or any(b < a for a, b in zip(ns, ns[1:])):
+            raise DomainError("sum_r needs n >= 3, in ascending order")
+        cache = self
+        if ns[0] < self._next_k:
+            cache = SumRCache()
+            cache._next_k, cache._sum, cache._err = [ck for ck in self._checkpoints if ck[0] <= ns[0]][-1]
+        out = []
+        for n in ns:
+            cache._advance(n)
+            out.append(cache._settled())
+        return out
 
     def _settled(self) -> RealEval:
         val = self._sum - self._carry
@@ -293,20 +338,20 @@ def sum_r(n: int, precision: str = "double") -> RealEval:
 
 def lemma1_sides(n: int, precision: str = "double") -> tuple[RealEval, RealEval]:
     """Both sides of the summed-floor lemma's displayed inequality (lhs < rhs)."""
-    if n < 2:
+    if _least(n) < 2:
         raise DomainError("lemma1_sides needs n >= 2")
     return _evaluate(_lemma_lhs, precision, n), _evaluate(_lemma1_rhs, precision, n)
 
 
 def lemma1_proof_sides(n: int, precision: str = "double") -> tuple[RealEval, RealEval]:
     """Rearranged form: n^2/(4 log^2 n) + 9 n^2/(40 log^3 n) + sum_r(n) > 4 - 9/log 9."""
-    if n < 2:
+    if _least(n) < 2:
         raise DomainError("lemma1_proof_sides needs n >= 2")
     return _evaluate(_proof_lhs, precision, n), _evaluate(_lemma_const, precision)
 
 
 def lemma2_lhs(n: int, precision: str = "double") -> RealEval:
     """Left side of the pi(n^2) lower estimate; equals lemma1_sides(n)[0]."""
-    if n < 3:
+    if _least(n) < 3:
         raise DomainError("lemma2_lhs needs n >= 3")
     return _evaluate(_lemma_lhs, precision, n)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 from mpmath import mp, mpf
 
 from .analytic import (
@@ -20,6 +21,7 @@ from .analytic import (
     PRECISION_BITS,
     RealEval,
     _dusart,
+    _least,
     dusart_lower,
     dusart_upper,
     theorem_floor,
@@ -46,13 +48,12 @@ _gap_errs: list[float] = []
 
 
 def _extend_caches(n: int) -> None:
-    k = START_K + len(_tfloors)
-    while k <= n:
-        _tfloors.append(theorem_floor(k)[0])
-        gap = bound_gap(k)
-        _gaps.append(gap.value)
-        _gap_errs.append(gap.abs_err)
-        k += 1
+    ks = np.arange(START_K + len(_tfloors), n + 1, dtype=np.int64)
+    if ks.size:
+        _tfloors.extend(theorem_floor(ks)[0].tolist())
+        gap = bound_gap(ks)
+        _gaps.extend(gap.value.tolist())
+        _gap_errs.extend(gap.abs_err.tolist())
 
 
 def s_sum(n: int) -> int:
@@ -64,8 +65,8 @@ def s_sum(n: int) -> int:
 
 
 def bound_gap(k: int, precision: str = "double") -> RealEval:
-    """U((k+1)^2) - L(k^2); strictly positive for every k >= 597."""
-    if k < START_K:
+    """U((k+1)^2) - L(k^2), strictly positive for every k >= 597; k may be an int64 array."""
+    if _least(k) < START_K:
         raise DomainError(f"bound_gap needs k >= {START_K}, bounds are uncertified below")
     upper, _ = dusart_upper((k + 1) * (k + 1), precision)
     lower, _ = dusart_lower(k * k, precision)
@@ -133,18 +134,6 @@ def m_of(n: int) -> int | None:
         else:
             hi = mid - 1
     return lo
-
-
-def m_of_linear(n: int) -> int | None:
-    """Exhaustive-scan oracle for m_of; same predicate, no bisection."""
-    if n < START_K:
-        raise DomainError(f"m_of needs n >= {START_K}")
-    S = s_sum(n)
-    tail, terr = _tail_arrays(n)
-    for m in range(n, START_K - 1, -1):
-        if _covers(S, m, n, tail, terr):
-            return m
-    return None
 
 
 def c3_table(ns: list[int]) -> list[MnRecord]:

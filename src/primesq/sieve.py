@@ -156,28 +156,3 @@ def count_primes_below(lo: int, bounds, *, segment_odds: int = DEFAULT_SEGMENT_O
         below += seg.count()
         cur = nxt
     return counts
-
-
-def count_primes_open(a: int, b: int, *, segment_odds: int = DEFAULT_SEGMENT_ODDS) -> int:
-    """Number of primes p with a < p < b; 0 whenever b <= a + 1."""
-    if a < 0 or b < 0:
-        raise ValueError("need a >= 0 and b >= 0")
-    return int(count_primes_below(a + 1, [b], segment_odds=segment_odds)[0])
-
-
-def is_prime(x: int) -> bool:
-    """Trial-division ground truth; meant for spot checks, not bulk counting."""
-    if x < 0:
-        raise ValueError("need x >= 0")
-    if x < 2:
-        return False
-    if x < 4:
-        return True
-    if x % 2 == 0:
-        return False
-    f = 3
-    while f * f <= x:
-        if x % f == 0:
-            return False
-        f += 2
-    return True

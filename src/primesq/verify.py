@@ -3,7 +3,7 @@
 Campaigns split [from, to] into fixed chunks. Worker processes count each
 chunk's windows f(n); the campaign process seeds pi(n^2) once, at the first
 chunk not yet in the checkpoint, sums f(n) from there in n-order and builds
-every row, which is a pure function of n. So any number of workers and any
+each chunk's rows at once, as pure functions of n. So any worker count and any
 resume point give bit-identical results, and one pass over a range serves
 every report drawn from it. Reports fold rows in n-order only, never in
 completion order.
@@ -13,7 +13,7 @@ pi((to+1)^2), so campaigns need (to+1)^2 <= COMBINATORIAL_MAX. The last chunk
 reaches the checkpoint only after that check passes, and a resume checks that
 the chunks it loads chain into the pi(n^2) it seeds, so a checkpoint that
 failed its check can never be resumed into rows. A complete resume seeds
-nothing but still checks that its chunks and margin rows chain.
+nothing but still checks its chunks, its margin rows and the last window.
 """
 
 from __future__ import annotations
@@ -107,12 +107,6 @@ class LemmaRecord(NamedTuple):
     cls_l2: int
 
 
-def _classify(margin: float, err: float) -> int:
-    if abs(margin) <= err:
-        return CLS_BOUNDARY
-    return CLS_PASS if margin > 0.0 else CLS_VIOLATION
-
-
 def _excess(hi, lo) -> tuple[float, float]:
     """hi - lo and its error bound; each side is a RealEval or an exact integer."""
     hv, he = (hi.value, hi.abs_err) if isinstance(hi, RealEval) else (hi, 0.0)
@@ -120,47 +114,50 @@ def _excess(hi, lo) -> tuple[float, float]:
     return hv - lv, he + le
 
 
-def _judge(margin: float, err: float, strict: bool, at_quad) -> int:
-    """Class of margin within err; under strict, a boundary is judged again
-    from at_quad(), which returns the same margin and its error at quad."""
-    cls = _classify(margin, err)
-    if strict and cls == CLS_BOUNDARY:
-        cls = _classify(*at_quad())
+def _judge(margins, errs, strict: bool = False, at_quad=None) -> np.ndarray:
+    """Class of each margin (a float or an array) within its error bound; under strict,
+    each boundary i is judged again from at_quad(i), that margin and its error at quad."""
+    cls = np.where(np.abs(margins) <= errs, CLS_BOUNDARY, np.where(margins > 0.0, CLS_PASS, CLS_VIOLATION))
+    if strict:
+        for i in np.flatnonzero(cls == CLS_BOUNDARY).tolist():
+            cls[i] = _judge(*at_quad(i))
     return cls
 
 
-def _margin_row(n: int, f: int, pi: int, strict: bool) -> MarginRecord:
-    d = delta(n)
-    c1 = c1_rhs(n)
-    c2 = c2_lhs(n)
-    tf, bflag = theorem_floor(n)
-    m1, e1 = _excess(c1, f)
-    m2, e2 = _excess(f, c2)
-    mt = f - tf
-    cls1 = _judge(m1, e1, strict, lambda: _excess(c1_rhs(n, "quad"), f))
-    cls2 = _judge(m2, e2, strict, lambda: _excess(f, c2_lhs(n, "quad")))
-    if strict and bflag:
-        cls_thm = CLS_BOUNDARY  # floor argument inconclusive at quad
-    else:
-        cls_thm = CLS_PASS if mt >= 0 else CLS_VIOLATION
-    return MarginRecord(n, f, pi, d.value, c1.value, c2.value, tf,
-                        m1, m2, mt, 1 if bflag else 0, cls1, cls2, cls_thm)
+# Row builders: one chunk's rows from its n, f(n) and pi(n^2) as int64 arrays,
+# each quantity evaluated over the chunk; rows hold Python ints and floats.
 
 
-def _lemma_row(n: int, f: int, pi: int, strict: bool) -> LemmaRecord:
-    lhs, rhs = lemma1_sides(n)
-    plhs, prhs = lemma1_proof_sides(n)
+def _margin_rows(ns: np.ndarray, fs: np.ndarray, pis: np.ndarray, strict: bool) -> list[MarginRecord]:
+    d, c1, c2 = delta(ns), c1_rhs(ns), c2_lhs(ns)
+    tf, bflag = theorem_floor(ns)
+    m1, m2, mt = c1.value - fs, fs - c2.value, fs - tf
+    cls1 = _judge(m1, c1.abs_err, strict, lambda i: _excess(c1_rhs(int(ns[i]), "quad"), int(fs[i])))
+    cls2 = _judge(m2, c2.abs_err, strict, lambda i: _excess(int(fs[i]), c2_lhs(int(ns[i]), "quad")))
+    # under strict, a flagged floor argument is inconclusive at quad
+    cls_thm = np.where(strict & bflag, CLS_BOUNDARY, np.where(mt >= 0, CLS_PASS, CLS_VIOLATION))
+    cols = (ns, fs, pis, d.value, c1.value, c2.value, tf, m1, m2, mt, bflag.astype(np.int64),
+            cls1, cls2, cls_thm)
+    return list(map(MarginRecord, *(col.tolist() for col in cols)))
+
+
+def _lemma_rows(ns: np.ndarray, fs: np.ndarray, pis: np.ndarray, strict: bool) -> list[LemmaRecord]:
+    lhs, rhs = lemma1_sides(ns)
+    plhs, prhs = lemma1_proof_sides(ns)
     # the lemma holds only if both forms do; judge the tighter margin
-    disp, proof = _excess(rhs, lhs), _excess(plhs, prhs)
-    m1, e1 = disp if disp[0] <= proof[0] else proof
-    cls1 = _judge(m1, e1, strict, lambda: _excess(*reversed(lemma1_sides(n, "quad"))))
-    m2, e2 = _excess(pi, lhs)
-    cls2 = _judge(m2, e2, strict, lambda: _excess(pi, lemma2_lhs(n, "quad")))
-    return LemmaRecord(n, pi, lhs.value, rhs.value, plhs.value, prhs.value, m1, cls1, m2, cls2)
+    disp, proof = rhs.value - lhs.value, plhs.value - prhs.value
+    display_tighter = disp <= proof
+    m1 = np.where(display_tighter, disp, proof)
+    e1 = np.where(display_tighter, rhs.abs_err + lhs.abs_err, plhs.abs_err + prhs.abs_err)
+    cls1 = _judge(m1, e1, strict, lambda i: _excess(*reversed(lemma1_sides(int(ns[i]), "quad"))))
+    m2 = pis - lhs.value
+    cls2 = _judge(m2, lhs.abs_err, strict, lambda i: _excess(int(pis[i]), lemma2_lhs(int(ns[i]), "quad")))
+    cols = (ns, pis, lhs.value, rhs.value, plhs.value, np.full(ns.size, prhs.value), m1, cls1, m2, cls2)
+    return list(map(LemmaRecord, *(col.tolist() for col in cols)))
 
 
-# row kind -> (row function of (n, f(n), pi(n^2), strict), row type)
-_ROW_KINDS = {"margin": (_margin_row, MarginRecord), "lemma": (_lemma_row, LemmaRecord)}
+# row kind -> (chunk row builder, row type)
+_ROW_KINDS = {"margin": (_margin_rows, MarginRecord), "lemma": (_lemma_rows, LemmaRecord)}
 
 
 def _counts_job(chunk: tuple[int, int]) -> np.ndarray:
@@ -242,7 +239,8 @@ def _loaded_end(done: list[dict]) -> int:
     Each chunk's pi_at_start plus its counts must give the next pi_at_start.
     Margin rows carry f(n), and each one's pi(n^2) must be the sum so far;
     lemma rows carry only pi(n^2), so a lemma chunk ends at its last pi(n^2)
-    plus one window count.
+    plus one window count. Nothing else checks the last margin row's f, so
+    its window is counted again.
     """
     pi = done[0]["pi_at_start"]
     for rec in done:
@@ -258,6 +256,9 @@ def _loaded_end(done: list[dict]) -> int:
                 pi += row.f
         else:
             pi = last.pi_n2 + int(_window_counts(last.n, last.n)[0])
+    last = done[-1]["rows"][-1]
+    if isinstance(last, MarginRecord) and last.f != (f := int(_window_counts(last.n, last.n)[0])):
+        raise RuntimeError(f"checkpoint row n = {last.n} has f = {last.f}, its window holds {f}")
     return pi
 
 
@@ -291,7 +292,7 @@ def _run_chunked(kind: str, command: str, from_n: int, to_n: int, *, workers: in
         raise DomainError(f"campaigns need (to+1)^2 <= {COMBINATORIAL_MAX} (combinatorial pi range)")
     header = _checkpoint_header(command, from_n, to_n, "strict" if strict else "fast")
     chunks = _chunks(from_n, to_n)
-    row_fn, row_type = _ROW_KINDS[kind]
+    build_rows, row_type = _ROW_KINDS[kind]
     done = _load_checkpoint(checkpoint_path, header, row_type, chunks) if (checkpoint_path and resume) else []
     writer = _CheckpointWriter(checkpoint_path, header, done)
     todo = chunks[len(done):]
@@ -305,10 +306,10 @@ def _run_chunked(kind: str, command: str, from_n: int, to_n: int, *, workers: in
             raise RuntimeError(f"checkpoint chunks sum to pi({todo[0][0]}^2) = {loaded}, "
                                f"the combinatorial pi gives {pi}")
         for (s, e), fs in zip(todo, counts):
-            rec = {"chunk_start": s, "chunk_end": e, "pi_at_start": pi, "rows": []}
-            for n, f in zip(range(s, e + 1), fs.tolist()):
-                rec["rows"].append(row_fn(n, f, pi, strict))
-                pi += f
+            pis = pi + np.cumsum(fs) - fs  # pi(n^2) of each n in the chunk
+            rec = {"chunk_start": s, "chunk_end": e, "pi_at_start": pi,
+                   "rows": build_rows(np.arange(s, e + 1, dtype=np.int64), fs, pis, strict)}
+            pi = int(pis[-1] + fs[-1])
             done.append(rec)
             if e < to_n:  # the last chunk waits for the final check
                 writer.append(rec)
@@ -462,7 +463,7 @@ def verify_dusart(samples: list[int]) -> ConjectureReport:
             sides.append(_excess(pi, lower))
         if upper_ok:
             sides.append(_excess(upper, pi))
-        classes = {_classify(margin, err) for margin, err in sides}
+        classes = {int(_judge(margin, err)) for margin, err in sides}
         cls = CLS_VIOLATION if CLS_VIOLATION in classes else max(classes)
         items.append((x, min(margin for margin, _ in sides), cls))
     note = f"samples={len(xs)};skipped={len(xs) - len(items)}"

@@ -1,5 +1,8 @@
-"""Test-only code: views of sieve segments, a second order of summing mbound's gaps,
-and scalar Miller-Rabin, the reference for the vectorised kernel."""
+"""Test-only code: views of sieve segments, trial division and an open-interval
+prime count, a second order of summing mbound's gaps, a linear-scan M(n),
+scalar Miller-Rabin, the reference for the vectorised kernel, and campaign rows
+built one n at a time from the scalar analytic functions, the reference for
+the chunk row builders."""
 
 from __future__ import annotations
 
@@ -8,10 +11,20 @@ import bisect
 import numpy as np
 
 from primesq import mbound
-from primesq.analytic import _U
+from primesq.analytic import (
+    _U,
+    c1_rhs,
+    c2_lhs,
+    delta,
+    lemma1_proof_sides,
+    lemma1_sides,
+    lemma2_lhs,
+    theorem_floor,
+)
 from primesq.counting import MILLER_RABIN_BASES, MILLER_RABIN_PSI
 from primesq.errors import DomainError
-from primesq.sieve import SegmentBitmap
+from primesq.sieve import DEFAULT_SEGMENT_ODDS, SegmentBitmap, count_primes_below
+from primesq.verify import CLS_BOUNDARY, CLS_PASS, CLS_VIOLATION, LemmaRecord, MarginRecord
 
 
 def marked_values(seg: SegmentBitmap) -> np.ndarray:
@@ -38,6 +51,31 @@ def concat(a: SegmentBitmap, b: SegmentBitmap) -> SegmentBitmap:
     return SegmentBitmap(a.lo, b.hi, np.concatenate((a.bits, b.bits)), a.has_two or b.has_two)
 
 
+def is_prime(x: int) -> bool:
+    """Trial-division ground truth; meant for spot checks, not bulk counting."""
+    if x < 0:
+        raise ValueError("need x >= 0")
+    if x < 2:
+        return False
+    if x < 4:
+        return True
+    if x % 2 == 0:
+        return False
+    f = 3
+    while f * f <= x:
+        if x % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def count_primes_open(a: int, b: int, *, segment_odds: int = DEFAULT_SEGMENT_ODDS) -> int:
+    """Number of primes p with a < p < b; 0 whenever b <= a + 1."""
+    if a < 0 or b < 0:
+        raise ValueError("need a >= 0 and b >= 0")
+    return int(count_primes_below(a + 1, [b], segment_odds=segment_odds)[0])
+
+
 def forward_tail_sum(m: int, n: int) -> tuple[float, float]:
     """Forward-order compensated tail sum, for order-independence checks."""
     if m < mbound.START_K or n < m:
@@ -53,6 +91,18 @@ def forward_tail_sum(m: int, n: int) -> tuple[float, float]:
         c = (t - s) - y
         s = t
     return s - c, err + u * abs(s)
+
+
+def m_of_linear(n: int) -> int | None:
+    """Exhaustive-scan oracle for m_of; same predicate, no bisection."""
+    if n < mbound.START_K:
+        raise DomainError(f"m_of needs n >= {mbound.START_K}")
+    S = mbound.s_sum(n)
+    tail, terr = mbound._tail_arrays(n)
+    for m in range(n, mbound.START_K - 1, -1):
+        if mbound._covers(S, m, n, tail, terr):
+            return m
+    return None
 
 
 def miller_rabin(x: int) -> bool:
@@ -80,3 +130,60 @@ def miller_rabin(x: int) -> bool:
         else:
             return False
     return True
+
+
+def _classify(margin: float, err: float) -> int:
+    if abs(margin) <= err:
+        return CLS_BOUNDARY
+    return CLS_PASS if margin > 0.0 else CLS_VIOLATION
+
+
+def _judged(margin: float, err: float, strict: bool, at_quad) -> int:
+    """Class of margin within err; under strict a boundary is judged again
+    from at_quad(), the same margin and its error at quad."""
+    cls = _classify(margin, err)
+    if strict and cls == CLS_BOUNDARY:
+        cls = _classify(*at_quad())
+    return cls
+
+
+def margin_row(n: int, f: int, pi: int, strict: bool) -> MarginRecord:
+    """The margin row of n, evaluated on its own."""
+    d, c1, c2 = delta(n), c1_rhs(n), c2_lhs(n)
+    tf, bflag = theorem_floor(n)
+
+    def c1_quad():
+        q = c1_rhs(n, "quad")
+        return q.value - f, q.abs_err
+
+    def c2_quad():
+        q = c2_lhs(n, "quad")
+        return f - q.value, q.abs_err
+
+    cls1 = _judged(c1.value - f, c1.abs_err, strict, c1_quad)
+    cls2 = _judged(f - c2.value, c2.abs_err, strict, c2_quad)
+    cls_thm = CLS_BOUNDARY if strict and bflag else CLS_PASS if f >= tf else CLS_VIOLATION
+    return MarginRecord(n, f, pi, d.value, c1.value, c2.value, tf, c1.value - f, f - c2.value,
+                        f - tf, int(bflag), cls1, cls2, cls_thm)
+
+
+def lemma_row(n: int, pi: int, strict: bool) -> LemmaRecord:
+    """The lemma row of n, evaluated on its own; n must come in ascending order."""
+    lhs, rhs = lemma1_sides(n)
+    plhs, prhs = lemma1_proof_sides(n)
+    display = (rhs.value - lhs.value, rhs.abs_err + lhs.abs_err)
+    proof = (plhs.value - prhs.value, plhs.abs_err + prhs.abs_err)
+    m1, e1 = display if display[0] <= proof[0] else proof
+
+    def display_quad():
+        ql, qr = lemma1_sides(n, "quad")
+        return qr.value - ql.value, qr.abs_err + ql.abs_err
+
+    def lemma2_quad():
+        q = lemma2_lhs(n, "quad")
+        return pi - q.value, q.abs_err
+
+    l2 = lemma2_lhs(n)
+    return LemmaRecord(n, pi, lhs.value, rhs.value, plhs.value, prhs.value,
+                       m1, _judged(m1, e1, strict, display_quad),
+                       pi - l2.value, _judged(pi - l2.value, l2.abs_err, strict, lemma2_quad))

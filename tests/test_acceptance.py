@@ -15,8 +15,10 @@ from mpmath import mp
 from primesq import cli
 from primesq.analytic import dusart_lower, dusart_upper, theorem_floor
 from primesq.counting import g_of, pi_exact, pi_exact_many
-from primesq.mbound import c3_table, m_of, m_of_linear
+from primesq.mbound import c3_table, m_of
 from primesq.verify import implication_check, verify_dusart, verify_lemmas
+
+from oracles import m_of_linear
 
 
 def _line(num: int, name: str, ok: bool, detail: str = "") -> None:

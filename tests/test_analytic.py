@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from mpmath import mp
 
@@ -216,3 +217,40 @@ def test_double_within_quad_for_all_expressions():
         ]
         for dbl, quad in pairs:
             assert abs(dbl.value - quad.value) <= dbl.abs_err
+
+
+def _bits(ev) -> list[tuple[str, str]]:
+    """(value, error) of a RealEval as hex digits, one pair per element."""
+    values, errs = np.atleast_1d(ev.value).tolist(), np.atleast_1d(ev.abs_err).tolist()
+    return [(v.hex(), e.hex()) for v, e in zip(values, errs)]
+
+
+def test_array_evaluation_matches_scalar_bits():
+    # small n, the ends of the campaign and f ranges, and every n of one sum fold
+    ns = np.concatenate([np.arange(3, 3000), np.arange(999000, 1000000), np.arange(9999500, 10000000)])
+    scalar = {name: sum((_bits(fn(n)) for n in ns.tolist()), [])
+              for name, fn in (("delta", delta), ("r_term", r_term), ("c1_rhs", c1_rhs), ("c2_lhs", c2_lhs),
+                               ("dusart_lower", lambda n: dusart_lower(n * n + 7)[0]),
+                               ("dusart_upper", lambda n: dusart_upper(n * n + 7)[0]))}
+    assert scalar == {"delta": _bits(delta(ns)), "r_term": _bits(r_term(ns)), "c1_rhs": _bits(c1_rhs(ns)),
+                      "c2_lhs": _bits(c2_lhs(ns)), "dusart_lower": _bits(dusart_lower(ns * ns + 7)[0]),
+                      "dusart_upper": _bits(dusart_upper(ns * ns + 7)[0])}
+    floors, flags = theorem_floor(ns)
+    assert list(zip(floors.tolist(), flags.tolist())) == [theorem_floor(n) for n in ns.tolist()]
+    assert type(floors.tolist()[0]) is int and type(flags.tolist()[0]) is bool
+
+
+def test_array_lemma_sides_match_scalar_bits(monkeypatch):
+    import primesq.analytic as analytic
+
+    ns = np.arange(3, 10200)  # crosses the first fold of the running sum, at n = 10003
+    monkeypatch.setattr(analytic, "_default_sum_r", SumRCache())
+    scalar = [(_bits(lemma1_sides(n)[0]), _bits(lemma1_sides(n)[1]), _bits(lemma1_proof_sides(n)[0]),
+               _bits(lemma2_lhs(n))) for n in ns.tolist()]
+    (lhs, rhs), (plhs, prhs) = lemma1_sides(ns), lemma1_proof_sides(ns)
+    assert list(zip(*([[b] for b in _bits(side)] for side in (lhs, rhs, plhs, lemma2_lhs(ns))))) == scalar
+    assert _bits(prhs) == _bits(lemma1_proof_sides(2)[1])
+    two = np.array([2, 3])  # an empty sum at both
+    assert _bits(lemma1_sides(two)[0]) == _bits(lemma1_sides(2)[0]) + _bits(lemma1_sides(3)[0])
+    with pytest.raises(DomainError):  # the running sum is read in ascending n
+        lemma1_sides(np.array([5, 3]))

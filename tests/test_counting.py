@@ -24,9 +24,9 @@ from primesq.counting import (
     stream_f,
 )
 from primesq.errors import DomainError, Unsupported
-from primesq.sieve import is_prime, shared_table, sieve_window
+from primesq.sieve import shared_table, sieve_window
 
-from oracles import marked_values, miller_rabin
+from oracles import is_prime, marked_values, miller_rabin
 
 
 def naive_pi(limit: int) -> list[int]:

@@ -4,6 +4,10 @@ The report, CSV and checkpoint digests were recorded from the implementation
 that ran c1, c2, theorem and implication as four separate campaigns; a
 refactor of rows, folds or checkpoint writes must reproduce them exactly.
 
+REPORT_ALL_STRICT_JSON pins `report all --precision strict`; it was recorded
+from the implementation that built campaign rows one n at a time, before rows
+were built a chunk at a time from arrays.
+
 The analytic digests were recorded from the implementation that wrote a
 separate float body and mpmath body for each quantity. They hash float.hex
 of every value and error bound on a grid of n at each precision, so a
@@ -31,6 +35,7 @@ from primesq.analytic import (
 from primesq.mbound import START_K, bound_gap
 
 REPORT_ALL_JSON = "70e33a9f6341af548bc718466e9459d72a87e15129a000f9dc1991f07e590fd1"
+REPORT_ALL_STRICT_JSON = "a0b0f5ce5550ac0c18844ac2140128ae82b510927b4bbac28390193e397e1bdc"
 C2_CSV = "3e0b6bf6a7e00c66b0147e4c41c14b7b94141080eafa2a85e82995e27ebeac91"
 C2_CHECKPOINT = "510e1d2687bed1ee7bf4a20fab597e9740a25f8f9bc6672205f0b2411ec78871"
 
@@ -49,6 +54,11 @@ def _sha256(data: bytes) -> str:
 def test_report_all_json_digest(capsys):
     assert cli.main(["report", "all", "--format", "json"]) == 0
     assert _sha256(capsys.readouterr().out.encode()) == REPORT_ALL_JSON
+
+
+def test_report_all_strict_json_digest(capsys):
+    assert cli.main(["report", "all", "--precision", "strict", "--format", "json"]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == REPORT_ALL_STRICT_JSON
 
 
 def test_c2_csv_and_checkpoint_digests(tmp_path, capsys):

@@ -8,16 +8,16 @@ from primesq.counting import f_of
 from primesq.errors import DomainError
 from primesq.mbound import (
     C3_CSV_COLUMNS,
+    START_K,
     bound_gap,
     c3_csv,
     c3_table,
     m_of,
-    m_of_linear,
     s_sum,
     _tail_arrays,
 )
 
-from oracles import forward_tail_sum
+from oracles import forward_tail_sum, m_of_linear
 
 # frozen from a 40-digit term-by-term evaluation with a linear-scan search
 M_ORACLE = {597: 597, 650: 635, 1000: 911, 2000: 1801}
@@ -55,6 +55,16 @@ def test_bound_gap_values():
     assert 100 < gap.value < 1000  # order of magnitude 10^2
     with pytest.raises(DomainError):
         bound_gap(596)
+
+
+def test_caches_match_scalar_values():
+    from primesq import mbound
+
+    mbound._extend_caches(3000)  # built a range of k at a time, from arrays
+    gaps = [bound_gap(k) for k in range(START_K, 3001)]
+    assert mbound._tfloors[:len(gaps)] == [theorem_floor(k)[0] for k in range(START_K, 3001)]
+    assert [g.hex() for g in mbound._gaps[:len(gaps)]] == [g.value.hex() for g in gaps]
+    assert [e.hex() for e in mbound._gap_errs[:len(gaps)]] == [g.abs_err.hex() for g in gaps]
 
 
 def test_bound_gap_positive_and_dominates_f():

@@ -9,13 +9,11 @@ from primesq.errors import InsufficientTable
 from primesq.sieve import (
     base_primes,
     count_primes_below,
-    count_primes_open,
-    is_prime,
     shared_table,
     sieve_window,
 )
 
-from oracles import concat, is_marked, marked_values, miller_rabin
+from oracles import concat, count_primes_open, is_marked, is_prime, marked_values, miller_rabin
 
 
 def test_base_primes_examples():

@@ -1,15 +1,17 @@
+import functools
 import json
 import math
 import os
 import random
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
+from primesq import verify as v
 from primesq.analytic import RealEval
-from primesq.counting import _window_counts
+from primesq.counting import _window_counts, pi_exact
 from primesq.errors import DomainError
-from primesq.sieve import count_primes_open
 from primesq.verify import (
     MARGIN_CSV_COLUMNS,
     implication_check,
@@ -22,6 +24,8 @@ from primesq.verify import (
     verify_lemmas,
     verify_theorem,
 )
+
+from oracles import count_primes_open, lemma_row, margin_row
 
 
 def trial_f(n: int) -> int:
@@ -302,31 +306,15 @@ def test_strict_mode_runs_clean():
     assert report.violations == [] and report.boundary_cases == []
 
 
-def _blurred(monkeypatch, name):
-    """Make verify's binding of name return a huge error at double; quad passes through."""
-    import primesq.verify as v
-
-    real = getattr(v, name)
-
-    def blur(ev):
-        return RealEval(ev.value, 1e30, ev.precision)
-
-    def patched(n, precision="double"):
-        out = real(n, precision)
-        if precision != "double":
-            return out
-        return tuple(map(blur, out)) if isinstance(out, tuple) else blur(out)
-
-    monkeypatch.setattr(v, name, patched)
-
-
 def test_strict_re_evaluates_every_boundary(monkeypatch):
-    import primesq.verify as v
+    import primesq.analytic as analytic
 
-    for name in ("c1_rhs", "c2_lhs", "lemma1_sides", "lemma1_proof_sides", "lemma2_lhs"):
-        _blurred(monkeypatch, name)
-    real_floor = v.theorem_floor
-    monkeypatch.setattr(v, "theorem_floor", lambda n: (real_floor(n)[0], True))
+    # blur every double-precision error bound that rows, floors and the running
+    # sum of r(k) read (on a fresh sum, so the blur stays out of the shared one),
+    # and let no tier clear a floor, so every floor climbs to quad and is flagged
+    monkeypatch.setattr(analytic, "_ERR_DOUBLE", 2.0 ** 100)
+    monkeypatch.setattr(analytic, "_default_sum_r", analytic.SumRCache())
+    monkeypatch.setattr(analytic, "BOUNDARY_DIST", 1.0)
     ns = list(range(180, 201))
     for target in ("c1", "c2"):
         fast = verify_conjecture(target, 180, 200)
@@ -339,6 +327,88 @@ def test_strict_re_evaluates_every_boundary(monkeypatch):
         assert rep.boundary_cases == ns and rep.violations == []
     for rep in verify_lemmas(180, 200, precision_mode="strict"):
         assert rep.boundary_cases == [] and rep.violations == [] and rep.checked == 21
+
+
+def _bits(rows) -> list[tuple]:
+    """Rows with every float as its hex digits and every other field tagged with its type."""
+    return [tuple(x.hex() if type(x) is float else (type(x).__name__, x) for x in row) for row in rows]
+
+
+@functools.cache
+def _chunk(n_from: int, n_to: int):
+    """n, f(n) and pi(n^2) over [n_from, n_to], as int64 arrays, as a campaign builds them."""
+    ns = np.arange(n_from, n_to + 1, dtype=np.int64)
+    fs = _window_counts(n_from, n_to)
+    return ns, fs, pi_exact(n_from * n_from, "combinatorial") + np.cumsum(fs) - fs
+
+
+def _scalar_margin_rows(ns, fs, pis, strict):
+    return [margin_row(n, f, pi, strict) for n, f, pi in zip(ns.tolist(), fs.tolist(), pis.tolist())]
+
+
+def _scalar_lemma_rows(ns, pis, strict):
+    return [lemma_row(n, pi, strict) for n, pi in zip(ns.tolist(), pis.tolist())]
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["fast", "strict"])
+def test_margin_rows_match_scalar_rows(strict):
+    ns, fs, pis = _chunk(3, 20000)
+    off = fs.copy()  # counts far below and above the bounds, so every check also fails somewhere
+    off[::7] = 0
+    off[3::11] += 1000
+    for counts in (fs, off):
+        want = _scalar_margin_rows(ns, counts, pis, strict)
+        assert _bits(v._margin_rows(ns, counts, pis, strict)) == _bits(want)
+    assert {v.CLS_PASS, v.CLS_VIOLATION} <= {r.cls_c1 for r in want} & {r.cls_c2 for r in want} \
+        & {r.cls_thm for r in want}
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["fast", "strict"])
+def test_lemma_rows_match_scalar_rows(monkeypatch, strict):
+    import primesq.analytic as analytic
+
+    # fresh running sums, which the scalar rows read in n-order before the chunk reads them
+    monkeypatch.setattr(analytic, "_default_sum_r", analytic.SumRCache())
+    ns, fs, pis = _chunk(3, 2000)
+    want = _scalar_lemma_rows(ns, pis, strict)
+    assert _bits(v._lemma_rows(ns, fs, pis, strict)) == _bits(want)
+    assert want[0].cls_l2 == v.CLS_BOUNDARY  # the exact tie at n = 3, judged at quad too under strict
+    monkeypatch.setattr(analytic, "_default_sum_r", analytic.SumRCache())
+    want = _scalar_lemma_rows(ns, pis // 2, strict)  # counts far too low for lemma 2
+    assert _bits(v._lemma_rows(ns, fs, pis // 2, strict)) == _bits(want)
+    assert v.CLS_VIOLATION in {r.cls_l2 for r in want}
+
+
+def test_rows_match_scalar_rows_when_every_floor_escalates(monkeypatch):
+    import primesq.analytic as analytic
+
+    ns, fs, pis = _chunk(3, 3000)
+    monkeypatch.setattr(analytic, "ESCALATE_DIST", 1.0)  # the double tier decides no floor
+    want = _scalar_margin_rows(ns, fs, pis, True)
+    assert _bits(v._margin_rows(ns, fs, pis, True)) == _bits(want)
+    monkeypatch.setattr(analytic, "BOUNDARY_DIST", 1.0)  # and no tier does, so each is flagged
+    ns, fs, pis = ns[:300], fs[:300], pis[:300]
+    for strict in (False, True):
+        want = _scalar_margin_rows(ns, fs, pis, strict)
+        assert _bits(v._margin_rows(ns, fs, pis, strict)) == _bits(want)
+        assert all(r.boundary_flag == 1 and (r.cls_thm == v.CLS_BOUNDARY) == strict for r in want)
+
+
+def test_rows_match_scalar_rows_when_every_margin_is_boundary(monkeypatch):
+    import primesq.analytic as analytic
+
+    monkeypatch.setattr(analytic, "_ERR_DOUBLE", 2.0 ** 100)
+    monkeypatch.setattr(analytic, "_default_sum_r", analytic.SumRCache())
+    ns, fs, pis = _chunk(3, 400)
+    for strict in (False, True):
+        want = _scalar_margin_rows(ns, fs, pis, strict)
+        assert _bits(v._margin_rows(ns, fs, pis, strict)) == _bits(want)
+        assert {r.cls_c2 for r in want} == {v.CLS_PASS if strict else v.CLS_BOUNDARY}
+    ns, fs, pis = ns[:148], fs[:148], pis[:148]
+    for strict in (False, True):
+        want = _scalar_lemma_rows(ns, pis, strict)
+        assert _bits(v._lemma_rows(ns, fs, pis, strict)) == _bits(want)
+        assert {r.cls_l1 for r in want} == {v.CLS_PASS if strict else v.CLS_BOUNDARY}
 
 
 def test_campaign_pool_capped_at_chunks_left(monkeypatch):
@@ -443,8 +513,14 @@ def test_partial_resume_requires_chained_chunks(tmp_path):
     assert report_json(resumed) == report_json(full)
 
 
-@pytest.mark.parametrize("chunk, field", [(0, "f"), (1, "pi_n2"), (2, "f"), (2, "pi_n2")])
-def test_complete_resume_checks_its_chain(tmp_path, capsys, chunk, field):
+@pytest.mark.parametrize("chunk, row, field", [
+    pytest.param(0, 5, "f", id="0-f"),
+    pytest.param(1, 5, "pi_n2", id="1-pi_n2"),
+    pytest.param(2, 5, "f", id="2-f"),
+    pytest.param(2, 5, "pi_n2", id="2-pi_n2"),
+    pytest.param(2, -1, "f", id="2-last-f"),  # f(1100): no later pi(n^2) depends on it
+])
+def test_complete_resume_checks_its_chain(tmp_path, capsys, chunk, row, field):
     from primesq import cli
     from primesq.verify import MarginRecord
 
@@ -454,7 +530,7 @@ def test_complete_resume_checks_its_chain(tmp_path, capsys, chunk, field):
     good = capsys.readouterr().out
     lines = ck.read_text().splitlines()
     rec = json.loads(lines[1 + chunk])
-    rec["rows"][5][MarginRecord._fields.index(field)] += 1
+    rec["rows"][row][MarginRecord._fields.index(field)] += 1
     ck.write_text("\n".join(lines[:1 + chunk] + [json.dumps(rec)] + lines[2 + chunk:]) + "\n")
     assert cli.main(argv + ["--resume"]) == 3
     captured = capsys.readouterr()
