@@ -148,9 +148,9 @@ def _lemma_const(log):
     return 4 - 9 / log(9), 9
 
 
-def _lemma_lhs(log, n: int):
-    """n^2/(2 log n) + (4 - 9/log 9) - sum_r(n)."""
-    total, total_scale = _r_sum(log, n)
+def _lemma_lhs(log, n: int, total=None):
+    """n^2/(2 log n) + (4 - 9/log 9) - sum_r(n); total is _r_sum(log, n) if already read."""
+    total, total_scale = total or _r_sum(log, n)
     const, const_scale = _lemma_const(log)
     main = (n * n) / (2 * log(n))
     return main + const - total, _as_float(main) + const_scale + total_scale
@@ -162,8 +162,8 @@ def _lemma1_rhs(log, n: int):
     return val, val
 
 
-def _proof_lhs(log, n: int):
-    total, total_scale = _r_sum(log, n)
+def _proof_lhs(log, n: int, total=None):
+    total, total_scale = total or _r_sum(log, n)
     lg = log(n)
     main = (n * n) / (4 * lg * lg) + 9 * (n * n) / (40 * lg * lg * lg)
     return main + total, _as_float(main) + total_scale
@@ -348,6 +348,16 @@ def lemma1_proof_sides(n: int, precision: str = "double") -> tuple[RealEval, Rea
     if _least(n) < 2:
         raise DomainError("lemma1_proof_sides needs n >= 2")
     return _evaluate(_proof_lhs, precision, n), _evaluate(_lemma_const, precision)
+
+
+def lemma1_forms(n: np.ndarray) -> tuple[RealEval, RealEval, RealEval, RealEval]:
+    """lemma1_sides(n) and lemma1_proof_sides(n) on the double path, from one
+    read of the running sum of r(k)."""
+    if _least(n) < 2:
+        raise DomainError("lemma1_forms needs n >= 2")
+    total = _r_sum(_log, n)
+    return (_evaluate(_lemma_lhs, "double", n, total), _evaluate(_lemma1_rhs, "double", n),
+            _evaluate(_proof_lhs, "double", n, total), _evaluate(_lemma_const, "double"))
 
 
 def lemma2_lhs(n: int, precision: str = "double") -> RealEval:

@@ -1,12 +1,13 @@
 """Range campaigns over the conjecture, theorem, and lemma inequalities.
 
-Campaigns split [from, to] into fixed chunks. Worker processes count each
-chunk's windows f(n); the campaign process seeds pi(n^2) once, at the first
-chunk not yet in the checkpoint, sums f(n) from there in n-order and builds
-each chunk's rows at once, as pure functions of n. So any worker count and any
-resume point give bit-identical results, and one pass over a range serves
-every report drawn from it. Reports fold rows in n-order only, never in
-completion order.
+Campaigns split [from, to] into fixed chunks. Each chunk's windows f(n) are
+counted, and pi(n^2) is seeded once, by the combinatorial counter at the
+first chunk not yet in the checkpoint; with more than one worker, the seed
+and the counts are jobs on a process pool. The campaign process sums f(n)
+from the seed in n-order and builds each chunk's rows at once, as pure
+functions of n. So any worker count and any resume point give bit-identical
+results, and one pass over a range serves every report drawn from it.
+Reports fold rows in n-order only, never in completion order.
 
 A run that computed any chunk checks its final sum against the combinatorial
 pi((to+1)^2), so campaigns need (to+1)^2 <= COMBINATORIAL_MAX. The last chunk
@@ -25,6 +26,7 @@ from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +38,7 @@ from .analytic import (
     delta,
     dusart_lower,
     dusart_upper,
-    lemma1_proof_sides,
+    lemma1_forms,
     lemma1_sides,
     lemma2_lhs,
     theorem_floor,
@@ -142,8 +144,7 @@ def _margin_rows(ns: np.ndarray, fs: np.ndarray, pis: np.ndarray, strict: bool) 
 
 
 def _lemma_rows(ns: np.ndarray, fs: np.ndarray, pis: np.ndarray, strict: bool) -> list[LemmaRecord]:
-    lhs, rhs = lemma1_sides(ns)
-    plhs, prhs = lemma1_proof_sides(ns)
+    lhs, rhs, plhs, prhs = lemma1_forms(ns)
     # the lemma holds only if both forms do; judge the tighter margin
     disp, proof = rhs.value - lhs.value, plhs.value - prhs.value
     display_tighter = disp <= proof
@@ -163,6 +164,11 @@ _ROW_KINDS = {"margin": (_margin_rows, MarginRecord), "lemma": (_lemma_rows, Lem
 def _counts_job(chunk: tuple[int, int]) -> np.ndarray:
     """Worker job: the chunk's window counts f(n), nothing else."""
     return _window_counts(*chunk)
+
+
+def _seed_job(x: int) -> int:
+    """Worker job: the combinatorial pi(x) that a campaign's running sum starts at or must end at."""
+    return pi_exact(x, "combinatorial")
 
 
 def _chunks(from_n: int, to_n: int) -> list[tuple[int, int]]:
@@ -281,12 +287,13 @@ def _run_chunked(kind: str, command: str, from_n: int, to_n: int, *, workers: in
                  strict: bool, checkpoint_path: str | None, resume: bool) -> list[tuple]:
     """All rows for [from_n, to_n] in n-order.
 
-    Workers count the windows of the chunks still to do while this process
-    seeds pi(n^2) once at the first of them, which the loaded chunks must
-    chain into; it then builds every row from the running sum and checkpoints
-    each chunk as soon as its rows exist, the last one only once the sum
-    equals the combinatorial pi((to+1)^2). A complete resume seeds nothing;
-    its chunks must still chain.
+    The chunks still to do need the combinatorial pi(n^2) at the first of
+    them, which the loaded chunks must chain into, the window counts of each
+    and, for the final check, pi((to+1)^2). With workers > 1 all of these are
+    pool jobs, the start seed first, so this process only builds each chunk's
+    rows from the running sum and checkpoints the chunk as soon as its rows
+    exist, the last one only once the sum equals the end seed. A complete
+    resume seeds nothing; its chunks must still chain.
     """
     if (to_n + 1) ** 2 > COMBINATORIAL_MAX:
         raise DomainError(f"campaigns need (to+1)^2 <= {COMBINATORIAL_MAX} (combinatorial pi range)")
@@ -296,28 +303,40 @@ def _run_chunked(kind: str, command: str, from_n: int, to_n: int, *, workers: in
     done = _load_checkpoint(checkpoint_path, header, row_type, chunks) if (checkpoint_path and resume) else []
     writer = _CheckpointWriter(checkpoint_path, header, done)
     todo = chunks[len(done):]
-    parallel = workers > 1 and len(todo) > 1
-    with ProcessPoolExecutor(max_workers=min(workers, len(todo))) if parallel else nullcontext() as pool:
-        counts = (pool.map if parallel else map)(_counts_job, todo)  # workers fork before the seed
-        pi = pi_exact(todo[0][0] ** 2, "combinatorial") if todo else _loaded_end(done)
-        if done and todo and (loaded := _loaded_end(done)) != pi:
+    if not todo:
+        _loaded_end(done)
+        return [row for rec in done for row in rec["rows"]]
+    seeds = (todo[0][0] ** 2, (to_n + 1) ** 2)
+    parallel = workers > 1
+    with ProcessPoolExecutor(max_workers=min(workers, len(todo) + 2)) if parallel else nullcontext() as pool:
+        try:
             if parallel:
+                start_seed, end_seed = (pool.submit(_seed_job, x).result for x in seeds)
+                counts = pool.map(_counts_job, todo)
+            else:
+                start_seed, end_seed = (partial(_seed_job, x) for x in seeds)
+                counts = map(_counts_job, todo)
+            loaded = _loaded_end(done) if done else None  # a broken chain fails before the seed is in
+            pi = start_seed()
+            if done and loaded != pi:
+                raise RuntimeError(f"checkpoint chunks sum to pi({todo[0][0]}^2) = {loaded}, "
+                                   f"the combinatorial pi gives {pi}")
+            for (s, e), fs in zip(todo, counts):
+                pis = pi + np.cumsum(fs) - fs  # pi(n^2) of each n in the chunk
+                rec = {"chunk_start": s, "chunk_end": e, "pi_at_start": pi,
+                       "rows": build_rows(np.arange(s, e + 1, dtype=np.int64), fs, pis, strict)}
+                pi = int(pis[-1] + fs[-1])
+                done.append(rec)
+                if e < to_n:  # the last chunk waits for the final check
+                    writer.append(rec)
+            if pi != (end := end_seed()):
+                raise RuntimeError(f"window counts sum to pi({to_n + 1}^2) = {pi}, "
+                                   f"the combinatorial pi gives {end}")
+        except BaseException:
+            if parallel:  # drop the queued jobs rather than wait for them
                 pool.shutdown(cancel_futures=True)
-            raise RuntimeError(f"checkpoint chunks sum to pi({todo[0][0]}^2) = {loaded}, "
-                               f"the combinatorial pi gives {pi}")
-        for (s, e), fs in zip(todo, counts):
-            pis = pi + np.cumsum(fs) - fs  # pi(n^2) of each n in the chunk
-            rec = {"chunk_start": s, "chunk_end": e, "pi_at_start": pi,
-                   "rows": build_rows(np.arange(s, e + 1, dtype=np.int64), fs, pis, strict)}
-            pi = int(pis[-1] + fs[-1])
-            done.append(rec)
-            if e < to_n:  # the last chunk waits for the final check
-                writer.append(rec)
-    end = pi_exact((to_n + 1) ** 2, "combinatorial") if todo else pi
-    if pi != end:
-        raise RuntimeError(f"window counts sum to pi({to_n + 1}^2) = {pi}, the combinatorial pi gives {end}")
-    if todo:
-        writer.append(done[-1])
+            raise
+    writer.append(done[-1])
     return [row for rec in done for row in rec["rows"]]
 
 

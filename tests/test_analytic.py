@@ -11,6 +11,7 @@ from primesq.analytic import (
     delta,
     dusart_lower,
     dusart_upper,
+    lemma1_forms,
     lemma1_proof_sides,
     lemma1_sides,
     lemma2_lhs,
@@ -250,6 +251,7 @@ def test_array_lemma_sides_match_scalar_bits(monkeypatch):
     (lhs, rhs), (plhs, prhs) = lemma1_sides(ns), lemma1_proof_sides(ns)
     assert list(zip(*([[b] for b in _bits(side)] for side in (lhs, rhs, plhs, lemma2_lhs(ns))))) == scalar
     assert _bits(prhs) == _bits(lemma1_proof_sides(2)[1])
+    assert [_bits(side) for side in lemma1_forms(ns)] == [_bits(side) for side in (lhs, rhs, plhs, prhs)]
     two = np.array([2, 3])  # an empty sum at both
     assert _bits(lemma1_sides(two)[0]) == _bits(lemma1_sides(2)[0]) + _bits(lemma1_sides(3)[0])
     with pytest.raises(DomainError):  # the running sum is read in ascending n

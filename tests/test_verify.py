@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+from concurrent.futures import Future
 from dataclasses import asdict
 
 import numpy as np
@@ -233,48 +234,87 @@ def test_one_pi_seed_per_campaign(tmp_path, monkeypatch):
     import primesq.counting as counting
     import primesq.verify as v
 
-    real, seeds = counting.pi_exact, []
+    real, log = counting.pi_exact, tmp_path / "seeds.txt"
 
     def counted(x, method="combinatorial"):
-        seeds.append(x)
+        with open(log, "a", encoding="utf-8") as fh:  # forked workers log here too
+            fh.write(f"{os.getpid()} {x}\n")
         return real(x, method)
 
     monkeypatch.setattr(counting, "pi_exact", counted)
     monkeypatch.setattr(v, "pi_exact", counted)
 
-    def seeds_of(run, *args, **kwargs):
-        seeds.clear()
-        run(*args, **kwargs)
-        return list(seeds)
+    def seeds_of(run, *args, workers, **kwargs):
+        log.write_text("")
+        run(*args, workers=workers, **kwargs)
+        calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        if workers == 1:
+            return [x for _, x in calls]
+        assert os.getpid() not in {pid for pid, _ in calls}  # the seeds ran on the pool
+        return sorted(x for _, x in calls)  # workers finish in any order
 
-    ck = str(tmp_path / "ck.txt")
+    ck = tmp_path / "ck.txt"
     for workers in (1, 2):
-        assert seeds_of(run_margin_campaign, "c2", 3, 2000, workers=workers, checkpoint_path=ck) == [9, 2001**2]
-    lines = (tmp_path / "ck.txt").read_text().splitlines()
-    (tmp_path / "ck.txt").write_text("\n".join(lines[:3]) + "\n")  # two of four chunks
-    assert seeds_of(run_margin_campaign, "c2", 3, 2000, checkpoint_path=ck, resume=True) == [1027**2, 2001**2]
-    assert seeds_of(run_margin_campaign, "c2", 3, 2000, checkpoint_path=ck, resume=True) == []
-    assert seeds_of(verify_lemmas, 3, 1100) == [9, 1101**2]
+        run = functools.partial(seeds_of, run_margin_campaign, "c2", 3, 2000, workers=workers,
+                                checkpoint_path=str(ck))
+        assert run() == [9, 2001**2]
+        lines = ck.read_text().splitlines()
+        ck.write_text("\n".join(lines[:3]) + "\n")  # two of four chunks
+        assert run(resume=True) == [1027**2, 2001**2]
+        assert run(resume=True) == []
+        assert seeds_of(verify_lemmas, 3, 1100, workers=workers) == [9, 1101**2]
+        assert seeds_of(run_margin_campaign, "c2", 3, 500, workers=workers) == [9, 501**2]  # one chunk
+
+
+def _off_by_one_job(chunk):
+    """The chunk's window counts, with the last count of 3..1100 raised by one;
+    defined at module level, so a process pool can run it."""
+    counts = _window_counts(*chunk)
+    if chunk[1] == 1100:  # last of the three chunks of 3..1100
+        counts[-1] += 1
+    return counts
 
 
 def test_campaign_sum_checked_against_combinatorial_pi(monkeypatch, capsys):
     import primesq.verify as v
     from primesq import cli
 
-    real_job = v._counts_job
+    monkeypatch.setattr(v, "_counts_job", _off_by_one_job)
+    for workers in (1, 2):
+        with pytest.raises(RuntimeError, match="combinatorial"):
+            run_margin_campaign("c2", 3, 1100, workers=workers)
+        assert cli.main(["verify", "c2", "--from", "3", "--to", "1100", "--workers", str(workers)]) == 3
+        err = capsys.readouterr().err
+        assert "RuntimeError" in err and err.count("\n") == 1
 
-    def off_by_one(chunk):
-        counts = real_job(chunk)
-        if chunk[1] == 1100:  # last of the three chunks of 3..1100
-            counts[-1] += 1
-        return counts
 
-    monkeypatch.setattr(v, "_counts_job", off_by_one)
-    with pytest.raises(RuntimeError, match="combinatorial"):
-        run_margin_campaign("c2", 3, 1100)
-    assert cli.main(["verify", "c2", "--from", "3", "--to", "1100"]) == 3
-    err = capsys.readouterr().err
-    assert "RuntimeError" in err and err.count("\n") == 1
+@pytest.mark.parametrize("n_from, n_to", [(3, 500), (700000, 700001)])
+def test_one_chunk_campaign_same_bytes_on_the_pool(tmp_path, capsys, n_from, n_to):
+    from primesq import cli
+
+    out = {}
+    for workers in (1, 2):
+        ck = tmp_path / f"ck{workers}.txt"
+        argv = ["verify", "c2", "--from", str(n_from), "--to", str(n_to), "--workers", str(workers),
+                "--checkpoint", str(ck), "--format", "csv"]
+        assert cli.main(argv) == 0
+        out[workers] = (capsys.readouterr().out, ck.read_bytes())
+    assert out[1] == out[2]
+
+
+def test_lemma_chunks_read_the_running_sum_once(monkeypatch):
+    import primesq.analytic as analytic
+
+    terms, real_advance = [], analytic.SumRCache._advance
+
+    def advance(cache, k_stop):
+        terms.append(max(0, k_stop - cache._next_k))
+        real_advance(cache, k_stop)
+
+    monkeypatch.setattr(analytic, "_default_sum_r", analytic.SumRCache())
+    monkeypatch.setattr(analytic.SumRCache, "_advance", advance)
+    verify_lemmas(3, 2000)
+    assert sum(terms) == 2000 - 3  # r(3) .. r(1999), each once
 
 
 def test_checkpoint_campaign_mismatch(tmp_path):
@@ -426,13 +466,18 @@ def test_campaign_pool_capped_at_chunks_left(monkeypatch):
         def __exit__(self, *exc):
             return False
 
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
         def map(self, fn, jobs):
             return map(fn, jobs)
 
     monkeypatch.setattr(v, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(v, "CHUNK_SIZE", 4)
-    report, _ = run_margin_campaign("c2", 3, 22, workers=64)  # five chunks
-    assert sizes == [5]
+    report, _ = run_margin_campaign("c2", 3, 22, workers=64)  # five chunks and two seeds
+    assert sizes == [7]
     assert report.checked == 20 and report.violations == []
 
 
@@ -480,7 +525,7 @@ def test_failed_check_leaves_no_resumable_checkpoint(tmp_path, monkeypatch, caps
     assert cli.main(argv) == 3
     lines = ck.read_text().splitlines()
     assert len(lines) == 1 + 2  # the last of three chunks is held back
-    if workers == 2:  # two chunks left to count, so the pool runs
+    if workers == 2:  # resume with two chunks left to count
         ck.write_text("\n".join(lines[:2]) + "\n")
     monkeypatch.undo()
     capsys.readouterr()
@@ -511,6 +556,28 @@ def test_partial_resume_requires_chained_chunks(tmp_path):
     ck.write_text("\n".join([header, first, second]) + "\n")
     resumed, _ = run_margin_campaign("c2", 3, 1100, checkpoint_path=str(ck), resume=True)
     assert report_json(resumed) == report_json(full)
+
+
+def test_unchained_partial_resume_exits_3_on_the_pool(tmp_path):
+    import subprocess
+    import sys
+
+    import primesq
+
+    ck = tmp_path / "ck.txt"
+    argv = ["verify", "c2", "--from", "3", "--to", "1600", "--workers", "2", "--checkpoint", str(ck),
+            "--format", "csv"]
+    run_margin_campaign("c2", 3, 1600, checkpoint_path=str(ck))
+    header, first, second, *_ = ck.read_text().splitlines()
+    rec = json.loads(second)
+    rec["pi_at_start"] += 1
+    ck.write_text("\n".join([header, first, json.dumps(rec)]) + "\n")  # two of four chunks left
+    # in a child process, so a pool that never shuts down fails the test instead of hanging it
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(primesq.__file__)))
+    done = subprocess.run([sys.executable, "-m", "primesq", *argv, "--resume"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3
+    assert done.stdout == "" and "chunks before it end" in done.stderr and done.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("chunk, row, field", [
