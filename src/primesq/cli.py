@@ -73,16 +73,14 @@ def _campaign_kwargs(cfg: CampaignConfig) -> dict:
 def _run_verify(cfg: CampaignConfig) -> int:
     target = cfg.command.split()[1]
     strict = cfg.precision_mode == "strict"
+    if target in ("dusart", "lemmas") and cfg.output_format == "csv":
+        raise DomainError(f"no CSV row schema for {target}; use json or table")
     if target == "dusart":
         report = verify.verify_dusart(cfg.samples or DEFAULT_DUSART_SAMPLES)
-        if cfg.output_format == "csv":
-            raise DomainError("no CSV row schema for dusart; use json or table")
         text = verify.report_json(report) if cfg.output_format == "json" else verify.report_table(report)
         _emit(text, cfg.output_path)
         return _report_exit_code(report, strict)
     if target == "lemmas":
-        if cfg.output_format == "csv":
-            raise DomainError("no CSV row schema for lemmas; use json or table")
         rep1, rep2 = verify.verify_lemmas(cfg.from_n, cfg.to_n, **_campaign_kwargs(cfg))
         if cfg.output_format == "json":
             text = verify.reports_json({"lemma1": rep1, "lemma2": rep2})
@@ -200,12 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="group", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_run(p: argparse.ArgumentParser) -> None:
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--precision", choices=["fast", "strict"], default="fast")
-        p.add_argument("--checkpoint", default=None, metavar="PATH")
-        p.add_argument("--resume", action="store_true")
-        p.add_argument("--format", choices=["csv", "json", "table"], default="table")
+
+    def add_output(p: argparse.ArgumentParser, formats: list[str]) -> None:
+        p.add_argument("--format", choices=formats, default="table")
         p.add_argument("--out", default=None, metavar="PATH")
 
     compute = sub.add_parser("compute", help="evaluate one quantity and print it")
@@ -221,16 +219,20 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--to", dest="to_n", type=int, default=None)
     ver.add_argument("--samples", type=_int_list, default=None,
                      help="comma-separated x values for dusart")
-    add_common(ver)
+    add_run(ver)
+    ver.add_argument("--checkpoint", default=None, metavar="PATH")
+    ver.add_argument("--resume", action="store_true")
+    add_output(ver, ["csv", "json", "table"])
 
     table = sub.add_parser("table", help="emit the capacity ratio table")
     table.add_argument("what", choices=["c3"])
     table.add_argument("--ns", type=_int_list, default=None, help="comma-separated n values")
-    add_common(table)
+    add_output(table, ["csv", "json", "table"])
 
     report = sub.add_parser("report", help="run the full default campaign suite")
     report.add_argument("what", choices=["all"])
-    add_common(report)
+    add_run(report)
+    add_output(report, ["json", "table"])
     return parser
 
 
@@ -239,25 +241,22 @@ def _config_from_args(args: argparse.Namespace) -> CampaignConfig:
     if args.group == "compute":
         cfg.n, cfg.x, cfg.method = args.n, args.x, args.method
         return cfg
-    cfg.workers = args.workers
-    cfg.precision_mode = args.precision
-    cfg.checkpoint_path = args.checkpoint
-    cfg.resume = args.resume
-    cfg.output_format = args.format
-    cfg.output_path = args.out
+    cfg.output_format, cfg.output_path = args.format, args.out
+    if args.group == "table":
+        cfg.ns = args.ns or []
+        return cfg
+    cfg.workers, cfg.precision_mode = args.workers, args.precision
     if cfg.workers < 1:
         raise DomainError("--workers must be >= 1")
-    if cfg.resume and cfg.checkpoint_path is None:
-        raise DomainError("--resume requires --checkpoint")
     if args.group == "verify":
-        target = args.target
-        if target in DEFAULT_RANGES:
-            lo, hi = DEFAULT_RANGES[target]
+        cfg.checkpoint_path, cfg.resume = args.checkpoint, args.resume
+        if cfg.resume and cfg.checkpoint_path is None:
+            raise DomainError("--resume requires --checkpoint")
+        if args.target in DEFAULT_RANGES:
+            lo, hi = DEFAULT_RANGES[args.target]
             cfg.from_n = args.from_n if args.from_n is not None else lo
             cfg.to_n = args.to_n if args.to_n is not None else hi
         cfg.samples = args.samples or []
-    elif args.group == "table":
-        cfg.ns = args.ns or []
     return cfg
 
 

@@ -1,14 +1,17 @@
-"""Certified-capacity start index M(n) and its supporting sums.
+"""Certified-capacity start index M(n), 597 <= n <= M_OF_MAX, and its sums.
 
 s_sum(n) adds the integer floor terms from k = 597; bound_gap(k) is the
 certified capacity U((k+1)^2) - L(k^2) of one window, positive and only
 defined from 597 on, where both explicit bound validity thresholds hold.
 m_of(n) is the largest start index m in [597, n] whose tail capacity still
 covers s_sum(n); tail sums decrease strictly in m, so binary search applies.
+Each probe fsums its tail of cached gaps, with the summed gap errors plus one
+rounding of each sum as its bound (_tail); ties inside it are decided at quad.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,27 +44,37 @@ class MnRecord:
     ratio: float | None
 
 
-# integer floor terms and double-precision gaps, cached as ascending prefixes
-_tfloors: list[int] = []
-_gaps: list[float] = []
-_gap_errs: list[float] = []
+M_OF_MAX = 9999999  # keeps s_sum below 1e14 and bound_gap's int64 squares exact
+_CHUNK = 1 << 16  # k per cache fill, bounding its temporaries
+
+# floor terms, gaps and gap errors from k = 597, filled in place; unfilled pages take no memory
+_tfloors = np.empty(M_OF_MAX - START_K + 1, dtype=np.int64)
+_gaps = np.empty(M_OF_MAX - START_K + 1)
+_gap_errs = np.empty(M_OF_MAX - START_K + 1)
+_filled = 0  # the caches hold k = START_K .. START_K + _filled - 1
+
+
+def _check(n: int) -> None:
+    if not START_K <= n <= M_OF_MAX:
+        raise DomainError(f"M(n) is defined for {START_K} <= n <= {M_OF_MAX}, got n = {n}")
 
 
 def _extend_caches(n: int) -> None:
-    ks = np.arange(START_K + len(_tfloors), n + 1, dtype=np.int64)
-    if ks.size:
-        _tfloors.extend(theorem_floor(ks)[0].tolist())
+    global _filled
+    while _filled <= n - START_K:
+        i, j = _filled, min(_filled + _CHUNK, n - START_K + 1)
+        ks = np.arange(START_K + i, START_K + j, dtype=np.int64)
+        _tfloors[i:j] = theorem_floor(ks)[0]
         gap = bound_gap(ks)
-        _gaps.extend(gap.value.tolist())
-        _gap_errs.extend(gap.abs_err.tolist())
+        _gaps[i:j], _gap_errs[i:j] = gap.value, gap.abs_err
+        _filled = j
 
 
 def s_sum(n: int) -> int:
-    """Exact integer sum of theorem_floor(k) for k = 597..n."""
-    if n < START_K:
-        raise DomainError(f"s_sum needs n >= {START_K}")
+    """Exact integer sum of theorem_floor(k) for k = 597..n, in int64."""
+    _check(n)
     _extend_caches(n)
-    return sum(_tfloors[: n - START_K + 1])
+    return int(_tfloors[: n - START_K + 1].sum())
 
 
 def bound_gap(k: int, precision: str = "double") -> RealEval:
@@ -73,27 +86,21 @@ def bound_gap(k: int, precision: str = "double") -> RealEval:
     return RealEval(upper.value - lower.value, upper.abs_err + lower.abs_err, precision)
 
 
-def _tail_arrays(n: int) -> tuple[list[float], list[float]]:
-    """Suffix capacity sums: tail[i] = sum of gaps for k = 597+i .. n.
+def _tail(m: int, n: int) -> tuple[float, float]:
+    """The cached gaps g_k of k = m..n summed to t, and a bound on |t - T|
+    for their exact capacities G_k summed to T; the caches must reach n.
 
-    Backward compensated accumulation; err[i] bounds |tail[i] - exact|.
+    math.fsum rounds the exact sum to nearest, which errs by at most half an
+    ulp of the result, so |t - sum g| <= u*t; likewise the errors e_k >=
+    |g_k - G_k| sum to E >= sum e - u*E. So |t - T| <= E + u*t + u*E, three
+    doubles (u is a power of two) whose fsum rounds to nearest: the next
+    double up bounds their exact sum.
     """
-    _extend_caches(n)
-    count = n - START_K + 1
-    tail = [0.0] * count
-    terr = [0.0] * count
+    i, j = m - START_K, n - START_K + 1
+    t = math.fsum(_gaps[i:j].data)
+    err = math.fsum(_gap_errs[i:j].data)
     u = _U["double"]
-    s = c = err = 0.0
-    for i in range(count - 1, -1, -1):
-        g = _gaps[i]
-        err += _gap_errs[i] + 2.0 * u * g
-        y = g - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-        tail[i] = s - c
-        terr[i] = err + u * abs(s)
-    return tail, terr
+    return t, math.nextafter(math.fsum((err, u * t, u * err)), math.inf)
 
 
 def _tail_quad(m: int, n: int) -> mpf:
@@ -106,42 +113,34 @@ def _tail_quad(m: int, n: int) -> mpf:
         return total
 
 
-def _covers(S: int, m: int, n: int, tail: list[float], terr: list[float]) -> bool:
-    """Does the tail capacity starting at m cover the integer sum S?
-
-    Whenever the float comparison sits inside the tracked error bound, the
-    tail is re-summed at quad precision before deciding.
-    """
-    i = m - START_K
-    if abs(tail[i] - S) <= terr[i]:
+def _covers(S: int, m: int, n: int) -> bool:
+    """Does the tail capacity starting at m cover the integer sum S? Inside
+    the error bound, the tail is re-summed at quad precision to decide."""
+    t, err = _tail(m, n)
+    if abs(t - S) <= err:
         return S <= _tail_quad(m, n)
-    return S <= tail[i]
+    return S <= t
 
 
 def m_of(n: int) -> int | None:
     """Largest m in [597, n] whose tail capacity covers s_sum(n); None if none."""
-    if n < START_K:
-        raise DomainError(f"m_of needs n >= {START_K}")
-    S = s_sum(n)
-    tail, terr = _tail_arrays(n)
-    if not _covers(S, START_K, n, tail, terr):
-        return None
-    lo, hi = START_K, n
+    S = s_sum(n)  # checks n before the caches grow
+    lo, hi = START_K - 1, n  # lo = START_K - 1: no m covers
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if _covers(S, mid, n, tail, terr):
+        if _covers(S, mid, n):
             lo = mid
         else:
             hi = mid - 1
-    return lo
+    return lo if lo >= START_K else None
 
 
 def c3_table(ns: list[int]) -> list[MnRecord]:
     """Capacity ratio rows for empirical study; no pass/fail verdict."""
+    for n in ns:
+        _check(n)
     out = []
     for n in ns:
-        if n < START_K:
-            raise DomainError(f"c3_table needs every n >= {START_K}")
         m = m_of(n)
         out.append(MnRecord(n, s_sum(n), m, (m / n) if m is not None else None))
     return out

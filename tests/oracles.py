@@ -1,8 +1,8 @@
 """Test-only code: views of sieve segments, trial division and an open-interval
-prime count, a second order of summing mbound's gaps, a linear-scan M(n),
-scalar Miller-Rabin, the reference for the vectorised kernel, and campaign rows
-built one n at a time from the scalar analytic functions, the reference for
-the chunk row builders."""
+prime count, backward and forward compensated sums of mbound's gaps with a
+linear-scan M(n) on the backward ones, scalar Miller-Rabin, the reference for
+the vectorised kernel, and campaign rows built one n at a time from the scalar
+analytic functions, the reference for the chunk row builders."""
 
 from __future__ import annotations
 
@@ -76,16 +76,21 @@ def count_primes_open(a: int, b: int, *, segment_odds: int = DEFAULT_SEGMENT_ODD
     return int(count_primes_below(a + 1, [b], segment_odds=segment_odds)[0])
 
 
+def gaps(m: int, n: int) -> tuple[list[float], list[float]]:
+    """bound_gap of k = m..n and its error bounds, from one array evaluation
+    and none of mbound's caches."""
+    gap = mbound.bound_gap(np.arange(m, n + 1, dtype=np.int64))
+    return gap.value.tolist(), gap.abs_err.tolist()
+
+
 def forward_tail_sum(m: int, n: int) -> tuple[float, float]:
     """Forward-order compensated tail sum, for order-independence checks."""
     if m < mbound.START_K or n < m:
         raise DomainError("need 597 <= m <= n")
-    mbound._extend_caches(n)
     u = _U["double"]
     s = c = err = 0.0
-    for i in range(m - mbound.START_K, n - mbound.START_K + 1):
-        g = mbound._gaps[i]
-        err += mbound._gap_errs[i] + 2.0 * u * g
+    for g, e in zip(*gaps(m, n)):
+        err += e + 2.0 * u * g
         y = g - c
         t = s + y
         c = (t - s) - y
@@ -93,14 +98,43 @@ def forward_tail_sum(m: int, n: int) -> tuple[float, float]:
     return s - c, err + u * abs(s)
 
 
+def kahan_tail_arrays(n: int) -> tuple[list[float], list[float]]:
+    """Suffix capacity sums: tail[i] = sum of gaps for k = 597+i .. n.
+
+    Backward compensated accumulation; err[i] bounds |tail[i] - exact|.
+    """
+    values, errs = gaps(mbound.START_K, n)
+    count = len(values)
+    tail = [0.0] * count
+    terr = [0.0] * count
+    u = _U["double"]
+    s = c = err = 0.0
+    for i in range(count - 1, -1, -1):
+        g = values[i]
+        err += errs[i] + 2.0 * u * g
+        y = g - c
+        t = s + y
+        c = (t - s) - y
+        s = t
+        tail[i] = s - c
+        terr[i] = err + u * abs(s)
+    return tail, terr
+
+
 def m_of_linear(n: int) -> int | None:
-    """Exhaustive-scan oracle for m_of; same predicate, no bisection."""
+    """Exhaustive-scan oracle for m_of: the same certified predicate on the
+    backward Kahan tails, no bisection; a tie inside their error bound is
+    decided at quad precision."""
     if n < mbound.START_K:
         raise DomainError(f"m_of needs n >= {mbound.START_K}")
     S = mbound.s_sum(n)
-    tail, terr = mbound._tail_arrays(n)
+    tail, terr = kahan_tail_arrays(n)
     for m in range(n, mbound.START_K - 1, -1):
-        if mbound._covers(S, m, n, tail, terr):
+        i = m - mbound.START_K
+        if abs(tail[i] - S) <= terr[i]:
+            if S <= mbound._tail_quad(m, n):
+                return m
+        elif S <= tail[i]:
             return m
     return None
 

@@ -88,7 +88,9 @@ def test_campaign_at_far_n(tmp_path, capsys):
 
 def test_lemmas_and_dusart_reject_csv(capsys):
     assert run_cli("verify", "lemmas", "--from", "3", "--to", "10", "--format", "csv") == 2
+    assert "no CSV row schema for lemmas" in capsys.readouterr().err
     assert run_cli("verify", "dusart", "--format", "csv") == 2
+    assert "no CSV row schema for dusart" in capsys.readouterr().err
 
 
 def test_verify_lemmas_json(capsys):
@@ -209,3 +211,26 @@ def test_compute_g_range(capsys):
     assert "9999999" in err and err.count("\n") == 1
     assert run_cli("compute", "g", "--n", "3000") == 0
     assert capsys.readouterr().out == "3000\n"
+
+
+def test_m_range(capsys):
+    for argv in (("compute", "m", "--n", "10000000"), ("table", "c3", "--ns", "1000,10000000")):
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "9999999" in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("option", [["--workers", "4"], ["--precision", "strict"],
+                                    ["--checkpoint", "ck"], ["--resume"]])
+def test_table_rejects_campaign_options(option, capsys):
+    assert run_cli("table", "c3", "--ns", "597", *option) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, message", [(["--checkpoint", "ck"], "unrecognized arguments"),
+                                             (["--resume"], "unrecognized arguments"),
+                                             (["--format", "csv"], "invalid choice: 'csv'")])
+def test_report_rejects_options_it_ignores(option, message, capsys):
+    assert run_cli("report", "all", *option) == 2
+    assert message in capsys.readouterr().err
