@@ -10,10 +10,12 @@ integer arithmetic before conversion, so they are exact for every n this
 package sweeps.
 
 The double path also takes an int64 array of n, as campaigns and mbound
-evaluate a chunk at a time. It applies math.log to each element, not np.log,
-which can differ in the last bit; elementwise + - * /, np.floor and np.rint
-round as the scalar operations do, so every element is bit-identical to the
-scalar result.
+evaluate a chunk at a time; (n+1)^2 must fit an int64, so n <= SQUARE_N_MAX.
+It applies math.log to each element, not np.log, which can differ in the
+last bit; elementwise + - * /, np.floor and np.rint round as the scalar
+operations do, so every element is bit-identical to the scalar result.
+margin_sides gives a campaign chunk delta, c1_rhs, c2_lhs and theorem_floor
+from one evaluation each of delta and r.
 
 The one place rounding can flip a verdict is the floor of a near-integer
 argument, so theorem_floor evaluates its argument at 53, then 96, then 160
@@ -75,15 +77,49 @@ def _least(x):
     return x.min() if isinstance(x, np.ndarray) else x
 
 
+# the greatest n whose (n+1)^2 an int64 holds; array formulas square n and n+1 in int64
+SQUARE_N_MAX = math.isqrt(2**63 - 1) - 1
+
+
+def _check_squares(n, name: str) -> None:
+    """Over an int64 array, DomainError where (n+1)^2 would wrap; Python ints never do."""
+    if isinstance(n, np.ndarray) and n.max() > SQUARE_N_MAX:
+        raise DomainError(f"{name} over an int64 array needs every element <= {SQUARE_N_MAX}")
+
+
+def _check(n, least: int, name: str) -> None:
+    """DomainError for any n below least, or above SQUARE_N_MAX in an int64 array."""
+    if _least(n) < least:
+        raise DomainError(f"{name} needs n >= {least}")
+    _check_squares(n, name)
+
+
+def _memo_log():
+    """A _log that evaluates each distinct array once: a chunk's formulas take
+    log n, log(n+1) and log log n several times each."""
+    seen = {}
+
+    def log(x):
+        if not isinstance(x, np.ndarray):
+            return _log(x)
+        key = (x.dtype.str, x.tobytes())
+        if key not in seen:
+            seen[key] = _log(x)
+        return seen[key]
+
+    return log
+
+
 def _as_float(x):
     """A value as a float; float arrays pass through."""
     return x if isinstance(x, np.ndarray) else float(x)
 
 
-def _evaluate(formula, precision: str, *args) -> RealEval:
-    """Value and error bound of formula(log, *args) -> (value, error scale) at precision."""
+def _evaluate(formula, precision: str, *args, log=_log) -> RealEval:
+    """Value and error bound of formula(log, *args) -> (value, error scale) at
+    precision; the double path calls log, which must return what _log does."""
     if precision == "double":
-        val, scale = formula(_log, *args)
+        val, scale = formula(log, *args)
         return RealEval(val, _ERR_DOUBLE * scale, "double")
     with mp.workprec(PRECISION_BITS[precision]):
         val, scale = formula(mp.log, *args)
@@ -174,8 +210,7 @@ def _proof_lhs(log, n: int, total=None):
 
 def delta(n: int, precision: str = "double") -> RealEval:
     """Half the increment of x^2/log x from n to n+1; positive for n >= 2."""
-    if _least(n) < 2:
-        raise DomainError("delta needs n >= 2")
+    _check(n, 2, "delta")
     return _evaluate(_delta, precision, n)
 
 
@@ -186,22 +221,24 @@ def r_term(n: int, precision: str = "double") -> RealEval:
     return _evaluate(_r, precision, n)
 
 
+def _c1(d: RealEval, s: RealEval) -> RealEval:
+    return RealEval(d.value + s.value, d.abs_err + s.abs_err, d.precision)
+
+
+def _c2(d: RealEval, r: RealEval) -> RealEval:
+    return RealEval(d.value - r.value - 1.0, d.abs_err + r.abs_err, d.precision)
+
+
 def c1_rhs(n: int, precision: str = "double") -> RealEval:
     """Upper-conjecture right side: delta(n) + log^2(n)*loglog(n)."""
-    if _least(n) <= 2:
-        raise DomainError("c1_rhs needs n >= 3")
-    d = delta(n, precision)
-    s = _evaluate(_s, precision, n)
-    return RealEval(d.value + s.value, d.abs_err + s.abs_err, precision)
+    _check(n, 3, "c1_rhs")
+    return _c1(delta(n, precision), _evaluate(_s, precision, n))
 
 
 def c2_lhs(n: int, precision: str = "double") -> RealEval:
     """Lower-conjecture left side: delta(n) - r(n) - 1."""
-    if _least(n) <= 2:
-        raise DomainError("c2_lhs needs n >= 3")
-    d = delta(n, precision)
-    r = r_term(n, precision)
-    return RealEval(d.value - r.value - 1.0, d.abs_err + r.abs_err, precision)
+    _check(n, 3, "c2_lhs")
+    return _c2(delta(n, precision), r_term(n, precision))
 
 
 def dusart_lower(x: float, precision: str = "double") -> tuple[RealEval, bool]:
@@ -224,17 +261,9 @@ def theorem_floor(n: int) -> tuple[int, bool]:
     Over an array of n, arrays of both: the double tier runs on the whole
     array, and only the n it leaves undecided climb the ladder one by one.
     """
-    if _least(n) <= 2:
-        raise DomainError("theorem_floor needs n >= 3")
+    _check(n, 3, "theorem_floor")
     if isinstance(n, np.ndarray):
-        ev = _evaluate(_floor_offset, "double", n, 0)
-        floors = np.floor(ev.value).astype(np.int64)
-        step = np.rint(ev.value)  # round half to even, as round() does
-        undecided = np.abs(ev.value - step) < np.maximum(ESCALATE_DIST, 4.0 * ev.abs_err)
-        flags = np.zeros(n.size, dtype=bool)
-        for i in np.flatnonzero(undecided).tolist():
-            floors[i], flags[i] = theorem_floor(int(n[i]))
-        return floors, flags
+        return _floors(n, _evaluate(_floor_offset, "double", n, 0, log=_memo_log()))
     near = 0
     # each tier: its precision and the least distance to an integer it accepts
     for precision, clear in (("double", ESCALATE_DIST), ("extended", BOUNDARY_DIST), ("quad", BOUNDARY_DIST)):
@@ -246,6 +275,33 @@ def theorem_floor(n: int) -> tuple[int, bool]:
             return fl, False
         near += step
     return fl, dist < BOUNDARY_DIST
+
+
+def _floors(n: np.ndarray, ev: RealEval) -> tuple[np.ndarray, np.ndarray]:
+    """theorem_floor over an array of n from the double-tier floor argument ev."""
+    floors = np.floor(ev.value).astype(np.int64)
+    step = np.rint(ev.value)  # round half to even, as round() does
+    undecided = np.abs(ev.value - step) < np.maximum(ESCALATE_DIST, 4.0 * ev.abs_err)
+    flags = np.zeros(n.size, dtype=bool)
+    for i in np.flatnonzero(undecided).tolist():
+        floors[i], flags[i] = theorem_floor(int(n[i]))
+    return floors, flags
+
+
+def margin_sides(n: np.ndarray) -> tuple[RealEval, RealEval, RealEval, np.ndarray, np.ndarray]:
+    """delta(n), c1_rhs(n), c2_lhs(n) and theorem_floor(n) over an int64 array
+    of n >= 3, bit-identical to those calls.
+
+    delta, r and log^2 n loglog n are each evaluated once, from one math.log
+    pass each over n, n+1 and log n. The floor argument delta - r carries the
+    error bound d.abs_err + r.abs_err, which equals _floor_offset's because
+    _ERR_DOUBLE is a power of two.
+    """
+    _check(n, 3, "margin_sides")
+    log = _memo_log()
+    d, r, s = (_evaluate(formula, "double", n, log=log) for formula in (_delta, _r, _s))
+    floors, flags = _floors(n, RealEval(d.value - r.value, d.abs_err + r.abs_err, "double"))
+    return d, _c1(d, s), _c2(d, r), floors, flags
 
 
 # --- compensated running sum of r(k) -----------------------------------------
@@ -338,30 +394,26 @@ def sum_r(n: int, precision: str = "double") -> RealEval:
 
 def lemma1_sides(n: int, precision: str = "double") -> tuple[RealEval, RealEval]:
     """Both sides of the summed-floor lemma's displayed inequality (lhs < rhs)."""
-    if _least(n) < 2:
-        raise DomainError("lemma1_sides needs n >= 2")
+    _check(n, 2, "lemma1_sides")
     return _evaluate(_lemma_lhs, precision, n), _evaluate(_lemma1_rhs, precision, n)
 
 
 def lemma1_proof_sides(n: int, precision: str = "double") -> tuple[RealEval, RealEval]:
     """Rearranged form: n^2/(4 log^2 n) + 9 n^2/(40 log^3 n) + sum_r(n) > 4 - 9/log 9."""
-    if _least(n) < 2:
-        raise DomainError("lemma1_proof_sides needs n >= 2")
+    _check(n, 2, "lemma1_proof_sides")
     return _evaluate(_proof_lhs, precision, n), _evaluate(_lemma_const, precision)
 
 
 def lemma1_forms(n: np.ndarray) -> tuple[RealEval, RealEval, RealEval, RealEval]:
     """lemma1_sides(n) and lemma1_proof_sides(n) on the double path, from one
-    read of the running sum of r(k)."""
-    if _least(n) < 2:
-        raise DomainError("lemma1_forms needs n >= 2")
-    total = _r_sum(_log, n)
-    return (_evaluate(_lemma_lhs, "double", n, total), _evaluate(_lemma1_rhs, "double", n),
-            _evaluate(_proof_lhs, "double", n, total), _evaluate(_lemma_const, "double"))
+    read of the running sum of r(k) and one math.log pass over n."""
+    _check(n, 2, "lemma1_forms")
+    total, log = _r_sum(_log, n), _memo_log()
+    return (_evaluate(_lemma_lhs, "double", n, total, log=log), _evaluate(_lemma1_rhs, "double", n, log=log),
+            _evaluate(_proof_lhs, "double", n, total, log=log), _evaluate(_lemma_const, "double"))
 
 
 def lemma2_lhs(n: int, precision: str = "double") -> RealEval:
     """Left side of the pi(n^2) lower estimate; equals lemma1_sides(n)[0]."""
-    if _least(n) < 3:
-        raise DomainError("lemma2_lhs needs n >= 3")
+    _check(n, 3, "lemma2_lhs")
     return _evaluate(_lemma_lhs, precision, n)

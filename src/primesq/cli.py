@@ -141,15 +141,10 @@ def _run_table(cfg: CampaignConfig) -> int:
 
 
 def _run_report_all(cfg: CampaignConfig) -> int:
-    kwargs = dict(workers=cfg.workers, precision_mode=cfg.precision_mode)
     strict = cfg.precision_mode == "strict"
-    # rows are pure functions of n, so one pass over the union of the margin
-    # ranges serves all four reports; a "c2" campaign accepts any from >= 3
-    ranges = {t: DEFAULT_RANGES[t] for t in verify.MARGIN_TARGETS}
-    lo, hi = min(r[0] for r in ranges.values()), max(r[1] for r in ranges.values())
-    _, rows = verify.run_margin_campaign("c2", lo, hi, **kwargs)
-    reports = {t: verify.fold_margin_report(t, *ranges[t], rows, strict) for t in ranges}
-    reports["lemma1"], reports["lemma2"] = verify.verify_lemmas(*DEFAULT_RANGES["lemmas"], **kwargs)
+    reports = verify.suite_reports({t: DEFAULT_RANGES[t] for t in verify.MARGIN_TARGETS},
+                                   DEFAULT_RANGES["lemmas"], workers=cfg.workers,
+                                   precision_mode=cfg.precision_mode)
     reports["dusart"] = verify.verify_dusart(DEFAULT_DUSART_SAMPLES)
     c3 = mbound.c3_table(DEFAULT_C3_NS)
     if cfg.output_format == "json" or cfg.output_path is not None:
@@ -186,9 +181,12 @@ def run(config: CampaignConfig) -> int:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+        values = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,15 +212,22 @@ def build_parser() -> argparse.ArgumentParser:
                          default="both")
 
     ver = sub.add_parser("verify", help="run a verification campaign")
-    ver.add_argument("target", choices=["c1", "c2", "theorem", "lemmas", "dusart", "implication"])
-    ver.add_argument("--from", dest="from_n", type=int, default=None)
-    ver.add_argument("--to", dest="to_n", type=int, default=None)
-    ver.add_argument("--samples", type=_int_list, default=None,
-                     help="comma-separated x values for dusart")
-    add_run(ver)
-    ver.add_argument("--checkpoint", default=None, metavar="PATH")
-    ver.add_argument("--resume", action="store_true")
-    add_output(ver, ["csv", "json", "table"])
+    targets = ver.add_subparsers(dest="target", required=True)
+    for target in ("c1", "c2", "theorem", "lemmas", "implication"):
+        camp = targets.add_parser(target, help=f"{target} over a range of n")
+        camp.add_argument("--from", dest="from_n", type=int, default=DEFAULT_RANGES[target][0])
+        camp.add_argument("--to", dest="to_n", type=int, default=DEFAULT_RANGES[target][1])
+        camp.set_defaults(samples=None)
+        add_run(camp)
+        camp.add_argument("--checkpoint", default=None, metavar="PATH")
+        camp.add_argument("--resume", action="store_true")
+        add_output(camp, ["csv", "json", "table"])
+    dusart = targets.add_parser("dusart", help="the explicit pi(x) bounds at sample x")
+    dusart.add_argument("--samples", type=_int_list, default=None, help="comma-separated x values")
+    dusart.add_argument("--precision", choices=["fast", "strict"], default="fast")
+    add_output(dusart, ["csv", "json", "table"])
+    # dusart runs no campaign; it accepts none of the campaign options
+    dusart.set_defaults(from_n=None, to_n=None, workers=1, checkpoint=None, resume=False)
 
     table = sub.add_parser("table", help="emit the capacity ratio table")
     table.add_argument("what", choices=["c3"])
@@ -249,13 +254,10 @@ def _config_from_args(args: argparse.Namespace) -> CampaignConfig:
     if cfg.workers < 1:
         raise DomainError("--workers must be >= 1")
     if args.group == "verify":
+        cfg.from_n, cfg.to_n = args.from_n, args.to_n
         cfg.checkpoint_path, cfg.resume = args.checkpoint, args.resume
         if cfg.resume and cfg.checkpoint_path is None:
             raise DomainError("--resume requires --checkpoint")
-        if args.target in DEFAULT_RANGES:
-            lo, hi = DEFAULT_RANGES[args.target]
-            cfg.from_n = args.from_n if args.from_n is not None else lo
-            cfg.to_n = args.to_n if args.to_n is not None else hi
         cfg.samples = args.samples or []
     return cfg
 

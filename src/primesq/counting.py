@@ -117,17 +117,18 @@ def _pi_combinatorial(x: int) -> int:
     if x < 2:
         return 0
     r, y = math.isqrt(x), _icbrt(x)
-    idx = np.arange(r + 1, dtype=np.int64)
-    small = np.maximum(idx - 1, 0)
-    large = x // np.maximum(idx, 1) - 1  # large[0] is unused
+    small = np.maximum(np.arange(-1, r, dtype=np.int64), 0)
+    quot = x // np.maximum(np.arange(r + 1, dtype=np.int64), 1)  # x // i; x // (i * p) is quot[i] // p
+    large = quot - 1  # large[0] is unused
     for p in range(2, y + 1):
         if small[p] == small[p - 1]:
             continue  # p is composite: S(p, p-1) = S(p-1, p-1)
         sp, last = small[p - 1], min(r, x // (p * p))
         k = min(r // p, last)  # large[i * p] holds S(x // (i * p)) for i <= k
         large[1:k + 1] -= large[p:k * p + 1:p] - sp
-        large[k + 1:last + 1] -= small[x // (idx[k + 1:last + 1] * p)] - sp
-        small[p * p:] -= small[idx[p * p:] // p] - sp
+        large[k + 1:last + 1] -= small[quot[k + 1:last + 1] // p] - sp
+        # small[v // p] for v = p^2..r: each small[w], p <= w <= r // p, p times in a row
+        small[p * p:] -= np.repeat(small[p:r // p + 1], p)[:r + 1 - p * p] - sp
     q = y + 1 + np.flatnonzero(small[y + 1:] > small[y:-1])  # the primes in (y, r]
     return int(large[1] - (large[q] - small[q] + 1).sum())
 

@@ -23,6 +23,7 @@ from .analytic import (
     DUSART_UPPER_C,
     PRECISION_BITS,
     RealEval,
+    _check_squares,
     _dusart,
     _least,
     dusart_lower,
@@ -81,6 +82,7 @@ def bound_gap(k: int, precision: str = "double") -> RealEval:
     """U((k+1)^2) - L(k^2), strictly positive for every k >= 597; k may be an int64 array."""
     if _least(k) < START_K:
         raise DomainError(f"bound_gap needs k >= {START_K}, bounds are uncertified below")
+    _check_squares(k, "bound_gap")
     upper, _ = dusart_upper((k + 1) * (k + 1), precision)
     lower, _ = dusart_lower(k * k, precision)
     return RealEval(upper.value - lower.value, upper.abs_err + lower.abs_err, precision)

@@ -147,10 +147,12 @@ def count_primes_below(lo: int, bounds, *, segment_odds: int = DEFAULT_SEGMENT_O
         i, j = np.searchsorted(bounds, (cur, nxt), side="right")  # bounds in (cur, nxt]
         if i < j:
             ends = ((bounds[i:j] - seg.first_odd + 1) // 2).tolist()  # odd slots below each bound
-            got, at = below, 0
-            for k, end in enumerate(ends, i):
+            got, at, seg_counts = below, 0, []
+            for end in ends:
                 got += int(np.count_nonzero(seg.bits[at:end]))
-                counts[k], at = got, end
+                seg_counts.append(got)
+                at = end
+            counts[i:j] = seg_counts
             if seg.has_two:
                 counts[i:j] += bounds[i:j] > 2
         below += seg.count()

@@ -5,9 +5,12 @@ counted, and pi(n^2) is seeded once, by the combinatorial counter at the
 first chunk not yet in the checkpoint; with more than one worker, the seed
 and the counts are jobs on a process pool. The campaign process sums f(n)
 from the seed in n-order and builds each chunk's rows at once, as pure
-functions of n. So any worker count and any resume point give bit-identical
-results, and one pass over a range serves every report drawn from it.
-Reports fold rows in n-order only, never in completion order.
+functions of n, into a column block: one array per row field. So any worker
+count and any resume point give bit-identical results, and one pass over a
+range serves every report drawn from it: suite_reports folds the margin
+reports and builds the lemma rows of `report all` from one margin pass.
+Reports fold the columns in n-order, never in completion order; row tuples
+are built only for callers that ask for rows.
 
 A run that computed any chunk checks its final sum against the combinatorial
 pi((to+1)^2), so campaigns need (to+1)^2 <= COMBINATORIAL_MAX. The last chunk
@@ -22,7 +25,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
@@ -32,16 +34,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .analytic import (
+    DUSART_LOWER_MIN_X,
     RealEval,
     c1_rhs,
     c2_lhs,
-    delta,
     dusart_lower,
     dusart_upper,
     lemma1_forms,
     lemma1_sides,
     lemma2_lhs,
-    theorem_floor,
+    margin_sides,
 )
 from .counting import COMBINATORIAL_MAX, _window_counts, pi_exact
 from .errors import DomainError
@@ -71,7 +73,9 @@ class ConjectureReport:
 class MarginRecord(NamedTuple):
     """Per-n audit row; margins are rhs-f (c1), f-lhs (c2), f-t_floor (thm).
 
-    A checkpoint stores each row as the JSON array of its fields.
+    Campaigns hold rows as a column block, a MarginRecord of equal-length
+    arrays, and build row tuples only for callers that ask for rows. A
+    checkpoint stores each row as the JSON array of its fields.
     """
 
     n: int
@@ -95,7 +99,8 @@ class MarginRecord(NamedTuple):
 
 
 class LemmaRecord(NamedTuple):
-    """Per-n lemma row; margin_l1 is the tighter of the display and proof forms."""
+    """Per-n lemma row, held in column blocks as MarginRecord is; margin_l1 is
+    the tighter of the display and proof forms."""
 
     n: int
     pi_n2: int
@@ -126,24 +131,22 @@ def _judge(margins, errs, strict: bool = False, at_quad=None) -> np.ndarray:
     return cls
 
 
-# Row builders: one chunk's rows from its n, f(n) and pi(n^2) as int64 arrays,
-# each quantity evaluated over the chunk; rows hold Python ints and floats.
+# Row builders: the column block of a chunk's rows from its n, f(n) and pi(n^2)
+# as int64 arrays, each quantity evaluated over the chunk.
 
 
-def _margin_rows(ns: np.ndarray, fs: np.ndarray, pis: np.ndarray, strict: bool) -> list[MarginRecord]:
-    d, c1, c2 = delta(ns), c1_rhs(ns), c2_lhs(ns)
-    tf, bflag = theorem_floor(ns)
+def _margin_rows(ns: np.ndarray, fs: np.ndarray, pis: np.ndarray, strict: bool) -> MarginRecord:
+    d, c1, c2, tf, bflag = margin_sides(ns)
     m1, m2, mt = c1.value - fs, fs - c2.value, fs - tf
     cls1 = _judge(m1, c1.abs_err, strict, lambda i: _excess(c1_rhs(int(ns[i]), "quad"), int(fs[i])))
     cls2 = _judge(m2, c2.abs_err, strict, lambda i: _excess(int(fs[i]), c2_lhs(int(ns[i]), "quad")))
     # under strict, a flagged floor argument is inconclusive at quad
     cls_thm = np.where(strict & bflag, CLS_BOUNDARY, np.where(mt >= 0, CLS_PASS, CLS_VIOLATION))
-    cols = (ns, fs, pis, d.value, c1.value, c2.value, tf, m1, m2, mt, bflag.astype(np.int64),
-            cls1, cls2, cls_thm)
-    return list(map(MarginRecord, *(col.tolist() for col in cols)))
+    return MarginRecord(ns, fs, pis, d.value, c1.value, c2.value, tf, m1, m2, mt, bflag.astype(np.int64),
+                        cls1, cls2, cls_thm)
 
 
-def _lemma_rows(ns: np.ndarray, fs: np.ndarray, pis: np.ndarray, strict: bool) -> list[LemmaRecord]:
+def _lemma_rows(ns: np.ndarray, fs: np.ndarray, pis: np.ndarray, strict: bool) -> LemmaRecord:
     lhs, rhs, plhs, prhs = lemma1_forms(ns)
     # the lemma holds only if both forms do; judge the tighter margin
     disp, proof = rhs.value - lhs.value, plhs.value - prhs.value
@@ -153,12 +156,22 @@ def _lemma_rows(ns: np.ndarray, fs: np.ndarray, pis: np.ndarray, strict: bool) -
     cls1 = _judge(m1, e1, strict, lambda i: _excess(*reversed(lemma1_sides(int(ns[i]), "quad"))))
     m2 = pis - lhs.value
     cls2 = _judge(m2, lhs.abs_err, strict, lambda i: _excess(int(pis[i]), lemma2_lhs(int(ns[i]), "quad")))
-    cols = (ns, pis, lhs.value, rhs.value, plhs.value, np.full(ns.size, prhs.value), m1, cls1, m2, cls2)
-    return list(map(LemmaRecord, *(col.tolist() for col in cols)))
+    return LemmaRecord(ns, pis, lhs.value, rhs.value, plhs.value, np.full(ns.size, prhs.value),
+                       m1, cls1, m2, cls2)
 
 
 # row kind -> (chunk row builder, row type)
 _ROW_KINDS = {"margin": (_margin_rows, MarginRecord), "lemma": (_lemma_rows, LemmaRecord)}
+
+
+def _records(block: tuple) -> list[tuple]:
+    """The row tuples of a column block."""
+    return list(map(type(block), *(col.tolist() for col in block)))
+
+
+def _joined(blocks: list[tuple]) -> tuple:
+    """One column block of the rows of blocks, in order."""
+    return type(blocks[0])(*map(np.concatenate, zip(*blocks)))
 
 
 def _counts_job(chunk: tuple[int, int]) -> np.ndarray:
@@ -211,21 +224,15 @@ def _load_checkpoint(path: str, header: dict, row_type: type,
                      chunks: list[tuple[int, int]]) -> list[dict]:
     """The checkpoint's records of chunks[0], chunks[1], ... up to the first
     missing or torn one; [] when absent."""
-    if not os.path.exists(path):
-        return []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        return []
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
         found = json.loads(lines[0])
-    except json.JSONDecodeError:
+    except (FileNotFoundError, IndexError, json.JSONDecodeError):  # no file, an empty one, a torn header
         return []
     if found != header:
-        raise DomainError(
-            f"checkpoint {path} belongs to a different campaign "
-            f"({found.get('command')} over {found.get('from')}..{found.get('to')})"
-        )
+        raise DomainError(f"checkpoint {path} belongs to a different campaign "
+                          f"({found.get('command')} over {found.get('from')}..{found.get('to')})")
     done: list[dict] = []
     for line, (start, _) in zip(lines[1:], chunks):
         try:
@@ -234,7 +241,8 @@ def _load_checkpoint(path: str, header: dict, row_type: type,
             break  # torn tail from an interrupted write
         if rec.get("chunk_start") != start:
             break
-        rec["rows"] = [row_type._make(row) for row in rec["rows"]]
+        # JSON gives back ints and floats, so each column gets the dtype it was written from
+        rec["rows"] = row_type(*map(np.array, zip(*rec["rows"])))
         done.append(rec)
     return done
 
@@ -253,39 +261,46 @@ def _loaded_end(done: list[dict]) -> int:
         if rec["pi_at_start"] != pi:
             raise RuntimeError(f"checkpoint chunk {rec['chunk_start']} starts at pi = {rec['pi_at_start']}, "
                                f"the chunks before it end at {pi}")
-        last = rec["rows"][-1]
-        if isinstance(last, MarginRecord):
-            for row in rec["rows"]:
-                if row.pi_n2 != pi:
-                    raise RuntimeError(f"checkpoint row n = {row.n} has pi(n^2) = {row.pi_n2}, "
-                                       f"the counts before it sum to {pi}")
-                pi += row.f
+        rows = rec["rows"]
+        if isinstance(rows, MarginRecord):
+            sums = pi + np.cumsum(rows.f) - rows.f  # the counts before each row
+            off = rows.pi_n2 != sums
+            if off.any():
+                i = off.argmax()  # the first row off the chain
+                raise RuntimeError(f"checkpoint row n = {rows.n[i]} has pi(n^2) = {rows.pi_n2[i]}, "
+                                   f"the counts before it sum to {sums[i]}")
+            pi = int(sums[-1] + rows.f[-1])
         else:
-            pi = last.pi_n2 + int(_window_counts(last.n, last.n)[0])
-    last = done[-1]["rows"][-1]
-    if isinstance(last, MarginRecord) and last.f != (f := int(_window_counts(last.n, last.n)[0])):
-        raise RuntimeError(f"checkpoint row n = {last.n} has f = {last.f}, its window holds {f}")
+            n = int(rows.n[-1])
+            pi = int(rows.pi_n2[-1]) + int(_window_counts(n, n)[0])
+    rows, n = done[-1]["rows"], int(done[-1]["rows"].n[-1])
+    if isinstance(rows, MarginRecord) and rows.f[-1] != (f := int(_window_counts(n, n)[0])):
+        raise RuntimeError(f"checkpoint row n = {n} has f = {rows.f[-1]}, its window holds {f}")
     return pi
 
 
-class _CheckpointWriter:
-    def __init__(self, path: str | None, header: dict, done: list[dict]):
-        self.path = path
-        if path is None:
-            return
-        write_atomic(path, "".join(json.dumps(rec) + "\n" for rec in [header] + done))
+def _record_line(rec: dict) -> str:
+    """A chunk's checkpoint line: its record, each row the JSON array of its fields."""
+    return json.dumps({**rec, "rows": _records(rec["rows"])}) + "\n"
 
-    def append(self, rec: dict) -> None:
-        if self.path is None:
-            return
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(rec) + "\n")
-            fh.flush()
+
+def _checkpoint_writer(path: str | None, header: dict, done: list[dict]):
+    """Rewrite the checkpoint with header and the loaded chunks, and return the
+    function that appends one chunk's record; without a path, nothing is written."""
+    if path is None:
+        return lambda rec: None
+    write_atomic(path, json.dumps(header) + "\n" + "".join(map(_record_line, done)))
+
+    def append(rec: dict) -> None:
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(_record_line(rec))
+
+    return append
 
 
 def _run_chunked(kind: str, command: str, from_n: int, to_n: int, *, workers: int,
-                 strict: bool, checkpoint_path: str | None, resume: bool) -> list[tuple]:
-    """All rows for [from_n, to_n] in n-order.
+                 strict: bool, checkpoint_path: str | None, resume: bool) -> tuple:
+    """The column block of all rows for [from_n, to_n], in n-order.
 
     The chunks still to do need the combinatorial pi(n^2) at the first of
     them, which the loaded chunks must chain into, the window counts of each
@@ -295,17 +310,19 @@ def _run_chunked(kind: str, command: str, from_n: int, to_n: int, *, workers: in
     exist, the last one only once the sum equals the end seed. A complete
     resume seeds nothing; its chunks must still chain.
     """
+    if to_n < from_n:
+        raise DomainError("need from <= to")
     if (to_n + 1) ** 2 > COMBINATORIAL_MAX:
         raise DomainError(f"campaigns need (to+1)^2 <= {COMBINATORIAL_MAX} (combinatorial pi range)")
     header = _checkpoint_header(command, from_n, to_n, "strict" if strict else "fast")
     chunks = _chunks(from_n, to_n)
     build_rows, row_type = _ROW_KINDS[kind]
     done = _load_checkpoint(checkpoint_path, header, row_type, chunks) if (checkpoint_path and resume) else []
-    writer = _CheckpointWriter(checkpoint_path, header, done)
+    append = _checkpoint_writer(checkpoint_path, header, done)
     todo = chunks[len(done):]
     if not todo:
         _loaded_end(done)
-        return [row for rec in done for row in rec["rows"]]
+        return _joined([rec["rows"] for rec in done])
     seeds = (todo[0][0] ** 2, (to_n + 1) ** 2)
     parallel = workers > 1
     with ProcessPoolExecutor(max_workers=min(workers, len(todo) + 2)) if parallel else nullcontext() as pool:
@@ -328,7 +345,7 @@ def _run_chunked(kind: str, command: str, from_n: int, to_n: int, *, workers: in
                 pi = int(pis[-1] + fs[-1])
                 done.append(rec)
                 if e < to_n:  # the last chunk waits for the final check
-                    writer.append(rec)
+                    append(rec)
             if pi != (end := end_seed()):
                 raise RuntimeError(f"window counts sum to pi({to_n + 1}^2) = {pi}, "
                                    f"the combinatorial pi gives {end}")
@@ -336,11 +353,11 @@ def _run_chunked(kind: str, command: str, from_n: int, to_n: int, *, workers: in
             if parallel:  # drop the queued jobs rather than wait for them
                 pool.shutdown(cancel_futures=True)
             raise
-    writer.append(done[-1])
-    return [row for rec in done for row in rec["rows"]]
+    append(done[-1])
+    return _joined([rec["rows"] for rec in done])
 
 
-# --- reports: one fold over (n, margin, cls) items ----------------------------
+# --- reports: one fold over the n, margin and class columns -----------------
 
 
 def _campaign_note(from_n: int, to_n: int, strict: bool) -> str:
@@ -348,49 +365,36 @@ def _campaign_note(from_n: int, to_n: int, strict: bool) -> str:
             f"precision={'strict' if strict else 'fast'}")
 
 
-def _fold(target: str, from_n: int, to_n: int, items: Iterable[tuple[int, float, int]],
+def _fold(target: str, from_n: int, to_n: int, ns: np.ndarray, margins: np.ndarray, cls: np.ndarray,
           note: str) -> ConjectureReport:
-    checked = 0
-    violations: list[int] = []
-    boundary: list[int] = []
-    min_margin: float | None = None
-    argmin: int | None = None
-    for n, margin, cls in items:
-        checked += 1
-        if cls == CLS_VIOLATION:
-            violations.append(n)
-        elif cls == CLS_BOUNDARY:
-            boundary.append(n)
-        elif min_margin is None or margin < min_margin:
-            min_margin, argmin = margin, n
-    return ConjectureReport(target, (from_n, to_n), checked, violations, boundary,
-                            min_margin, argmin, note)
+    """The report over rows given as n-ordered columns; the least margin among
+    passes, at its first n."""
+    passes = np.flatnonzero(cls == CLS_PASS)
+    at = passes[np.argmin(margins[passes])] if passes.size else None
+    return ConjectureReport(target, (from_n, to_n), ns.size, ns[cls == CLS_VIOLATION].tolist(),
+                            ns[cls == CLS_BOUNDARY].tolist(), None if at is None else float(margins[at]),
+                            None if at is None else int(ns[at]), note)
 
 
-def _implication_cls(r: MarginRecord) -> int:
-    """A c2 pass at n must force t_floor <= f."""
-    if r.cls_c2 == CLS_BOUNDARY or r.cls_thm == CLS_BOUNDARY:
-        return CLS_BOUNDARY
-    return CLS_VIOLATION if r.cls_c2 == CLS_PASS and r.t_floor > r.f else CLS_PASS
-
-
-_MARGIN_ITEM = {
-    "c1": lambda r: (r.n, r.margin_c1, r.cls_c1),
-    "c2": lambda r: (r.n, r.margin_c2, r.cls_c2),
-    "theorem": lambda r: (r.n, float(r.margin_thm), r.cls_thm),
-    "implication": lambda r: (r.n, float(r.margin_thm), _implication_cls(r)),
-}
-
-
-def fold_margin_report(target: str, from_n: int, to_n: int, rows: list[MarginRecord],
+def fold_margin_report(target: str, from_n: int, to_n: int, rows: MarginRecord,
                        strict: bool) -> ConjectureReport:
-    """The target's report over [from_n, to_n] from margin rows covering that range."""
-    rows = [r for r in rows if from_n <= r.n <= to_n]
+    """The target's report over [from_n, to_n] from a column block of margin
+    rows covering that range."""
+    i, j = np.searchsorted(rows.n, (from_n, to_n + 1))
+    r = MarginRecord(*(col[i:j] for col in rows))
     note = _campaign_note(from_n, to_n, strict)
-    if target in ("theorem", "implication"):
-        last = max((r.n for r in rows if r.t_floor < 0), default="none")
-        note += f";last_negative_t_floor={last}"
-    return _fold(target, from_n, to_n, map(_MARGIN_ITEM[target], rows), note)
+    if target == "c1":
+        return _fold(target, from_n, to_n, r.n, r.margin_c1, r.cls_c1, note)
+    if target == "c2":
+        return _fold(target, from_n, to_n, r.n, r.margin_c2, r.cls_c2, note)
+    negative = r.n[r.t_floor < 0]
+    note += f";last_negative_t_floor={negative[-1] if negative.size else 'none'}"
+    cls = r.cls_thm
+    if target == "implication":  # a c2 pass at n must force t_floor <= f
+        undecided = (r.cls_c2 == CLS_BOUNDARY) | (r.cls_thm == CLS_BOUNDARY)
+        forced = (r.cls_c2 == CLS_PASS) & (r.t_floor > r.f)
+        cls = np.where(undecided, CLS_BOUNDARY, np.where(forced, CLS_VIOLATION, CLS_PASS))
+    return _fold(target, from_n, to_n, r.n, r.margin_thm, cls, note)
 
 
 def _strict_flag(precision_mode: str) -> bool:
@@ -399,32 +403,39 @@ def _strict_flag(precision_mode: str) -> bool:
     return precision_mode == "strict"
 
 
-def run_margin_campaign(target: str, from_n: int, to_n: int, *, workers: int = 1,
-                        precision_mode: str = "fast", checkpoint_path: str | None = None,
-                        resume: bool = False) -> tuple[ConjectureReport, list[MarginRecord]]:
+def _margin_campaign(target: str, from_n: int, to_n: int, *, workers: int = 1,
+                     precision_mode: str = "fast", checkpoint_path: str | None = None,
+                     resume: bool = False) -> tuple[ConjectureReport, MarginRecord]:
+    """The target's report over [from_n, to_n] and the column block of its rows."""
     if target not in MARGIN_TARGETS:
         raise ValueError(f"unknown target {target!r}")
     min_from = 5 if target == "c1" else 3
     if from_n < min_from:
         raise DomainError(f"{target} campaigns need from >= {min_from}")
-    if to_n < from_n:
-        raise DomainError("need from <= to")
     strict = _strict_flag(precision_mode)
     rows = _run_chunked("margin", f"verify {target}", from_n, to_n, workers=workers,
                         strict=strict, checkpoint_path=checkpoint_path, resume=resume)
     return fold_margin_report(target, from_n, to_n, rows, strict), rows
 
 
+def run_margin_campaign(target: str, from_n: int, to_n: int,
+                        **kwargs) -> tuple[ConjectureReport, list[MarginRecord]]:
+    """The target's report over [from_n, to_n] and its rows, one MarginRecord
+    per n; kwargs are workers, precision_mode, checkpoint_path and resume."""
+    report, rows = _margin_campaign(target, from_n, to_n, **kwargs)
+    return report, _records(rows)
+
+
 def verify_conjecture(which: str, from_n: int, to_n: int, **kwargs) -> ConjectureReport:
     """Check one of the two strict inequalities over n = from..to."""
     if which not in ("c1", "c2"):
         raise ValueError("which must be 'c1' or 'c2'")
-    return run_margin_campaign(which, from_n, to_n, **kwargs)[0]
+    return _margin_campaign(which, from_n, to_n, **kwargs)[0]
 
 
 def verify_theorem(from_n: int, to_n: int, **kwargs) -> ConjectureReport:
     """Check t_floor(n) <= f(n); the note carries the floor sign transition."""
-    return run_margin_campaign("theorem", from_n, to_n, **kwargs)[0]
+    return _margin_campaign("theorem", from_n, to_n, **kwargs)[0]
 
 
 def implication_check(from_n: int, to_n: int, **kwargs) -> ConjectureReport:
@@ -433,7 +444,18 @@ def implication_check(from_n: int, to_n: int, **kwargs) -> ConjectureReport:
     Any violation here signals a precision bug, not a mathematical finding:
     floor(x) <= F follows from x < F + 1 whenever F is an integer.
     """
-    return run_margin_campaign("implication", from_n, to_n, **kwargs)[0]
+    return _margin_campaign("implication", from_n, to_n, **kwargs)[0]
+
+
+def _lemma_reports(from_n: int, to_n: int, rows: LemmaRecord,
+                   strict: bool) -> tuple[ConjectureReport, ConjectureReport]:
+    note = _campaign_note(from_n, to_n, strict)
+    rep1 = _fold("lemma1", from_n, to_n, rows.n, rows.margin_l1, rows.cls_l1, note + ";forms=display+proof")
+    asserted = rows.n >= LEMMA2_MIN_N
+    below = np.count_nonzero(~asserted & (rows.cls_l2 != CLS_PASS))
+    rep2 = _fold("lemma2", from_n, to_n, rows.n[asserted], rows.margin_l2[asserted], rows.cls_l2[asserted],
+                 note + f";asserted_from={max(from_n, LEMMA2_MIN_N)};below_domain_failures={below}")
+    return rep1, rep2
 
 
 def run_lemma_campaign(from_n: int, to_n: int, *, workers: int = 1,
@@ -441,19 +463,10 @@ def run_lemma_campaign(from_n: int, to_n: int, *, workers: int = 1,
                        resume: bool = False) -> tuple[ConjectureReport, ConjectureReport]:
     if from_n < 3:
         raise DomainError("lemma campaigns need from >= 3")
-    if to_n < from_n:
-        raise DomainError("need from <= to")
     strict = _strict_flag(precision_mode)
     rows = _run_chunked("lemma", "verify lemmas", from_n, to_n, workers=workers,
                         strict=strict, checkpoint_path=checkpoint_path, resume=resume)
-    note = _campaign_note(from_n, to_n, strict)
-    rep1 = _fold("lemma1", from_n, to_n, ((r.n, r.margin_l1, r.cls_l1) for r in rows),
-                 note + ";forms=display+proof")
-    below = sum(1 for r in rows if r.n < LEMMA2_MIN_N and r.cls_l2 != CLS_PASS)
-    rep2 = _fold("lemma2", from_n, to_n,
-                 ((r.n, r.margin_l2, r.cls_l2) for r in rows if r.n >= LEMMA2_MIN_N),
-                 note + f";asserted_from={max(from_n, LEMMA2_MIN_N)};below_domain_failures={below}")
-    return rep1, rep2
+    return _lemma_reports(from_n, to_n, rows, strict)
 
 
 def verify_lemmas(from_n: int, to_n: int, **kwargs) -> tuple[ConjectureReport, ConjectureReport]:
@@ -461,8 +474,27 @@ def verify_lemmas(from_n: int, to_n: int, **kwargs) -> tuple[ConjectureReport, C
     return run_lemma_campaign(from_n, to_n, **kwargs)
 
 
+def suite_reports(margin_ranges: dict[str, tuple[int, int]], lemma_range: tuple[int, int], *,
+                  workers: int = 1, precision_mode: str = "fast") -> dict[str, ConjectureReport]:
+    """Each margin target's report over its range, then "lemma1" and "lemma2"
+    over lemma_range, from one margin pass over the union of the ranges whose
+    pi(n^2) the lemma rows read; rows are pure functions of n, so every report
+    equals the one its own campaign gives."""
+    spans = [*margin_ranges.values(), lemma_range]
+    lo, hi = min(a for a, _ in spans), max(b for _, b in spans)
+    rows = _margin_campaign("c2", lo, hi, workers=workers, precision_mode=precision_mode)[1]
+    strict = precision_mode == "strict"
+    reports = {t: fold_margin_report(t, a, b, rows, strict) for t, (a, b) in margin_ranges.items()}
+    a, b = lemma_range
+    keep = slice(a - lo, b - lo + 1)
+    lemma = _lemma_rows(rows.n[keep], rows.f[keep], rows.pi_n2[keep], strict)
+    reports["lemma1"], reports["lemma2"] = _lemma_reports(a, b, lemma, strict)
+    return reports
+
+
 def verify_dusart(samples: list[int]) -> ConjectureReport:
-    """Sandwich pi(x) between the explicit bounds at each applicable sample.
+    """Sandwich pi(x) between the explicit bounds at each sample where L(x)
+    applies; U(x) applies from a larger x on.
 
     Each checked sample folds as its smaller applicable margin and its worse
     class, a violation ranking above a boundary.
@@ -470,23 +502,16 @@ def verify_dusart(samples: list[int]) -> ConjectureReport:
     if not samples:
         raise DomainError("need at least one sample")
     xs = sorted(set(int(x) for x in samples))
-    items: list[tuple[int, float, int]] = []
-    for x in xs:
-        lower, lower_ok = (None, False) if x <= 1 else dusart_lower(x)
-        upper, upper_ok = (None, False) if x <= 1 else dusart_upper(x)
-        if not lower_ok and not upper_ok:
-            continue
-        pi = pi_exact(x, "combinatorial")
-        sides = []
-        if lower_ok:
-            sides.append(_excess(pi, lower))
-        if upper_ok:
-            sides.append(_excess(upper, pi))
-        classes = {int(_judge(margin, err)) for margin, err in sides}
-        cls = CLS_VIOLATION if CLS_VIOLATION in classes else max(classes)
-        items.append((x, min(margin for margin, _ in sides), cls))
-    note = f"samples={len(xs)};skipped={len(xs) - len(items)}"
-    return _fold("dusart", xs[0], xs[-1], items, note)
+    ns = np.array([x for x in xs if x >= DUSART_LOWER_MIN_X], dtype=np.int64)
+    margins, cls = np.empty(0), np.empty(0, dtype=np.int64)
+    if ns.size:
+        pis = np.array([pi_exact(x, "combinatorial") for x in ns.tolist()])
+        (lower, _), (upper, upper_ok) = dusart_lower(ns), dusart_upper(ns)
+        (m_lo, e_lo), (m_up, e_up) = _excess(pis, lower), _excess(upper, pis)
+        c_lo, c_up = _judge(m_lo, e_lo), np.where(upper_ok, _judge(m_up, e_up), CLS_PASS)
+        margins = np.where(upper_ok & (m_up < m_lo), m_up, m_lo)
+        cls = np.where((c_lo == CLS_VIOLATION) | (c_up == CLS_VIOLATION), CLS_VIOLATION, np.maximum(c_lo, c_up))
+    return _fold("dusart", xs[0], xs[-1], ns, margins, cls, f"samples={len(xs)};skipped={len(xs) - ns.size}")
 
 
 # --- emission -----------------------------------------------------------------
@@ -508,9 +533,8 @@ def report_json(report: ConjectureReport) -> str:
 
 
 def reports_json(reports: dict[str, ConjectureReport | list]) -> str:
-    payload = {}
-    for key, value in reports.items():
-        payload[key] = asdict(value) if isinstance(value, ConjectureReport) else value
+    payload = {key: asdict(value) if isinstance(value, ConjectureReport) else value
+               for key, value in reports.items()}
     return json.dumps(payload, indent=2) + "\n"
 
 

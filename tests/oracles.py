@@ -1,8 +1,9 @@
 """Test-only code: views of sieve segments, trial division and an open-interval
 prime count, backward and forward compensated sums of mbound's gaps with a
 linear-scan M(n) on the backward ones, scalar Miller-Rabin, the reference for
-the vectorised kernel, and campaign rows built one n at a time from the scalar
-analytic functions, the reference for the chunk row builders."""
+the vectorised kernel, campaign rows built one n at a time from the scalar
+analytic functions, the reference for the chunk row builders, and reports folded
+one row at a time, the reference for the column folds."""
 
 from __future__ import annotations
 
@@ -24,7 +25,14 @@ from primesq.analytic import (
 from primesq.counting import MILLER_RABIN_BASES, MILLER_RABIN_PSI
 from primesq.errors import DomainError
 from primesq.sieve import DEFAULT_SEGMENT_ODDS, SegmentBitmap, count_primes_below
-from primesq.verify import CLS_BOUNDARY, CLS_PASS, CLS_VIOLATION, LemmaRecord, MarginRecord
+from primesq.verify import (
+    CLS_BOUNDARY,
+    CLS_PASS,
+    CLS_VIOLATION,
+    ConjectureReport,
+    LemmaRecord,
+    MarginRecord,
+)
 
 
 def marked_values(seg: SegmentBitmap) -> np.ndarray:
@@ -221,3 +229,48 @@ def lemma_row(n: int, pi: int, strict: bool) -> LemmaRecord:
     return LemmaRecord(n, pi, lhs.value, rhs.value, plhs.value, prhs.value,
                        m1, _judged(m1, e1, strict, display_quad),
                        pi - l2.value, _judged(pi - l2.value, l2.abs_err, strict, lemma2_quad))
+
+
+def fold_items(target: str, from_n: int, to_n: int, items, note: str) -> ConjectureReport:
+    """The report over (n, margin, cls) items in n-order, one item at a time;
+    the first of equal least pass margins wins."""
+    checked = 0
+    violations: list[int] = []
+    boundary: list[int] = []
+    min_margin: float | None = None
+    argmin: int | None = None
+    for n, margin, cls in items:
+        checked += 1
+        if cls == CLS_VIOLATION:
+            violations.append(n)
+        elif cls == CLS_BOUNDARY:
+            boundary.append(n)
+        elif min_margin is None or margin < min_margin:
+            min_margin, argmin = margin, n
+    return ConjectureReport(target, (from_n, to_n), checked, violations, boundary,
+                            min_margin, argmin, note)
+
+
+def implication_cls(r: MarginRecord) -> int:
+    """A c2 pass at n must force t_floor <= f."""
+    if r.cls_c2 == CLS_BOUNDARY or r.cls_thm == CLS_BOUNDARY:
+        return CLS_BOUNDARY
+    return CLS_VIOLATION if r.cls_c2 == CLS_PASS and r.t_floor > r.f else CLS_PASS
+
+
+MARGIN_ITEM = {
+    "c1": lambda r: (r.n, r.margin_c1, r.cls_c1),
+    "c2": lambda r: (r.n, r.margin_c2, r.cls_c2),
+    "theorem": lambda r: (r.n, float(r.margin_thm), r.cls_thm),
+    "implication": lambda r: (r.n, float(r.margin_thm), implication_cls(r)),
+}
+
+
+def margin_report(target: str, from_n: int, to_n: int, rows: list[MarginRecord], note: str) -> ConjectureReport:
+    """The target's report over the rows in [from_n, to_n], one row at a time;
+    note is the campaign note, before the floor's sign transition."""
+    rows = [r for r in rows if from_n <= r.n <= to_n]
+    if target in ("theorem", "implication"):
+        last = max((r.n for r in rows if r.t_floor < 0), default="none")
+        note += f";last_negative_t_floor={last}"
+    return fold_items(target, from_n, to_n, map(MARGIN_ITEM[target], rows), note)

@@ -14,12 +14,15 @@ from primesq.analytic import (
     lemma1_forms,
     lemma1_proof_sides,
     lemma1_sides,
+    SQUARE_N_MAX,
     lemma2_lhs,
+    margin_sides,
     r_term,
     sum_r,
     theorem_floor,
 )
 from primesq.errors import DomainError
+from primesq.mbound import bound_gap
 
 # expected values frozen from a 60-digit mpmath evaluation of the formulas
 DELTA_3 = 1.6747036437350853582
@@ -256,3 +259,35 @@ def test_array_lemma_sides_match_scalar_bits(monkeypatch):
     assert _bits(lemma1_sides(two)[0]) == _bits(lemma1_sides(2)[0]) + _bits(lemma1_sides(3)[0])
     with pytest.raises(DomainError):  # the running sum is read in ascending n
         lemma1_sides(np.array([5, 3]))
+
+
+def test_margin_sides_match_separate_calls_bits():
+    ns = np.concatenate([np.arange(3, 3000), np.arange(999000, 1000000), np.arange(9999500, 10000000)])
+    d, c1, c2, floors, flags = margin_sides(ns)
+    assert [_bits(ev) for ev in (d, c1, c2)] == [_bits(fn(ns)) for fn in (delta, c1_rhs, c2_lhs)]
+    want_floors, want_flags = theorem_floor(ns)
+    assert np.array_equal(floors, want_floors) and np.array_equal(flags, want_flags)
+
+
+ARRAY_SQUARING = [
+    ("delta", delta), ("c1_rhs", c1_rhs), ("c2_lhs", c2_lhs), ("theorem_floor", theorem_floor),
+    ("margin_sides", margin_sides), ("lemma1_sides", lemma1_sides), ("lemma1_proof_sides", lemma1_proof_sides),
+    ("lemma2_lhs", lemma2_lhs), ("lemma1_forms", lemma1_forms), ("bound_gap", bound_gap),
+]
+
+
+@pytest.mark.parametrize("name, fn", ARRAY_SQUARING, ids=[name for name, _ in ARRAY_SQUARING])
+def test_array_squares_range_checked(name, fn):
+    # (n+1)^2 wraps int64 above SQUARE_N_MAX: delta(4e9) over an array gave 181542872.0, not 176825856.0
+    assert SQUARE_N_MAX == 3037000498 and (SQUARE_N_MAX + 1) ** 2 < 2**63 <= (SQUARE_N_MAX + 2) ** 2
+    for top in (SQUARE_N_MAX + 1, 4_000_000_000):
+        with pytest.raises(DomainError, match=f"{name} over an int64 array needs every element <= 3037000498"):
+            fn(np.array([1000, top]))  # the greatest element, not the first, is out of range
+
+
+def test_array_squares_exact_at_range_end():
+    n = SQUARE_N_MAX
+    for fn in (delta, c1_rhs, c2_lhs):
+        assert _bits(fn(np.array([n]))) == _bits(fn(n))
+    assert _bits(bound_gap(np.array([n]))) == _bits(bound_gap(n))
+    assert delta(4_000_000_000).value == 176825856.0  # Python ints never wrap

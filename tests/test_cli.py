@@ -234,3 +234,30 @@ def test_table_rejects_campaign_options(option, capsys):
 def test_report_rejects_options_it_ignores(option, message, capsys):
     assert run_cli("report", "all", *option) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [("verify", "dusart", "--samples", ","), ("table", "c3", "--ns", ","),
+                                  ("table", "c3", "--ns", " , ")])
+def test_int_list_needs_an_integer(argv, capsys):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "expected comma-separated integers" in errors[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "dusart", "--checkpoint", "ck"),
+    ("verify", "dusart", "--from", "3"),
+    ("verify", "dusart", "--to", "10"),
+    ("verify", "dusart", "--resume"),
+    ("verify", "dusart", "--workers", "2"),
+    ("verify", "c2", "--samples", "5"),
+    ("verify", "lemmas", "--samples", "5"),
+])
+def test_verify_rejects_options_its_target_ignores(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"unrecognized arguments: {' '.join(argv[2:])}" in captured.err
+    assert list(tmp_path.iterdir()) == []  # no checkpoint written

@@ -8,6 +8,11 @@ REPORT_ALL_STRICT_JSON pins `report all --precision strict`; it was recorded
 from the implementation that built campaign rows one n at a time, before rows
 were built a chunk at a time from arrays.
 
+LEMMAS_JSON and LEMMAS_STRICT_JSON pin `verify lemmas --from 3 --to 2000
+--format json`, fast and strict. They were recorded from the implementation
+whose `report all` still ran that lemma campaign, before it built its lemma
+rows from the margin pass; the lemma campaign must keep giving those bytes.
+
 The analytic digests were recorded from the implementation that wrote a
 separate float body and mpmath body for each quantity. They hash float.hex
 of every value and error bound on a grid of n at each precision, so a
@@ -17,6 +22,8 @@ was 2x/log x where the double path used the bound itself.
 """
 
 import hashlib
+
+import pytest
 
 from primesq import cli
 from primesq.analytic import (
@@ -36,6 +43,8 @@ from primesq.mbound import START_K, bound_gap
 
 REPORT_ALL_JSON = "70e33a9f6341af548bc718466e9459d72a87e15129a000f9dc1991f07e590fd1"
 REPORT_ALL_STRICT_JSON = "a0b0f5ce5550ac0c18844ac2140128ae82b510927b4bbac28390193e397e1bdc"
+LEMMAS_JSON = "97461facda60028b8df8d2179ff9a7d0b0d1649608af0888fceadd7b0143a18f"
+LEMMAS_STRICT_JSON = "f5adfe3797277c4632805cc567ae6af2d7fc018b38a3ba1feb744fe23862bcb4"
 C2_CSV = "3e0b6bf6a7e00c66b0147e4c41c14b7b94141080eafa2a85e82995e27ebeac91"
 C2_CHECKPOINT = "510e1d2687bed1ee7bf4a20fab597e9740a25f8f9bc6672205f0b2411ec78871"
 
@@ -59,6 +68,13 @@ def test_report_all_json_digest(capsys):
 def test_report_all_strict_json_digest(capsys):
     assert cli.main(["report", "all", "--precision", "strict", "--format", "json"]) == 0
     assert _sha256(capsys.readouterr().out.encode()) == REPORT_ALL_STRICT_JSON
+
+
+@pytest.mark.parametrize("precision, digest", [("fast", LEMMAS_JSON), ("strict", LEMMAS_STRICT_JSON)])
+def test_lemmas_json_digest(capsys, precision, digest):
+    argv = ["verify", "lemmas", "--from", "3", "--to", "2000", "--precision", precision, "--format", "json"]
+    assert cli.main(argv) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == digest
 
 
 def test_c2_csv_and_checkpoint_digests(tmp_path, capsys):

@@ -26,7 +26,7 @@ from primesq.verify import (
     verify_theorem,
 )
 
-from oracles import count_primes_open, lemma_row, margin_row
+from oracles import count_primes_open, fold_items, lemma_row, margin_report, margin_row
 
 
 def trial_f(n: int) -> int:
@@ -370,7 +370,10 @@ def test_strict_re_evaluates_every_boundary(monkeypatch):
 
 
 def _bits(rows) -> list[tuple]:
-    """Rows with every float as its hex digits and every other field tagged with its type."""
+    """Rows, or the rows of a column block, with every float as its hex digits and
+    every other field tagged with its type."""
+    if isinstance(rows, tuple):  # a column block: a row type holding one array per field
+        rows = v._records(rows)
     return [tuple(x.hex() if type(x) is float else (type(x).__name__, x) for x in row) for row in rows]
 
 
@@ -605,3 +608,108 @@ def test_complete_resume_checks_its_chain(tmp_path, capsys, chunk, row, field):
     ck.write_text("\n".join(lines) + "\n")
     assert cli.main(argv + ["--resume"]) == 0
     assert capsys.readouterr().out == good
+
+
+@pytest.mark.parametrize("margins, cls, want", [
+    ([2.0, 1.0, 1.0, 5.0], [0, 0, 0, 0], (1.0, 4)),  # a tie: the first n wins
+    ([0.0, -0.0, 1.0], [0, 0, 0], (0.0, 3)),
+    ([-0.0, 0.0, 1.0], [0, 0, 0], (-0.0, 3)),
+    ([-5.0, 0.5, -7.0, 0.5], [1, 0, 2, 0], (0.5, 4)),  # violations and boundaries have no say
+    ([1.0, 2.0, 3.0], [1, 2, 1], (None, None)),  # no passes
+    ([], [], (None, None)),
+])
+def test_fold_matches_row_fold(margins, cls, want):
+    # reports are compared by repr, which tells -0.0 from 0.0 and a numpy scalar from a Python one
+    ns = np.arange(3, 3 + len(margins), dtype=np.int64)
+    got = v._fold("c2", 3, 9, ns, np.array(margins, dtype=float), np.array(cls, dtype=np.int64), "note")
+    items = zip(ns.tolist(), margins, cls)
+    assert repr(got) == repr(fold_items("c2", 3, 9, items, "note"))
+    assert (got.min_margin, got.argmin_n) == want
+    if want[0] is not None:
+        assert math.copysign(1.0, got.min_margin) == math.copysign(1.0, want[0])
+
+
+def _random_margin_block(rng, size: int, pass_share: float) -> v.MarginRecord:
+    """A column block of margin rows with random classes, margins drawn with ties and
+    both signed zeros, and floors on both sides of f and of 0."""
+    ns = np.arange(3, 3 + size, dtype=np.int64)
+    fs = rng.integers(0, 40, size)
+    tf = fs + rng.integers(-4, 3, size)
+    tf[rng.random(size) < 0.3] -= 50
+    zeros = np.zeros(size)
+    pick = [-2.5, -0.0, 0.0, 0.0, 0.75, 0.75, 4.0]
+
+    def classes():
+        return np.where(rng.random(size) < pass_share, v.CLS_PASS,
+                        rng.choice([v.CLS_VIOLATION, v.CLS_BOUNDARY], size))
+
+    return v.MarginRecord(ns, fs, zeros.astype(np.int64), zeros, zeros, zeros, tf,
+                          rng.choice(pick, size), rng.choice(pick, size), fs - tf,
+                          zeros.astype(np.int64), classes(), classes(), classes())
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["fast", "strict"])
+def test_margin_folds_match_row_folds(strict):
+    rng = np.random.default_rng(12)
+    for size, pass_share in ((400, 0.9), (400, 0.5), (60, 0.0), (1, 1.0)):
+        block = _random_margin_block(rng, size, pass_share)
+        rows = v._records(block)
+        last = 2 + size
+        for target in v.MARGIN_TARGETS:
+            for a, b in ((3, last), (3 + size // 3, last - size // 4), (last, last)):
+                note = v._campaign_note(a, b, strict)
+                got = v.fold_margin_report(target, a, b, block, strict)
+                assert repr(got) == repr(margin_report(target, a, b, rows, note))
+
+
+def test_lemma_folds_match_row_folds():
+    rng = np.random.default_rng(5)
+    size = 400
+    ns = np.arange(3, 3 + size, dtype=np.int64)
+    cls1, cls2 = (rng.choice([v.CLS_PASS] * 6 + [v.CLS_VIOLATION, v.CLS_BOUNDARY], size) for _ in range(2))
+    m1, m2 = (rng.choice([-1.0, -0.0, 0.0, 2.0, 2.0], size) for _ in range(2))
+    zeros = np.zeros(size)
+    block = v.LemmaRecord(ns, ns, zeros, zeros, zeros, zeros, m1, cls1, m2, cls2)
+    rep1, rep2 = v._lemma_reports(3, 2 + size, block, False)
+    rows = v._records(block)
+    note = v._campaign_note(3, 2 + size, False)
+    below = sum(1 for r in rows if r.n < v.LEMMA2_MIN_N and r.cls_l2 != v.CLS_PASS)
+    want1 = fold_items("lemma1", 3, 2 + size, ((r.n, r.margin_l1, r.cls_l1) for r in rows),
+                       note + ";forms=display+proof")
+    want2 = fold_items("lemma2", 3, 2 + size, ((r.n, r.margin_l2, r.cls_l2) for r in rows if r.n >= 180),
+                       note + f";asserted_from=180;below_domain_failures={below}")
+    assert (repr(rep1), repr(rep2)) == (repr(want1), repr(want2))
+
+
+@pytest.mark.parametrize("precision", ["fast", "strict"])
+def test_suite_reports_equal_separate_campaigns(monkeypatch, precision):
+    ranges = {"c1": (5, 1100), "c2": (3, 700), "theorem": (40, 1100), "implication": (100, 900)}
+    want = {t: v.run_margin_campaign(t, a, b, precision_mode=precision)[0] for t, (a, b) in ranges.items()}
+    want["lemma1"], want["lemma2"] = verify_lemmas(3, 600, precision_mode=precision)
+
+    def no_lemma_campaign(*args, **kwargs):
+        raise AssertionError("the suite ran a lemma campaign")
+
+    calls, real_run = [], v._run_chunked
+
+    def counted_run(kind, command, from_n, to_n, **kwargs):
+        calls.append((kind, from_n, to_n))
+        return real_run(kind, command, from_n, to_n, **kwargs)
+
+    monkeypatch.setattr(v, "run_lemma_campaign", no_lemma_campaign)
+    monkeypatch.setattr(v, "_run_chunked", counted_run)
+    got = v.suite_reports(ranges, (3, 600), precision_mode=precision)
+    assert calls == [("margin", 3, 1100)]  # one pass over the union of the ranges
+    assert list(got) == [*ranges, "lemma1", "lemma2"]
+    assert {t: repr(r) for t, r in got.items()} == {t: repr(r) for t, r in want.items()}
+
+
+def test_lemma_checkpoint_resume_same_bytes(tmp_path):
+    whole, ck = tmp_path / "whole.txt", tmp_path / "ck.txt"
+    full = verify_lemmas(3, 1200, checkpoint_path=str(whole))
+    lines = whole.read_text().splitlines()
+    assert len(lines) == 1 + 3
+    for keep in (1, 2, 4):  # header only, one chunk, every chunk
+        ck.write_text("\n".join(lines[:keep]) + "\n")
+        assert verify_lemmas(3, 1200, checkpoint_path=str(ck), resume=True) == full
+        assert ck.read_bytes() == whole.read_bytes()
