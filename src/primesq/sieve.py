@@ -1,13 +1,19 @@
-"""Base prime generation and odd-only windowed sieving.
+"""Base prime generation and windowed sieving of the integers prime to 6.
 
 Any interval [lo, hi) can be primality-resolved with base primes up to
 sqrt(hi - 1); memory stays proportional to the window, never to hi.
-Windows store one boolean per odd integer, with 2 special-cased.
+Windows store one boolean per integer prime to 6 (the 6k+1 and 6k+5
+slots), with 2 and 3 special-cased, so multiples of 2 and 3 are never
+stored.
 
-One numpy expression finds every base prime's first odd multiple in the
-window. Primes below SLICE_PRIME_MAX strike by slice assignment; all larger
-ones strike together, one fancy-index round per multiple, so the Python
-steps per window do not grow with the number of base primes.
+Each base prime p >= 5 strikes two progressions, its multiples p*m with
+m = 1 and m = 5 mod 6, each a step of 2p slots. A few in-place numpy
+operations find every base prime's first two such multiples in the window.
+Primes below SLICE_PRIME_MAX strike by slice assignment; all larger ones
+strike together, one fancy-index round per multiple. An index past the
+window is clamped to one sentinel slot after it, and each round takes only
+the prefix of primes that can still strike, so the Python steps per window
+do not grow with the number of base primes.
 
 Counts stream such windows and sum their marks up to each bound; no window
 is ever turned into a list of primes.
@@ -22,8 +28,8 @@ import numpy as np
 
 from .errors import InsufficientTable
 
-# Odd slots per segment used by streaming counts (covers 2^21 integers).
-DEFAULT_SEGMENT_ODDS = 1 << 20
+# Slots per segment used by streaming counts (covers 3 * 2^20 integers).
+DEFAULT_SEGMENT_SLOTS = 1 << 20
 # Base primes below this strike by slice assignment; larger ones in rounds.
 SLICE_PRIME_MAX = 1 << 14
 
@@ -53,7 +59,7 @@ def base_primes(limit: int) -> PrimeTable:
     for p in range(2, math.isqrt(limit) + 1):
         if is_p[p]:
             is_p[p * p :: p] = False
-    return PrimeTable(limit, np.flatnonzero(is_p).astype(np.int64))
+    return PrimeTable(limit, np.flatnonzero(is_p).astype(np.int64, copy=False))
 
 
 _shared: PrimeTable = base_primes(1 << 16)
@@ -71,24 +77,43 @@ def shared_table(limit: int) -> PrimeTable:
     return _shared
 
 
+# m0 mod 6 -> how far the least m >= m0 prime to 6, and the next one, lie above m0
+_FIRST_M = np.array([1, 0, 3, 2, 1, 0], dtype=np.int64)
+_SECOND_M = np.array([5, 4, 5, 4, 3, 2], dtype=np.int64)
+
+
+def _slots_below(off):
+    """Slots whose integer lies below base + off, for off >= 0 (an int or an array)."""
+    return 2 * (off // 6) + (off % 6 >= 2)
+
+
 @dataclass(frozen=True)
 class SegmentBitmap:
-    """Primality marks for [lo, hi): one bool byte per odd integer, 2 special-cased."""
+    """Primality marks for [lo, hi): one bool byte per integer prime to 6, 2 and 3 special-cased.
+
+    With base = lo - lo % 6, bits[2j] marks base + 6j + 1 and bits[2j + 1]
+    marks base + 6j + 5, so integer v sits in slot (v - base) // 3; a slot
+    below lo is never marked.
+    """
 
     lo: int
     hi: int
-    bits: np.ndarray  # bits[i] marks first_odd + 2*i
-    has_two: bool
+    bits: np.ndarray
 
     def __post_init__(self) -> None:
         self.bits.setflags(write=False)
 
     @property
-    def first_odd(self) -> int:
-        return self.lo if self.lo % 2 == 1 else self.lo + 1
+    def base(self) -> int:
+        return self.lo - self.lo % 6
+
+    @property
+    def small(self) -> tuple[int, ...]:
+        """The special-cased primes 2 and 3 that lie in [lo, hi)."""
+        return tuple(p for p in (2, 3) if self.lo <= p < self.hi)
 
     def count(self) -> int:
-        return int(np.count_nonzero(self.bits)) + (1 if self.has_two else 0)
+        return int(np.count_nonzero(self.bits)) + len(self.small)
 
 
 def sieve_window(lo: int, hi: int, table: PrimeTable) -> SegmentBitmap:
@@ -102,36 +127,56 @@ def sieve_window(lo: int, hi: int, table: PrimeTable) -> SegmentBitmap:
         raise InsufficientTable(
             f"table covers {table.limit}, window needs {math.isqrt(hi - 1)}"
         )
-    first_odd = lo if lo % 2 == 1 else lo + 1
-    n_odds = max(0, (hi - first_odd + 1) // 2)
-    bits = np.ones(n_odds, dtype=bool)
-    if n_odds and first_odd == 1:
+    base = lo - lo % 6
+    n = _slots_below(hi - base)
+    bits = np.ones(n + 1, dtype=bool)  # bits[n] is the sentinel
+    if base + 1 < max(lo, 2):  # slot 0 holds 1 or an integer below lo
         bits[0] = False
-    if hi > 9:
-        # 9 is the least odd composite; below that nothing needs marking
+    if hi > 25:
+        # 25 is the least composite prime to 6; below that nothing needs marking
         cut = int(np.searchsorted(table.primes, math.isqrt(hi - 1), side="right"))
-        p = table.primes[1:cut]  # the odd base primes; primes[0] is 2
-        # the first odd multiple m*p >= max(p^2, lo) has the least odd m >= max(p, ceil(lo/p))
-        m = np.maximum(p, -(-lo // p)) | 1
-        idx = (m * p - first_odd) >> 1  # its slot; a step of p slots is 2p integers
+        p = table.primes[2:cut]  # the base primes from 5 on
+        # the multiples m*p >= max(p^2, lo) with m prime to 6 start at the least
+        # two such m >= m0 = max(p, ceil(lo/p)); all arithmetic is in place
+        m = np.floor_divide(-lo, p)
+        np.negative(m, out=m)
+        np.maximum(m, p, out=m)
+        rem = np.floor_divide(m, 6)
+        rem *= -6
+        rem += m  # m mod 6, quicker than np.remainder
+        i1 = np.take(_FIRST_M, rem, mode="clip")
+        i2 = np.take(_SECOND_M, rem, out=rem, mode="clip")
+        for idx in (i1, i2):
+            idx += m
+            idx *= p
+            idx -= base
+            idx //= 3  # the multiple's slot; a step of 6p integers is 2p slots
+            np.minimum(idx, n, out=idx)
+        step = np.multiply(p, 2, out=m)
         k = int(np.searchsorted(p, SLICE_PRIME_MAX))
-        for i, q in zip(idx[:k].tolist(), p[:k].tolist()):
-            bits[i::q] = False
-        idx, p = idx[k:], p[k:]
-        while idx.size:
-            live = idx < n_odds
-            idx, p = idx[live], p[live]
-            bits[idx] = False
-            idx += p
-    return SegmentBitmap(lo, hi, bits, lo <= 2 < hi)
+        for a, b, q in zip(i1[:k].tolist(), i2[:k].tolist(), step[:k].tolist()):
+            bits[a::q] = False
+            bits[b::q] = False
+        i1, i2, p, step = i1[k:], i2[k:], p[k:], step[k:]
+        rounds, live = 0, p.size
+        while live:
+            bits[i1[:live]] = False
+            bits[i2[:live]] = False
+            rounds += 1
+            # only a prime with 2p * rounds <= n can reach a slot again
+            live = int(np.searchsorted(p, n // (2 * rounds), side="right"))
+            for idx in (i1[:live], i2[:live]):
+                idx += step[:live]
+                np.minimum(idx, n, out=idx)
+    return SegmentBitmap(lo, hi, bits[:n])
 
 
-def count_primes_below(lo: int, bounds, *, segment_odds: int = DEFAULT_SEGMENT_ODDS) -> np.ndarray:
+def count_primes_below(lo: int, bounds, *, segment_slots: int = DEFAULT_SEGMENT_SLOTS) -> np.ndarray:
     """For each ascending bound b, the number of primes in [lo, b).
 
-    One pass streams sieve segments of segment_odds odd slots over
+    One pass streams sieve segments of 3 * segment_slots integers over
     [lo, max bound); a bound at or below lo counts 0. Each segment's bounds
-    are walked in order, summing the marks between consecutive odd slots.
+    are walked in order, summing the marks between consecutive slots.
     """
     bounds = np.asarray(bounds, dtype=np.int64)
     counts = np.zeros(bounds.size, dtype=np.int64)
@@ -142,19 +187,20 @@ def count_primes_below(lo: int, bounds, *, segment_odds: int = DEFAULT_SEGMENT_O
     below = 0  # primes in [lo, cur)
     cur = lo
     while cur < hi:
-        nxt = min(cur + 2 * segment_odds, hi)
+        nxt = min(cur + 3 * segment_slots, hi)
         seg = sieve_window(cur, nxt, table)
         i, j = np.searchsorted(bounds, (cur, nxt), side="right")  # bounds in (cur, nxt]
         if i < j:
-            ends = ((bounds[i:j] - seg.first_odd + 1) // 2).tolist()  # odd slots below each bound
+            ends = _slots_below(bounds[i:j] - seg.base).tolist()  # slots below each bound
             got, at, seg_counts = below, 0, []
             for end in ends:
                 got += int(np.count_nonzero(seg.bits[at:end]))
                 seg_counts.append(got)
                 at = end
             counts[i:j] = seg_counts
-            if seg.has_two:
-                counts[i:j] += bounds[i:j] > 2
+            for p in seg.small:
+                counts[i:j] += bounds[i:j] > p
         below += seg.count()
+        del seg  # frees its marks before the next segment allocates its own
         cur = nxt
     return counts

@@ -17,7 +17,8 @@ pi((to+1)^2), so campaigns need (to+1)^2 <= COMBINATORIAL_MAX. The last chunk
 reaches the checkpoint only after that check passes, and a resume checks that
 the chunks it loads chain into the pi(n^2) it seeds, so a checkpoint that
 failed its check can never be resumed into rows. A complete resume seeds
-nothing but still checks its chunks, its margin rows and the last window.
+nothing and rewrites nothing, but still checks its chunks, its margin rows
+and the last window.
 """
 
 from __future__ import annotations
@@ -220,29 +221,53 @@ def _checkpoint_header(command: str, from_n: int, to_n: int, precision: str) -> 
     }
 
 
+def _columns(rows, width: int, size: int) -> list[np.ndarray] | None:
+    """The columns of a record's rows, or None unless rows is a list of size
+    lists of width numbers each."""
+    if not (isinstance(rows, list) and len(rows) == size
+            and all(isinstance(row, list) and len(row) == width for row in rows)):
+        return None
+    try:
+        # JSON gives back ints and floats, so each column gets the dtype it was written from
+        cols = [np.array(col) for col in zip(*rows)]
+    except ValueError:  # a list among the numbers
+        return None
+    return cols if all(col.ndim == 1 and col.dtype.kind in "iuf" for col in cols) else None
+
+
 def _load_checkpoint(path: str, header: dict, row_type: type,
                      chunks: list[tuple[int, int]]) -> list[dict]:
     """The checkpoint's records of chunks[0], chunks[1], ... up to the first
-    missing or torn one; [] when absent."""
+    missing or torn one; [] when absent. A header or record that is not the
+    JSON this module writes raises DomainError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
         found = json.loads(lines[0])
     except (FileNotFoundError, IndexError, json.JSONDecodeError):  # no file, an empty one, a torn header
         return []
+    if not isinstance(found, dict):
+        raise DomainError(f"checkpoint {path} has a header that is not a JSON object")
     if found != header:
         raise DomainError(f"checkpoint {path} belongs to a different campaign "
                           f"({found.get('command')} over {found.get('from')}..{found.get('to')})")
     done: list[dict] = []
-    for line, (start, _) in zip(lines[1:], chunks):
+    for line, (start, end) in zip(lines[1:], chunks):
         try:
             rec = json.loads(line)
         except json.JSONDecodeError:
             break  # torn tail from an interrupted write
+        if not isinstance(rec, dict):
+            raise DomainError(f"checkpoint {path} has a record that is not a JSON object")
         if rec.get("chunk_start") != start:
             break
-        # JSON gives back ints and floats, so each column gets the dtype it was written from
-        rec["rows"] = row_type(*map(np.array, zip(*rec["rows"])))
+        if type(rec.get("pi_at_start")) is not int:
+            raise DomainError(f"checkpoint {path}: chunk {start} has no integer pi_at_start")
+        cols = _columns(rec.get("rows"), len(row_type._fields), end - start + 1)
+        if cols is None:
+            raise DomainError(f"checkpoint {path}: the rows of chunk {start} are not "
+                              f"{end - start + 1} lists of {len(row_type._fields)} numbers")
+        rec["rows"] = row_type(*cols)
         done.append(rec)
     return done
 
@@ -308,7 +333,8 @@ def _run_chunked(kind: str, command: str, from_n: int, to_n: int, *, workers: in
     pool jobs, the start seed first, so this process only builds each chunk's
     rows from the running sum and checkpoints the chunk as soon as its rows
     exist, the last one only once the sum equals the end seed. A complete
-    resume seeds nothing; its chunks must still chain.
+    resume seeds nothing and leaves the checkpoint as it is; its chunks must
+    still chain.
     """
     if to_n < from_n:
         raise DomainError("need from <= to")
@@ -318,11 +344,11 @@ def _run_chunked(kind: str, command: str, from_n: int, to_n: int, *, workers: in
     chunks = _chunks(from_n, to_n)
     build_rows, row_type = _ROW_KINDS[kind]
     done = _load_checkpoint(checkpoint_path, header, row_type, chunks) if (checkpoint_path and resume) else []
-    append = _checkpoint_writer(checkpoint_path, header, done)
     todo = chunks[len(done):]
-    if not todo:
+    if not todo:  # the checkpoint is complete and stays as it is
         _loaded_end(done)
         return _joined([rec["rows"] for rec in done])
+    append = _checkpoint_writer(checkpoint_path, header, done)
     seeds = (todo[0][0] ** 2, (to_n + 1) ** 2)
     parallel = workers > 1
     with ProcessPoolExecutor(max_workers=min(workers, len(todo) + 2)) if parallel else nullcontext() as pool:

@@ -1,13 +1,15 @@
-"""Test-only code: views of sieve segments, trial division and an open-interval
-prime count, backward and forward compensated sums of mbound's gaps with a
-linear-scan M(n) on the backward ones, scalar Miller-Rabin, the reference for
-the vectorised kernel, campaign rows built one n at a time from the scalar
-analytic functions, the reference for the chunk row builders, and reports folded
-one row at a time, the reference for the column folds."""
+"""Test-only code: views of sieve segments, trial division, a window sieve with
+one bool per integer, an open-interval prime count, backward and forward
+compensated sums of mbound's gaps with a linear-scan M(n) on the backward
+ones, scalar Miller-Rabin, the reference for the vectorised kernel, campaign
+rows built one n at a time from the scalar analytic functions, the reference
+for the chunk row builders, and reports folded one row at a time, the
+reference for the column folds."""
 
 from __future__ import annotations
 
 import bisect
+import math
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from primesq.analytic import (
 )
 from primesq.counting import MILLER_RABIN_BASES, MILLER_RABIN_PSI
 from primesq.errors import DomainError
-from primesq.sieve import DEFAULT_SEGMENT_ODDS, SegmentBitmap, count_primes_below
+from primesq.sieve import DEFAULT_SEGMENT_SLOTS, SegmentBitmap, count_primes_below
 from primesq.verify import (
     CLS_BOUNDARY,
     CLS_PASS,
@@ -37,26 +39,32 @@ from primesq.verify import (
 
 def marked_values(seg: SegmentBitmap) -> np.ndarray:
     """The marked integers of seg, ascending."""
-    odd = seg.first_odd + 2 * np.flatnonzero(seg.bits).astype(np.int64)
-    if seg.has_two:
-        return np.concatenate((np.array([2], dtype=np.int64), odd))
-    return odd
+    slots = np.flatnonzero(seg.bits).astype(np.int64)
+    # slot 2j holds base + 6j + 1, slot 2j + 1 holds base + 6j + 5
+    prime_to_6 = seg.base + 3 * slots + 1 + (slots & 1)
+    return np.concatenate((np.array(seg.small, dtype=np.int64), prime_to_6))
 
 
 def is_marked(seg: SegmentBitmap, m: int) -> bool:
     """Whether m, which must lie in [seg.lo, seg.hi), is marked."""
     if not (seg.lo <= m < seg.hi):
         raise ValueError(f"{m} outside [{seg.lo}, {seg.hi})")
-    if m % 2 == 0:
-        return m == 2 and seg.has_two
-    return bool(seg.bits[(m - seg.first_odd) // 2])
+    if m % 2 == 0 or m % 3 == 0:
+        return m in seg.small
+    return bool(seg.bits[(m - seg.base) // 3])
 
 
 def concat(a: SegmentBitmap, b: SegmentBitmap) -> SegmentBitmap:
     """Join two adjacent segments into one over the union window."""
     if a.hi != b.lo:
         raise ValueError("segments are not adjacent")
-    return SegmentBitmap(a.lo, b.hi, np.concatenate((a.bits, b.bits)), a.has_two or b.has_two)
+    # b's slots start at its own base, 2 slots per 6 integers above a's; where
+    # the two overlap, each leaves unmarked the slots outside its window
+    shift = (b.base - a.base) // 3
+    bits = np.zeros(max(a.bits.size, shift + b.bits.size), dtype=bool)
+    bits[: a.bits.size] = a.bits
+    bits[shift : shift + b.bits.size] |= b.bits
+    return SegmentBitmap(a.lo, b.hi, bits)
 
 
 def is_prime(x: int) -> bool:
@@ -77,11 +85,22 @@ def is_prime(x: int) -> bool:
     return True
 
 
-def count_primes_open(a: int, b: int, *, segment_odds: int = DEFAULT_SEGMENT_ODDS) -> int:
+def window_primes(lo: int, hi: int) -> list[int]:
+    """The primes in [lo, hi), from one bool per integer struck by every d from 2
+    to sqrt(hi - 1): a reference for wide windows that shares no layout with the
+    sieve."""
+    marks = np.ones(max(hi - lo, 0), dtype=bool)
+    marks[: max(0, 2 - lo)] = False  # 0 and 1
+    for d in range(2, math.isqrt(max(hi - 1, 0)) + 1):
+        marks[max(d * d, -(-lo // d) * d) - lo :: d] = False
+    return (lo + np.flatnonzero(marks)).tolist()
+
+
+def count_primes_open(a: int, b: int, *, segment_slots: int = DEFAULT_SEGMENT_SLOTS) -> int:
     """Number of primes p with a < p < b; 0 whenever b <= a + 1."""
     if a < 0 or b < 0:
         raise ValueError("need a >= 0 and b >= 0")
-    return int(count_primes_below(a + 1, [b], segment_odds=segment_odds)[0])
+    return int(count_primes_below(a + 1, [b], segment_slots=segment_slots)[0])
 
 
 def gaps(m: int, n: int) -> tuple[list[float], list[float]]:

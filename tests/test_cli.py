@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from primesq import cli
+from primesq import cli, verify
 
 
 def run_cli(*argv):
@@ -140,6 +140,24 @@ def test_cli_checkpoint_resume(tmp_path):
     assert run_cli("verify", "c2", "--from", "3", "--to", "1200", "--checkpoint", str(ck),
                    "--resume", "--format", "json", "--out", str(res)) == 0
     assert ref.read_bytes() == res.read_bytes()
+
+
+@pytest.mark.parametrize("target, first", [("c1", "5"), ("c2", "3"), ("theorem", "3"), ("implication", "3")])
+def test_report_formats_build_no_row_tuples(monkeypatch, capsys, target, first):
+    argv = ["verify", target, "--from", first, "--to", "1100"]
+    outs = {}
+    for fmt in ("json", "table"):
+        assert run_cli(*argv, "--format", fmt) == 0
+        outs[fmt] = capsys.readouterr().out
+
+    def boom(block):
+        raise AssertionError("row tuples built for a report")
+
+    monkeypatch.setattr(verify, "_records", boom)
+    for fmt, want in outs.items():
+        assert run_cli(*argv, "--format", fmt) == 0
+        assert capsys.readouterr().out == want
+    assert run_cli(*argv, "--format", "csv") == 3  # the CSV still asks for rows
 
 
 def test_resume_requires_checkpoint(capsys):

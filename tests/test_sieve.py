@@ -13,7 +13,15 @@ from primesq.sieve import (
     sieve_window,
 )
 
-from oracles import concat, count_primes_open, is_marked, is_prime, marked_values, miller_rabin
+from oracles import (
+    concat,
+    count_primes_open,
+    is_marked,
+    is_prime,
+    marked_values,
+    miller_rabin,
+    window_primes,
+)
 
 
 def test_base_primes_examples():
@@ -105,18 +113,18 @@ def test_segment_size_independence():
     many = count_primes_below(0, bounds)
     marks = marked_values(sieve_window(0, 201**2, base_primes(201)))
     assert many.tolist() == np.searchsorted(marks, bounds).tolist()
-    for odds in (128, 1777, 65536):
-        assert count_primes_open(a, b, segment_odds=odds) == baseline
-        assert count_primes_below(0, bounds, segment_odds=odds).tolist() == many.tolist()
+    for slots in (128, 1777, 65536):
+        assert count_primes_open(a, b, segment_slots=slots) == baseline
+        assert count_primes_below(0, bounds, segment_slots=slots).tolist() == many.tolist()
 
 
-@pytest.mark.parametrize("odds", [1, 2, 7, sieve.DEFAULT_SEGMENT_ODDS])
+@pytest.mark.parametrize("slots", [1, 2, 7, sieve.DEFAULT_SEGMENT_SLOTS])
 @pytest.mark.parametrize("lo", [0, 1, 2, 3])
-def test_count_primes_below_every_bound(lo, odds):
+def test_count_primes_below_every_bound(lo, slots):
     # every integer is a bound, so segments hold several and some end exactly on one
     bounds = list(range(1, 300))
     expected = [sum(is_prime(x) for x in range(lo, b)) for b in bounds]
-    assert count_primes_below(lo, bounds, segment_odds=odds).tolist() == expected
+    assert count_primes_below(lo, bounds, segment_slots=slots).tolist() == expected
 
 
 def test_count_primes_below_many_bounds_in_one_segment():
@@ -204,3 +212,94 @@ def test_wide_far_windows_match_miller_rabin():
     for lo in (16411**2 - 5, 10**12 + 12345):
         hi = lo + 4 * 16411 + 7
         _check_window(lo, hi, shared_table(math.isqrt(hi)), miller_rabin)
+
+
+@pytest.mark.parametrize("anchor", [0, 25, 49, 10**12, 10**14 - 40])
+def test_windows_at_every_residue_pair(anchor):
+    # lo and hi each take every residue mod 6, so slot 0 is below lo, at lo or
+    # past hi, and the last slot is a 6k+1 or a 6k+5
+    far = anchor > 10**6
+    for lo in range(anchor, anchor + 6):
+        for hi in range(lo, lo + 19):
+            table = shared_table(math.isqrt(hi)) if far else base_primes(math.isqrt(max(hi - 1, 0)))
+            _check_window(lo, hi, table, miller_rabin if far else is_prime)
+
+
+@pytest.mark.parametrize("first", [16411, 16411 + 4])  # m = 1 and m = 5 mod 6 come first
+@pytest.mark.parametrize("rounds", [1, 3])
+def test_large_prime_steps_onto_the_last_slot_or_the_sentinel(first, rounds):
+    # p = 16411 strikes in rounds; after `rounds` steps of 6p integers one of its
+    # two progressions lands on the window's last slot (hi = v + 1) or on the
+    # sentinel just past it (hi = v)
+    p = 16411
+    table = base_primes(p + 40)
+    for m in (first, first + 2 if first % 6 == 5 else first + 4):  # each progression's start
+        v = p * (m + 6 * rounds)
+        for lo in range(p * first - 2, p * first + 1):
+            for hi in (v, v + 1):
+                seg = sieve_window(lo, hi, table)
+                assert marked_values(seg).tolist() == window_primes(lo, hi), (lo, hi)
+                # v's slot is the last one or the sentinel
+                assert (v - seg.base) // 3 == seg.bits.size - (hi - v)
+
+
+def test_rounds_alone_match_trial_division(monkeypatch):
+    # with every base prime striking in rounds, small primes take many rounds each
+    monkeypatch.setattr(sieve, "SLICE_PRIME_MAX", 0)
+    for hi in range(0, 60):
+        for lo in range(0, hi + 1):
+            _check_window(lo, hi, base_primes(math.isqrt(max(hi - 1, 0))))
+    rng = random.Random(13)
+    for _ in range(20):
+        lo = rng.randrange(10**6)
+        _check_window(lo, lo + rng.randrange(1, 3000), shared_table(1100))
+
+
+def test_rounds_clamp_only_primes_that_can_strike_again(monkeypatch):
+    # a prime strikes again in round r only if r steps of 2p slots fit in the
+    # n slots, so each round clamps the prefix of primes p <= n // (2r), both progressions
+    class Recorder:
+        def __init__(self):
+            self.sizes = []
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def minimum(self, a, b, out=None):
+            self.sizes.append(a.size)
+            return np.minimum(a, b, out=out)
+
+    monkeypatch.setattr(sieve, "SLICE_PRIME_MAX", 101)
+    rec = Recorder()
+    monkeypatch.setattr(sieve, "np", rec)
+    lo, hi = 10**8 + 1, 10**8 + 9001
+    table = base_primes(math.isqrt(hi))
+    seg = sieve_window(lo, hi, table)
+    n, p = seg.bits.size, table.primes[2:]
+    large = p[p >= 101]
+    expected, r = [], 1
+    while (k := int(np.count_nonzero(large <= n // (2 * r)))):
+        expected += [k, k]
+        r += 1
+    assert rec.sizes[:2] == [p.size, p.size]  # every first multiple, once
+    assert [s for s in rec.sizes[2:] if s] == expected
+    assert len(expected) > 10
+
+
+@pytest.mark.parametrize("slots", [1, 2, 7])
+@pytest.mark.parametrize("lo", [4, 5, 1000, 10**6 + 3])
+def test_small_segments_advance_and_count(monkeypatch, lo, slots):
+    calls = []
+    real = sieve.sieve_window
+
+    def window(a, b, table):
+        calls.append((a, b))
+        return real(a, b, table)
+
+    monkeypatch.setattr(sieve, "sieve_window", window)
+    bounds = list(range(lo + 1, lo + 120))
+    expected = [sum(is_prime(x) for x in range(lo, b)) for b in bounds]
+    assert count_primes_below(lo, bounds, segment_slots=slots).tolist() == expected
+    assert calls[0][0] == lo and calls[-1][1] == bounds[-1]
+    assert all(a < b <= a + 3 * slots for a, b in calls)  # every segment advances
+    assert all(x[1] == y[0] for x, y in zip(calls, calls[1:]))

@@ -610,6 +610,69 @@ def test_complete_resume_checks_its_chain(tmp_path, capsys, chunk, row, field):
     assert capsys.readouterr().out == good
 
 
+def _first_row_cut_to_two_fields(line: str) -> str:
+    rec = json.loads(line)
+    rec["rows"][0] = rec["rows"][0][:2]
+    return json.dumps(rec)
+
+
+def _first_row_with_a_string(line: str) -> str:
+    rec = json.loads(line)
+    rec["rows"][0][1] = "x"
+    return json.dumps(rec)
+
+
+def _one_row_dropped(line: str) -> str:
+    rec = json.loads(line)
+    del rec["rows"][-1]
+    return json.dumps(rec)
+
+
+def _no_pi_at_start(line: str) -> str:
+    rec = json.loads(line)
+    del rec["pi_at_start"]
+    return json.dumps(rec)
+
+
+@pytest.mark.parametrize("at, malform", [
+    pytest.param(0, lambda line: "[]", id="header-not-an-object"),
+    pytest.param(1, lambda line: "42", id="record-not-an-object"),
+    pytest.param(1, _first_row_cut_to_two_fields, id="row-of-2-fields"),
+    pytest.param(1, _first_row_with_a_string, id="row-with-a-string"),
+    pytest.param(1, _one_row_dropped, id="chunk-one-row-short"),
+    pytest.param(1, _no_pi_at_start, id="record-without-pi_at_start"),
+])
+def test_malformed_checkpoint_exits_2(tmp_path, capsys, at, malform):
+    from primesq import cli
+
+    ck = tmp_path / "ck.txt"
+    argv = ["verify", "c2", "--from", "3", "--to", "600", "--checkpoint", str(ck)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    lines = ck.read_text().splitlines()
+    lines[at] = malform(lines[at])
+    ck.write_text("\n".join(lines) + "\n")
+    assert cli.main(argv + ["--resume"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("primesq: error: checkpoint " + str(ck)) and captured.err.count("\n") == 1
+
+
+def test_complete_resume_leaves_the_checkpoint_alone(tmp_path, capsys):
+    from primesq import cli
+
+    ck = tmp_path / "ck.txt"
+    argv = ["verify", "c2", "--from", "3", "--to", "1100", "--checkpoint", str(ck), "--format", "csv"]
+    assert cli.main(argv) == 0
+    good = capsys.readouterr().out
+    os.utime(ck, ns=(10**18, 10**18))  # a stamp no rewrite could leave behind
+    before = ck.read_bytes()
+    assert cli.main(argv + ["--resume"]) == 0
+    assert capsys.readouterr().out == good
+    assert ck.read_bytes() == before and ck.stat().st_mtime_ns == 10**18
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.txt"]
+
+
 @pytest.mark.parametrize("margins, cls, want", [
     ([2.0, 1.0, 1.0, 5.0], [0, 0, 0, 0], (1.0, 4)),  # a tie: the first n wins
     ([0.0, -0.0, 1.0], [0, 0, 0], (0.0, 3)),
