@@ -9,12 +9,12 @@ half an ulp for the rounding of the result to a float. Squares are formed in
 integer arithmetic before conversion, so they are exact for every n this
 package sweeps.
 
-The double path also takes an int64 array of n, as campaigns and mbound
-evaluate a chunk at a time; (n+1)^2 must fit an int64, so n <= SQUARE_N_MAX.
+The double path also takes an int64 array of n, as campaigns evaluate their
+range and mbound a chunk at a time; (n+1)^2 must fit an int64, so n <= SQUARE_N_MAX.
 It applies math.log to each element, not np.log, which can differ in the
 last bit; elementwise + - * /, np.floor and np.rint round as the scalar
 operations do, so every element is bit-identical to the scalar result.
-margin_sides gives a campaign chunk delta, c1_rhs, c2_lhs and theorem_floor
+margin_sides gives a campaign's n delta, c1_rhs, c2_lhs and theorem_floor
 from one evaluation each of delta and r.
 
 The one place rounding can flip a verdict is the floor of a near-integer
@@ -95,7 +95,7 @@ def _check(n, least: int, name: str) -> None:
 
 
 def _memo_log():
-    """A _log that evaluates each distinct array once: a chunk's formulas take
+    """A _log that evaluates each distinct array once: an array's formulas take
     log n, log(n+1) and log log n several times each."""
     seen = {}
 

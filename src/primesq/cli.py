@@ -139,8 +139,7 @@ def _run_compute(cfg: CampaignConfig) -> int:
 def _run_table(cfg: CampaignConfig) -> int:
     records = mbound.c3_table(cfg.ns or DEFAULT_C3_NS)
     if cfg.output_format == "json":
-        payload = [{"n": r.n, "s_sum": r.s_sum, "m": r.m_value, "ratio": r.ratio} for r in records]
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(mbound.c3_json_rows(records), indent=2) + "\n"
     else:
         text = mbound.c3_csv(records)  # csv and table share the row layout
     _emit(text, cfg.output_path)
@@ -155,10 +154,7 @@ def _run_report_all(cfg: CampaignConfig) -> int:
     reports["dusart"] = verify.verify_dusart(DEFAULT_DUSART_SAMPLES)
     c3 = mbound.c3_table(DEFAULT_C3_NS)
     if cfg.output_format == "json" or cfg.output_path is not None:
-        payload = dict(reports)
-        payload["c3_table"] = [
-            {"n": r.n, "s_sum": r.s_sum, "m": r.m_value, "ratio": r.ratio} for r in c3]
-        text = verify.reports_json(payload)
+        text = verify.reports_json({**reports, "c3_table": mbound.c3_json_rows(c3)})
     else:
         text = "\n".join(verify.report_table(r) for r in reports.values())
         text += "\n" + mbound.c3_csv(c3)

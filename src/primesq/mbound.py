@@ -158,3 +158,8 @@ def c3_csv(records: list[MnRecord]) -> str:
         ratio = "" if rec.ratio is None else f"{rec.ratio:.6f}"
         lines.append(f"{rec.n},{rec.s_sum},{m},{ratio}")
     return "\n".join(lines) + "\n"
+
+
+def c3_json_rows(records: list[MnRecord]) -> list[dict]:
+    """The rows as the JSON objects that `table c3` and `report all` emit."""
+    return [{"n": r.n, "s_sum": r.s_sum, "m": r.m_value, "ratio": r.ratio} for r in records]

@@ -4,21 +4,22 @@ Campaigns split [from, to] into fixed chunks. Each chunk's windows f(n) are
 counted, and pi(n^2) is seeded once, by the combinatorial counter at the
 first chunk not yet in the checkpoint; with more than one worker, the seed
 and the counts are jobs on a process pool. The campaign process sums f(n)
-from the seed in n-order and builds each chunk's rows at once, as pure
-functions of n, into a column block: one array per row field. So any worker
-count and any resume point give bit-identical results, and one pass over a
-range serves every report drawn from it: suite_reports folds the margin
-reports and builds the lemma rows of `report all` from one margin pass.
-Reports fold the columns in n-order, never in completion order; row tuples
-are built only for callers that ask for rows.
+from the seed in n-order; a checkpoint holds these counts and nothing else.
+Rows are built once from n, f(n) and pi(n^2), counted or loaded alike, as
+pure functions of n into a column block: one array per row field. So any
+worker count and any resume point give bit-identical results, and one pass
+over a range serves every report drawn from it: suite_reports folds the
+margin reports and builds the lemma rows of `report all` from one margin
+pass. Reports fold the columns in n-order, never in completion order; row
+tuples are built only for callers that ask for rows.
 
 A run that computed any chunk checks its final sum against the combinatorial
 pi((to+1)^2), so campaigns need (to+1)^2 <= COMBINATORIAL_MAX. The last chunk
 reaches the checkpoint only after that check passes, and a resume checks that
 the chunks it loads chain into the pi(n^2) it seeds, so a checkpoint that
 failed its check can never be resumed into rows. A complete resume seeds
-nothing and rewrites nothing, but still checks its chunks, its margin rows
-and the last window.
+nothing and rewrites nothing, but still checks its chunks' chain and the
+last window.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .counting import COMBINATORIAL_MAX, _window_counts, pi_exact
 from .errors import DomainError
 
 CHUNK_SIZE = 512
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 LEMMA2_MIN_N = 180
 
 CLS_PASS, CLS_VIOLATION, CLS_BOUNDARY = 0, 1, 2
@@ -76,7 +77,8 @@ class MarginRecord(NamedTuple):
 
     Campaigns hold rows as a column block, a MarginRecord of equal-length
     arrays, and build row tuples only for callers that ask for rows. A
-    checkpoint stores each row as the JSON array of its fields.
+    checkpoint stores only f and pi_n2; the other fields are rebuilt from
+    them on resume.
     """
 
     n: int
@@ -89,14 +91,10 @@ class MarginRecord(NamedTuple):
     margin_c1: float
     margin_c2: float
     margin_thm: int
-    boundary_flag: int  # 0 or 1, written as such in checkpoints
+    boundary_flag: int  # 0 or 1
     cls_c1: int
     cls_c2: int
     cls_thm: int
-
-    @property
-    def margins(self) -> tuple[float, float, int]:
-        return (self.margin_c1, self.margin_c2, self.margin_thm)
 
 
 class LemmaRecord(NamedTuple):
@@ -132,8 +130,8 @@ def _judge(margins, errs, strict: bool = False, at_quad=None) -> np.ndarray:
     return cls
 
 
-# Row builders: the column block of a chunk's rows from its n, f(n) and pi(n^2)
-# as int64 arrays, each quantity evaluated over the chunk.
+# Row builders: the column block of the rows of n from n, f(n) and pi(n^2)
+# as int64 arrays, each quantity evaluated over all of them at once.
 
 
 def _margin_rows(ns: np.ndarray, fs: np.ndarray, pis: np.ndarray, strict: bool) -> MarginRecord:
@@ -161,18 +159,9 @@ def _lemma_rows(ns: np.ndarray, fs: np.ndarray, pis: np.ndarray, strict: bool) -
                        m1, cls1, m2, cls2)
 
 
-# row kind -> (chunk row builder, row type)
-_ROW_KINDS = {"margin": (_margin_rows, MarginRecord), "lemma": (_lemma_rows, LemmaRecord)}
-
-
 def _records(block: tuple) -> list[tuple]:
     """The row tuples of a column block."""
     return list(map(type(block), *(col.tolist() for col in block)))
-
-
-def _joined(blocks: list[tuple]) -> tuple:
-    """One column block of the rows of blocks, in order."""
-    return type(blocks[0])(*map(np.concatenate, zip(*blocks)))
 
 
 def _counts_job(chunk: tuple[int, int]) -> np.ndarray:
@@ -221,25 +210,18 @@ def _checkpoint_header(command: str, from_n: int, to_n: int, precision: str) -> 
     }
 
 
-def _columns(rows, width: int, size: int) -> list[np.ndarray] | None:
-    """The columns of a record's rows, or None unless rows is a list of size
-    lists of width numbers each."""
-    if not (isinstance(rows, list) and len(rows) == size
-            and all(isinstance(row, list) and len(row) == width for row in rows)):
-        return None
-    try:
-        # JSON gives back ints and floats, so each column gets the dtype it was written from
-        cols = [np.array(col) for col in zip(*rows)]
-    except ValueError:  # a list among the numbers
-        return None
-    return cols if all(col.ndim == 1 and col.dtype.kind in "iuf" for col in cols) else None
+def _int_column(values, size: int) -> np.ndarray | None:
+    """values as an int64 array, or None unless it is a list of size ints that int64 holds."""
+    listed = isinstance(values, list) and len(values) == size
+    if listed and all(type(x) is int and abs(x) < 2**63 for x in values):
+        return np.array(values, dtype=np.int64)
+    return None
 
 
-def _load_checkpoint(path: str, header: dict, row_type: type,
-                     chunks: list[tuple[int, int]]) -> list[dict]:
+def _load_checkpoint(path: str, header: dict, chunks: list[tuple[int, int]]) -> list[dict]:
     """The checkpoint's records of chunks[0], chunks[1], ... up to the first
-    missing or torn one; [] when absent. A header or record that is not the
-    JSON this module writes raises DomainError."""
+    missing or torn one, with f and pi_n2 as int64 arrays; [] when absent. A
+    header or record that is not the JSON this module writes raises DomainError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -248,6 +230,9 @@ def _load_checkpoint(path: str, header: dict, row_type: type,
         return []
     if not isinstance(found, dict):
         raise DomainError(f"checkpoint {path} has a header that is not a JSON object")
+    if found != header and {**found, "version": header["version"]} == header:
+        raise DomainError(f"checkpoint {path} has format version {found['version']}, this primesq reads "
+                          f"version {header['version']}; run the campaign again without --resume")
     if found != header:
         raise DomainError(f"checkpoint {path} belongs to a different campaign "
                           f"({found.get('command')} over {found.get('from')}..{found.get('to')})")
@@ -263,50 +248,44 @@ def _load_checkpoint(path: str, header: dict, row_type: type,
             break
         if type(rec.get("pi_at_start")) is not int:
             raise DomainError(f"checkpoint {path}: chunk {start} has no integer pi_at_start")
-        cols = _columns(rec.get("rows"), len(row_type._fields), end - start + 1)
-        if cols is None:
-            raise DomainError(f"checkpoint {path}: the rows of chunk {start} are not "
-                              f"{end - start + 1} lists of {len(row_type._fields)} numbers")
-        rec["rows"] = row_type(*cols)
+        for key in ("f", "pi_n2"):
+            rec[key] = _int_column(rec.get(key), end - start + 1)
+            if rec[key] is None:
+                raise DomainError(f"checkpoint {path}: the {key} of chunk {start} is not "
+                                  f"a list of {end - start + 1} integers")
         done.append(rec)
     return done
 
 
-def _loaded_end(done: list[dict]) -> int:
-    """pi((e+1)^2) for the last n = e of the loaded chunks, which must chain.
+def _loaded_end(done: list[dict], last_n: int) -> int:
+    """pi((last_n+1)^2) from the loaded chunks, which must chain; last_n ends
+    the last of them on the campaign's chunk grid.
 
-    Each chunk's pi_at_start plus its counts must give the next pi_at_start.
-    Margin rows carry f(n), and each one's pi(n^2) must be the sum so far;
-    lemma rows carry only pi(n^2), so a lemma chunk ends at its last pi(n^2)
-    plus one window count. Nothing else checks the last margin row's f, so
-    its window is counted again.
+    Each chunk's pi_at_start must be the sum of the counts before it, and so
+    must each of its pi(n^2). Nothing else checks the last f, so its window
+    is counted again.
     """
     pi = done[0]["pi_at_start"]
     for rec in done:
         if rec["pi_at_start"] != pi:
             raise RuntimeError(f"checkpoint chunk {rec['chunk_start']} starts at pi = {rec['pi_at_start']}, "
                                f"the chunks before it end at {pi}")
-        rows = rec["rows"]
-        if isinstance(rows, MarginRecord):
-            sums = pi + np.cumsum(rows.f) - rows.f  # the counts before each row
-            off = rows.pi_n2 != sums
-            if off.any():
-                i = off.argmax()  # the first row off the chain
-                raise RuntimeError(f"checkpoint row n = {rows.n[i]} has pi(n^2) = {rows.pi_n2[i]}, "
-                                   f"the counts before it sum to {sums[i]}")
-            pi = int(sums[-1] + rows.f[-1])
-        else:
-            n = int(rows.n[-1])
-            pi = int(rows.pi_n2[-1]) + int(_window_counts(n, n)[0])
-    rows, n = done[-1]["rows"], int(done[-1]["rows"].n[-1])
-    if isinstance(rows, MarginRecord) and rows.f[-1] != (f := int(_window_counts(n, n)[0])):
-        raise RuntimeError(f"checkpoint row n = {n} has f = {rows.f[-1]}, its window holds {f}")
+        fs = rec["f"]
+        sums = pi + np.cumsum(fs) - fs  # the counts before each n
+        off = rec["pi_n2"] != sums
+        if off.any():
+            i = off.argmax()  # the first n off the chain
+            raise RuntimeError(f"checkpoint row n = {rec['chunk_start'] + i} has pi(n^2) = {rec['pi_n2'][i]}, "
+                               f"the counts before it sum to {sums[i]}")
+        pi = int(sums[-1] + fs[-1])
+    if (last := done[-1]["f"][-1]) != (f := int(_window_counts(last_n, last_n)[0])):
+        raise RuntimeError(f"checkpoint row n = {last_n} has f = {last}, its window holds {f}")
     return pi
 
 
 def _record_line(rec: dict) -> str:
-    """A chunk's checkpoint line: its record, each row the JSON array of its fields."""
-    return json.dumps({**rec, "rows": _records(rec["rows"])}) + "\n"
+    """A chunk's checkpoint line: its record, f and pi_n2 as JSON integer lists."""
+    return json.dumps({**rec, "f": rec["f"].tolist(), "pi_n2": rec["pi_n2"].tolist()}) + "\n"
 
 
 def _checkpoint_writer(path: str | None, header: dict, done: list[dict]):
@@ -323,18 +302,17 @@ def _checkpoint_writer(path: str | None, header: dict, done: list[dict]):
     return append
 
 
-def _run_chunked(kind: str, command: str, from_n: int, to_n: int, *, workers: int,
-                 strict: bool, checkpoint_path: str | None, resume: bool) -> tuple:
-    """The column block of all rows for [from_n, to_n], in n-order.
+def _run_chunked(command: str, from_n: int, to_n: int, *, workers: int, strict: bool,
+                 checkpoint_path: str | None, resume: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n, f(n) and pi(n^2) over [from_n, to_n] as int64 arrays, in n-order.
 
     The chunks still to do need the combinatorial pi(n^2) at the first of
     them, which the loaded chunks must chain into, the window counts of each
     and, for the final check, pi((to+1)^2). With workers > 1 all of these are
-    pool jobs, the start seed first, so this process only builds each chunk's
-    rows from the running sum and checkpoints the chunk as soon as its rows
-    exist, the last one only once the sum equals the end seed. A complete
-    resume seeds nothing and leaves the checkpoint as it is; its chunks must
-    still chain.
+    pool jobs, the start seed first, so this process only sums the counts and
+    checkpoints each chunk as soon as its counts are in, the last one only
+    once the sum equals the end seed. A complete resume seeds nothing and
+    leaves the checkpoint as it is; its chunks must still chain.
     """
     if to_n < from_n:
         raise DomainError("need from <= to")
@@ -342,45 +320,45 @@ def _run_chunked(kind: str, command: str, from_n: int, to_n: int, *, workers: in
         raise DomainError(f"campaigns need (to+1)^2 <= {COMBINATORIAL_MAX} (combinatorial pi range)")
     header = _checkpoint_header(command, from_n, to_n, "strict" if strict else "fast")
     chunks = _chunks(from_n, to_n)
-    build_rows, row_type = _ROW_KINDS[kind]
-    done = _load_checkpoint(checkpoint_path, header, row_type, chunks) if (checkpoint_path and resume) else []
+    done = _load_checkpoint(checkpoint_path, header, chunks) if (checkpoint_path and resume) else []
     todo = chunks[len(done):]
     if not todo:  # the checkpoint is complete and stays as it is
-        _loaded_end(done)
-        return _joined([rec["rows"] for rec in done])
-    append = _checkpoint_writer(checkpoint_path, header, done)
-    seeds = (todo[0][0] ** 2, (to_n + 1) ** 2)
-    parallel = workers > 1
-    with ProcessPoolExecutor(max_workers=min(workers, len(todo) + 2)) if parallel else nullcontext() as pool:
-        try:
-            if parallel:
-                start_seed, end_seed = (pool.submit(_seed_job, x).result for x in seeds)
-                counts = pool.map(_counts_job, todo)
-            else:
-                start_seed, end_seed = (partial(_seed_job, x) for x in seeds)
-                counts = map(_counts_job, todo)
-            loaded = _loaded_end(done) if done else None  # a broken chain fails before the seed is in
-            pi = start_seed()
-            if done and loaded != pi:
-                raise RuntimeError(f"checkpoint chunks sum to pi({todo[0][0]}^2) = {loaded}, "
-                                   f"the combinatorial pi gives {pi}")
-            for (s, e), fs in zip(todo, counts):
-                pis = pi + np.cumsum(fs) - fs  # pi(n^2) of each n in the chunk
-                rec = {"chunk_start": s, "chunk_end": e, "pi_at_start": pi,
-                       "rows": build_rows(np.arange(s, e + 1, dtype=np.int64), fs, pis, strict)}
-                pi = int(pis[-1] + fs[-1])
-                done.append(rec)
-                if e < to_n:  # the last chunk waits for the final check
-                    append(rec)
-            if pi != (end := end_seed()):
-                raise RuntimeError(f"window counts sum to pi({to_n + 1}^2) = {pi}, "
-                                   f"the combinatorial pi gives {end}")
-        except BaseException:
-            if parallel:  # drop the queued jobs rather than wait for them
-                pool.shutdown(cancel_futures=True)
-            raise
-    append(done[-1])
-    return _joined([rec["rows"] for rec in done])
+        _loaded_end(done, to_n)
+    else:
+        append = _checkpoint_writer(checkpoint_path, header, done)
+        seeds = (todo[0][0] ** 2, (to_n + 1) ** 2)
+        parallel = workers > 1
+        with ProcessPoolExecutor(max_workers=min(workers, len(todo) + 2)) if parallel else nullcontext() as pool:
+            try:
+                if parallel:
+                    start_seed, end_seed = (pool.submit(_seed_job, x).result for x in seeds)
+                    counts = pool.map(_counts_job, todo)
+                else:
+                    start_seed, end_seed = (partial(_seed_job, x) for x in seeds)
+                    counts = map(_counts_job, todo)
+                # a broken chain fails before the seed is in
+                loaded = _loaded_end(done, todo[0][0] - 1) if done else None
+                pi = start_seed()
+                if done and loaded != pi:
+                    raise RuntimeError(f"checkpoint chunks sum to pi({todo[0][0]}^2) = {loaded}, "
+                                       f"the combinatorial pi gives {pi}")
+                for (s, e), fs in zip(todo, counts):
+                    rec = {"chunk_start": s, "chunk_end": e, "pi_at_start": pi, "f": fs,
+                           "pi_n2": pi + np.cumsum(fs) - fs}
+                    pi = int(rec["pi_n2"][-1] + fs[-1])
+                    done.append(rec)
+                    if e < to_n:  # the last chunk waits for the final check
+                        append(rec)
+                if pi != (end := end_seed()):
+                    raise RuntimeError(f"window counts sum to pi({to_n + 1}^2) = {pi}, "
+                                       f"the combinatorial pi gives {end}")
+            except BaseException:
+                if parallel:  # drop the queued jobs rather than wait for them
+                    pool.shutdown(cancel_futures=True)
+                raise
+        append(done[-1])
+    return (np.arange(from_n, to_n + 1, dtype=np.int64), np.concatenate([rec["f"] for rec in done]),
+            np.concatenate([rec["pi_n2"] for rec in done]))
 
 
 # --- reports: one fold over the n, margin and class columns -----------------
@@ -439,8 +417,9 @@ def _margin_campaign(target: str, from_n: int, to_n: int, *, workers: int = 1,
     if from_n < min_from:
         raise DomainError(f"{target} campaigns need from >= {min_from}")
     strict = _strict_flag(precision_mode)
-    rows = _run_chunked("margin", f"verify {target}", from_n, to_n, workers=workers,
-                        strict=strict, checkpoint_path=checkpoint_path, resume=resume)
+    counts = _run_chunked(f"verify {target}", from_n, to_n, workers=workers,
+                          strict=strict, checkpoint_path=checkpoint_path, resume=resume)
+    rows = _margin_rows(*counts, strict)
     return fold_margin_report(target, from_n, to_n, rows, strict), rows
 
 
@@ -490,9 +469,9 @@ def run_lemma_campaign(from_n: int, to_n: int, *, workers: int = 1,
     if from_n < 3:
         raise DomainError("lemma campaigns need from >= 3")
     strict = _strict_flag(precision_mode)
-    rows = _run_chunked("lemma", "verify lemmas", from_n, to_n, workers=workers,
-                        strict=strict, checkpoint_path=checkpoint_path, resume=resume)
-    return _lemma_reports(from_n, to_n, rows, strict)
+    counts = _run_chunked("verify lemmas", from_n, to_n, workers=workers,
+                          strict=strict, checkpoint_path=checkpoint_path, resume=resume)
+    return _lemma_reports(from_n, to_n, _lemma_rows(*counts, strict), strict)
 
 
 def verify_lemmas(from_n: int, to_n: int, **kwargs) -> tuple[ConjectureReport, ConjectureReport]:

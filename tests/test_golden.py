@@ -4,6 +4,11 @@ The report, CSV and checkpoint digests were recorded from the implementation
 that ran c1, c2, theorem and implication as four separate campaigns; a
 refactor of rows, folds or checkpoint writes must reproduce them exactly.
 
+C2_CHECKPOINT was pinned again when the checkpoint format went to version 2:
+a record now holds a chunk's counts (chunk_start, chunk_end, pi_at_start, f
+and pi_n2) instead of every field of every row, which resume rebuilds. The
+CSV of the same run, C2_CSV, kept its digest.
+
 REPORT_ALL_STRICT_JSON pins `report all --precision strict`; it was recorded
 from the implementation that built campaign rows one n at a time, before rows
 were built a chunk at a time from arrays.
@@ -46,7 +51,7 @@ REPORT_ALL_STRICT_JSON = "a0b0f5ce5550ac0c18844ac2140128ae82b510927b4bbac2839019
 LEMMAS_JSON = "97461facda60028b8df8d2179ff9a7d0b0d1649608af0888fceadd7b0143a18f"
 LEMMAS_STRICT_JSON = "f5adfe3797277c4632805cc567ae6af2d7fc018b38a3ba1feb744fe23862bcb4"
 C2_CSV = "3e0b6bf6a7e00c66b0147e4c41c14b7b94141080eafa2a85e82995e27ebeac91"
-C2_CHECKPOINT = "510e1d2687bed1ee7bf4a20fab597e9740a25f8f9bc6672205f0b2411ec78871"
+C2_CHECKPOINT = "539a30438be909e12ea18471264ec99c63ccb4200f59cca83eff6032aeebc6b3"
 
 ANALYTIC_DOUBLE = "a908e38067a63261049aeb6df27efeeb9b8a797fd4e8fa994f0d6ea65038f3e0"
 ANALYTIC_MP_VALUES = "28f5d0c6e392cd504616218d98b7aceaa54bfe7c1758108f7e7f49eec8088e49"

@@ -102,7 +102,6 @@ def test_margin_record_fields_consistent():
         assert rec.margin_c1 == pytest.approx(rec.c1_rhs - rec.f, abs=1e-12)
         assert rec.margin_c2 == pytest.approx(rec.f - rec.c2_lhs, abs=1e-12)
         assert rec.margin_thm == rec.f - rec.t_floor
-        assert rec.margins == (rec.margin_c1, rec.margin_c2, rec.margin_thm)
 
 
 def test_rows_audit_against_independent_count():
@@ -583,24 +582,32 @@ def test_unchained_partial_resume_exits_3_on_the_pool(tmp_path):
     assert done.stdout == "" and "chunks before it end" in done.stderr and done.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("chunk, row, field", [
-    pytest.param(0, 5, "f", id="0-f"),
-    pytest.param(1, 5, "pi_n2", id="1-pi_n2"),
-    pytest.param(2, 5, "f", id="2-f"),
-    pytest.param(2, 5, "pi_n2", id="2-pi_n2"),
-    pytest.param(2, -1, "f", id="2-last-f"),  # f(1100): no later pi(n^2) depends on it
+# checkpoint edits: (chunk, row, field) to raise by one
+_CHAIN_EDITS = {
+    "0-f": (0, 5, "f"),
+    "1-f": (1, 5, "f"),
+    "1-pi_n2": (1, 5, "pi_n2"),
+    "2-f": (2, 5, "f"),
+    "2-pi_n2": (2, 5, "pi_n2"),
+    "2-last-f": (2, -1, "f"),  # f(1100): no later pi(n^2) depends on it
+}
+
+
+@pytest.mark.parametrize("target, chunk, row, field", [
+    pytest.param(target, *edit, id=name if target == "c2" else f"{target}-{name}")
+    for target in ("c2", "lemmas") for name, edit in _CHAIN_EDITS.items()
 ])
-def test_complete_resume_checks_its_chain(tmp_path, capsys, chunk, row, field):
+def test_complete_resume_checks_its_chain(tmp_path, capsys, target, chunk, row, field):
     from primesq import cli
-    from primesq.verify import MarginRecord
 
     ck = tmp_path / "ck.txt"
-    argv = ["verify", "c2", "--from", "3", "--to", "1100", "--checkpoint", str(ck), "--format", "csv"]
+    argv = ["verify", target, "--from", "3", "--to", "1100", "--checkpoint", str(ck),
+            "--format", "csv" if target == "c2" else "json"]
     assert cli.main(argv) == 0
     good = capsys.readouterr().out
     lines = ck.read_text().splitlines()
     rec = json.loads(lines[1 + chunk])
-    rec["rows"][row][MarginRecord._fields.index(field)] += 1
+    rec[field][row] += 1
     ck.write_text("\n".join(lines[:1 + chunk] + [json.dumps(rec)] + lines[2 + chunk:]) + "\n")
     assert cli.main(argv + ["--resume"]) == 3
     captured = capsys.readouterr()
@@ -610,43 +617,35 @@ def test_complete_resume_checks_its_chain(tmp_path, capsys, chunk, row, field):
     assert capsys.readouterr().out == good
 
 
-def _first_row_cut_to_two_fields(line: str) -> str:
-    rec = json.loads(line)
-    rec["rows"][0] = rec["rows"][0][:2]
-    return json.dumps(rec)
+def _edited_record(edit):
+    """A malform that applies edit to the record on a checkpoint line."""
+    def malform(line: str) -> str:
+        rec = json.loads(line)
+        edit(rec)
+        return json.dumps(rec)
+    return malform
 
 
-def _first_row_with_a_string(line: str) -> str:
-    rec = json.loads(line)
-    rec["rows"][0][1] = "x"
-    return json.dumps(rec)
-
-
-def _one_row_dropped(line: str) -> str:
-    rec = json.loads(line)
-    del rec["rows"][-1]
-    return json.dumps(rec)
-
-
-def _no_pi_at_start(line: str) -> str:
-    rec = json.loads(line)
-    del rec["pi_at_start"]
-    return json.dumps(rec)
+def _set(key: str, i: int, value):
+    return _edited_record(lambda rec: rec[key].__setitem__(i, value))
 
 
 @pytest.mark.parametrize("at, malform", [
     pytest.param(0, lambda line: "[]", id="header-not-an-object"),
     pytest.param(1, lambda line: "42", id="record-not-an-object"),
-    pytest.param(1, _first_row_cut_to_two_fields, id="row-of-2-fields"),
-    pytest.param(1, _first_row_with_a_string, id="row-with-a-string"),
-    pytest.param(1, _one_row_dropped, id="chunk-one-row-short"),
-    pytest.param(1, _no_pi_at_start, id="record-without-pi_at_start"),
+    pytest.param(1, _edited_record(lambda rec: rec["f"].pop()), id="chunk-one-row-short"),
+    pytest.param(1, _set("f", 1, "x"), id="row-with-a-string"),
+    pytest.param(1, _set("f", 5, 4.0), id="f-with-a-float"),  # f(8) = 4 written as 4.0
+    pytest.param(1, _set("pi_n2", 0, True), id="pi_n2-with-a-bool"),
+    pytest.param(1, _set("pi_n2", 0, 2**63), id="pi_n2-beyond-int64"),
+    pytest.param(1, _edited_record(lambda rec: rec.pop("pi_n2")), id="record-without-pi_n2"),
+    pytest.param(1, _edited_record(lambda rec: rec.pop("pi_at_start")), id="record-without-pi_at_start"),
 ])
 def test_malformed_checkpoint_exits_2(tmp_path, capsys, at, malform):
     from primesq import cli
 
     ck = tmp_path / "ck.txt"
-    argv = ["verify", "c2", "--from", "3", "--to", "600", "--checkpoint", str(ck)]
+    argv = ["verify", "c2", "--from", "3", "--to", "1100", "--checkpoint", str(ck), "--format", "csv"]
     assert cli.main(argv) == 0
     capsys.readouterr()
     lines = ck.read_text().splitlines()
@@ -656,6 +655,24 @@ def test_malformed_checkpoint_exits_2(tmp_path, capsys, at, malform):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("primesq: error: checkpoint " + str(ck)) and captured.err.count("\n") == 1
+
+
+def test_version_1_checkpoint_exits_2(tmp_path, capsys):
+    from primesq import cli
+
+    ck = tmp_path / "ck.txt"
+    argv = ["verify", "c2", "--from", "3", "--to", "1100", "--checkpoint", str(ck)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    header, *records = ck.read_text().splitlines()
+    ck.write_text("\n".join([json.dumps({**json.loads(header), "version": 1}), *records]) + "\n")
+    before = ck.read_bytes()
+    assert cli.main(argv + ["--resume"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("primesq: error: checkpoint " + str(ck))
+    assert "version 1" in captured.err and "version 2" in captured.err and "without --resume" in captured.err
+    assert ck.read_bytes() == before
 
 
 def test_complete_resume_leaves_the_checkpoint_alone(tmp_path, capsys):
@@ -755,14 +772,14 @@ def test_suite_reports_equal_separate_campaigns(monkeypatch, precision):
 
     calls, real_run = [], v._run_chunked
 
-    def counted_run(kind, command, from_n, to_n, **kwargs):
-        calls.append((kind, from_n, to_n))
-        return real_run(kind, command, from_n, to_n, **kwargs)
+    def counted_run(command, from_n, to_n, **kwargs):
+        calls.append((command, from_n, to_n))
+        return real_run(command, from_n, to_n, **kwargs)
 
     monkeypatch.setattr(v, "run_lemma_campaign", no_lemma_campaign)
     monkeypatch.setattr(v, "_run_chunked", counted_run)
     got = v.suite_reports(ranges, (3, 600), precision_mode=precision)
-    assert calls == [("margin", 3, 1100)]  # one pass over the union of the ranges
+    assert calls == [("verify c2", 3, 1100)]  # one pass over the union of the ranges
     assert list(got) == [*ranges, "lemma1", "lemma2"]
     assert {t: repr(r) for t, r in got.items()} == {t: repr(r) for t, r in want.items()}
 
