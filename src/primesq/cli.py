@@ -1,19 +1,16 @@
-"""Command-line frontend.
+"""Command-line frontend: each sub-command's parser names the handler that runs it.
 
 Exit codes: 0 completed clean, 1 completed with violations (or boundary
 cases in strict mode), 2 usage, domain or file error, 3 internal
-inconsistency (dual pi methods disagree, a campaign's summed window counts
-miss the combinatorial pi((to+1)^2), the chunks a resume loads do not chain
-into its pi(n^2) seed, or a non-empty implication check) or any other
-unexpected failure.
+inconsistency or any other unexpected failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, field
 from functools import partial
 
 from . import mbound, verify
@@ -39,24 +36,6 @@ _MARGIN_REPORTS = {
 }
 
 
-@dataclass
-class CampaignConfig:
-    command: str
-    from_n: int | None = None
-    to_n: int | None = None
-    n: int | None = None
-    x: int | None = None
-    workers: int = 1
-    precision_mode: str = "fast"
-    checkpoint_path: str | None = None
-    resume: bool = False
-    output_format: str = "table"
-    output_path: str | None = None
-    method: str = "both"
-    samples: list[int] = field(default_factory=list)
-    ns: list[int] = field(default_factory=list)
-
-
 def _emit(text: str, path: str | None) -> None:
     """Print to stdout, or write the whole file atomically."""
     if path is None:
@@ -65,121 +44,121 @@ def _emit(text: str, path: str | None) -> None:
         verify.write_atomic(path, text)
 
 
-def _report_exit_code(report: verify.ConjectureReport, strict: bool) -> int:
+def _report_exit_code(report: verify.ConjectureReport, args: argparse.Namespace) -> int:
     if report.violations:
         return 3 if report.target == "implication" else 1
-    if strict and report.boundary_cases:
+    if args.precision == "strict" and report.boundary_cases:
         return 1
     return 0
 
 
-def _campaign_kwargs(cfg: CampaignConfig) -> dict:
-    return dict(workers=cfg.workers, precision_mode=cfg.precision_mode,
-                checkpoint_path=cfg.checkpoint_path, resume=cfg.resume)
+def _campaign_kwargs(args: argparse.Namespace) -> dict:
+    """The campaign keywords a command's options set, checked before any work starts."""
+    if args.workers < 1:
+        raise DomainError("--workers must be >= 1")
+    kwargs = dict(workers=args.workers, precision_mode=args.precision)
+    if "checkpoint" in args:
+        if args.resume and args.checkpoint is None:
+            raise DomainError("--resume requires --checkpoint")
+        kwargs.update(checkpoint_path=args.checkpoint, resume=args.resume)
+    return kwargs
 
 
-def _run_verify(cfg: CampaignConfig) -> int:
-    target = cfg.command.split()[1]
-    strict = cfg.precision_mode == "strict"
-    if target in ("dusart", "lemmas") and cfg.output_format == "csv":
-        raise DomainError(f"no CSV row schema for {target}; use json or table")
-    if target == "dusart":
-        report = verify.verify_dusart(cfg.samples or DEFAULT_DUSART_SAMPLES)
-        text = verify.report_json(report) if cfg.output_format == "json" else verify.report_table(report)
-        _emit(text, cfg.output_path)
-        return _report_exit_code(report, strict)
-    if target == "lemmas":
-        rep1, rep2 = verify.verify_lemmas(cfg.from_n, cfg.to_n, **_campaign_kwargs(cfg))
-        if cfg.output_format == "json":
-            text = verify.reports_json({"lemma1": rep1, "lemma2": rep2})
-        else:
-            text = verify.report_table(rep1) + "\n" + verify.report_table(rep2)
-        _emit(text, cfg.output_path)
-        return max(_report_exit_code(rep1, strict), _report_exit_code(rep2, strict))
-    if cfg.output_format == "csv":  # only the CSV needs the rows
-        report, records = verify.run_margin_campaign(target, cfg.from_n, cfg.to_n, **_campaign_kwargs(cfg))
+def _verify_margin(args: argparse.Namespace) -> int:
+    kwargs = _campaign_kwargs(args)
+    if args.format == "csv":  # only the CSV needs the rows
+        report, records = verify.run_margin_campaign(args.target, args.from_n, args.to_n, **kwargs)
         text = verify.margin_rows_csv(records)
     else:
-        report = _MARGIN_REPORTS[target](cfg.from_n, cfg.to_n, **_campaign_kwargs(cfg))
-        text = verify.report_json(report) if cfg.output_format == "json" else verify.report_table(report)
-    _emit(text, cfg.output_path)
-    return _report_exit_code(report, strict)
+        report = _MARGIN_REPORTS[args.target](args.from_n, args.to_n, **kwargs)
+        text = verify.report_json(report) if args.format == "json" else verify.report_table(report)
+    _emit(text, args.out)
+    return _report_exit_code(report, args)
 
 
-def _run_compute(cfg: CampaignConfig) -> int:
-    what = cfg.command.split()[1]
-    if what == "f":
-        print(f_of(_need(cfg.n, "--n")))
-    elif what == "g":
-        print(g_of(_need(cfg.n, "--n")))
-    elif what == "delta":
-        print(f"{delta(_need(cfg.n, '--n')).value:.6f}")
-    elif what == "m":
-        m = mbound.m_of(_need(cfg.n, "--n"))
-        print("undefined" if m is None else m)
-    elif what == "bounds":
-        x = _need(cfg.x, "--x")
-        lower, lo_ok = dusart_lower(x)
-        upper, up_ok = dusart_upper(x)
-        print(f"L({x}) = {lower.value:.6f}  valid={'yes' if lo_ok else 'no'}")
-        print(f"U({x}) = {upper.value:.6f}  valid={'yes' if up_ok else 'no'}")
-    elif what == "pi":
-        x = _need(cfg.x, "--x")
-        methods = [cfg.method] if cfg.method != "both" else ["combinatorial", "window_sieve"]
-        if cfg.method == "both" and x > WINDOW_SIEVE_MAX:
-            methods = ["combinatorial"]
-        values = {m: pi_exact(x, m) for m in methods}
-        if len(set(values.values())) > 1:
-            print(f"pi methods disagree at {x}: {values}", file=sys.stderr)
-            return 3
-        print(next(iter(values.values())))
+def _verify_lemmas(args: argparse.Namespace) -> int:
+    rep1, rep2 = verify.verify_lemmas(args.from_n, args.to_n, **_campaign_kwargs(args))
+    if args.format == "json":
+        text = verify.reports_json({"lemma1": rep1, "lemma2": rep2})
+    else:
+        text = verify.report_table(rep1) + "\n" + verify.report_table(rep2)
+    _emit(text, args.out)
+    return max(_report_exit_code(rep1, args), _report_exit_code(rep2, args))
+
+
+def _verify_dusart(args: argparse.Namespace) -> int:
+    report = verify.verify_dusart(args.samples)
+    text = verify.report_json(report) if args.format == "json" else verify.report_table(report)
+    _emit(text, args.out)
+    return _report_exit_code(report, args)
+
+
+def _print_of_n(fn, args: argparse.Namespace) -> int:
+    """Print fn(n); m_of gives None where M(n) is undefined."""
+    value = fn(args.n)
+    print("undefined" if value is None else value)
     return 0
 
 
-def _run_table(cfg: CampaignConfig) -> int:
-    records = mbound.c3_table(cfg.ns or DEFAULT_C3_NS)
-    if cfg.output_format == "json":
+def _compute_delta(args: argparse.Namespace) -> int:
+    d = delta(args.n, "quad")
+    if not d.abs_err < 5e-7:  # half a unit in the 6th printed decimal
+        raise DomainError(f"delta({args.n}) is not known to 6 decimals: "
+                          f"its 160-bit error bound is {d.abs_err:.2g}")
+    print(f"{d.value:.6f}")
+    return 0
+
+
+def _compute_bounds(args: argparse.Namespace) -> int:
+    x = args.x
+    (lower, lo_ok), (upper, up_ok) = dusart_lower(x, "quad"), dusart_upper(x, "quad")
+    if not (math.isfinite(lower.value) and math.isfinite(upper.value)):
+        raise DomainError("L(x) and U(x) exceed the double range at this --x")
+    print(f"L({x}) = {lower.value:.6f}  valid={'yes' if lo_ok else 'no'}")
+    print(f"U({x}) = {upper.value:.6f}  valid={'yes' if up_ok else 'no'}")
+    return 0
+
+
+def _compute_pi(args: argparse.Namespace) -> int:
+    x = args.x
+    methods = [args.method] if args.method != "both" else ["combinatorial", "window_sieve"]
+    if args.method == "both" and x > WINDOW_SIEVE_MAX:
+        methods = ["combinatorial"]
+    values = {m: pi_exact(x, m) for m in methods}
+    if len(set(values.values())) > 1:
+        print(f"pi methods disagree at {x}: {values}", file=sys.stderr)
+        return 3
+    print(next(iter(values.values())))
+    return 0
+
+
+def _table_c3(args: argparse.Namespace) -> int:
+    records = mbound.c3_table(args.ns)
+    if args.format == "json":
         text = json.dumps(mbound.c3_json_rows(records), indent=2) + "\n"
     else:
         text = mbound.c3_csv(records)  # csv and table share the row layout
-    _emit(text, cfg.output_path)
+    _emit(text, args.out)
     return 0
 
 
-def _run_report_all(cfg: CampaignConfig) -> int:
-    strict = cfg.precision_mode == "strict"
+def _report_all(args: argparse.Namespace) -> int:
     reports = verify.suite_reports({t: DEFAULT_RANGES[t] for t in verify.MARGIN_TARGETS},
-                                   DEFAULT_RANGES["lemmas"], workers=cfg.workers,
-                                   precision_mode=cfg.precision_mode)
+                                   DEFAULT_RANGES["lemmas"], **_campaign_kwargs(args))
     reports["dusart"] = verify.verify_dusart(DEFAULT_DUSART_SAMPLES)
     c3 = mbound.c3_table(DEFAULT_C3_NS)
-    if cfg.output_format == "json" or cfg.output_path is not None:
+    if args.format == "json" or args.out is not None:
         text = verify.reports_json({**reports, "c3_table": mbound.c3_json_rows(c3)})
     else:
         text = "\n".join(verify.report_table(r) for r in reports.values())
         text += "\n" + mbound.c3_csv(c3)
-    _emit(text, cfg.output_path)
-    return max(_report_exit_code(r, strict) for r in reports.values())
+    _emit(text, args.out)
+    return max(_report_exit_code(r, args) for r in reports.values())
 
 
-def _need(value, flag: str):
-    if value is None:
-        raise DomainError(f"this command requires {flag}")
-    return value
-
-
-def run(config: CampaignConfig) -> int:
-    """Execute a parsed, validated config; see module docstring for exit codes."""
-    group = config.command.split()[0]
-    if group == "compute":
-        return _run_compute(config)
-    if group == "verify":
-        return _run_verify(config)
-    if group == "table":
-        return _run_table(config)
-    if group == "report":
-        return _run_report_all(config)
-    raise DomainError(f"unknown command {config.command!r}")
+def run(args: argparse.Namespace) -> int:
+    """Execute a parsed command; see module docstring for exit codes."""
+    return args.handler(args)
 
 
 def _int_list(text: str) -> list[int]:
@@ -208,61 +187,53 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, metavar="PATH")
 
     compute = sub.add_parser("compute", help="evaluate one quantity and print it")
-    compute.add_argument("what", choices=["f", "pi", "g", "m", "delta", "bounds"])
-    compute.add_argument("--n", type=int)
-    compute.add_argument("--x", type=int)
-    compute.add_argument("--method", choices=["window_sieve", "combinatorial", "both"],
-                         default="both")
+    quantities = compute.add_subparsers(dest="what", required=True)
+
+    def add_quantity(name: str, flag: str, handler) -> argparse.ArgumentParser:
+        q = quantities.add_parser(name)
+        q.add_argument(flag, type=int, required=True)
+        q.set_defaults(handler=handler)
+        return q
+
+    add_quantity("f", "--n", partial(_print_of_n, f_of))
+    add_quantity("pi", "--x", _compute_pi).add_argument(
+        "--method", choices=["window_sieve", "combinatorial", "both"], default="both")
+    add_quantity("g", "--n", partial(_print_of_n, g_of))
+    add_quantity("m", "--n", partial(_print_of_n, mbound.m_of))
+    add_quantity("delta", "--n", _compute_delta)
+    add_quantity("bounds", "--x", _compute_bounds)
 
     ver = sub.add_parser("verify", help="run a verification campaign")
     targets = ver.add_subparsers(dest="target", required=True)
     for target in ("c1", "c2", "theorem", "lemmas", "implication"):
+        margin = target != "lemmas"
         camp = targets.add_parser(target, help=f"{target} over a range of n")
         camp.add_argument("--from", dest="from_n", type=int, default=DEFAULT_RANGES[target][0])
         camp.add_argument("--to", dest="to_n", type=int, default=DEFAULT_RANGES[target][1])
-        camp.set_defaults(samples=None)
         add_run(camp)
         camp.add_argument("--checkpoint", default=None, metavar="PATH")
         camp.add_argument("--resume", action="store_true")
-        add_output(camp, ["csv", "json", "table"])
+        add_output(camp, ["csv", "json", "table"] if margin else ["json", "table"])
+        camp.set_defaults(handler=_verify_margin if margin else _verify_lemmas)
     dusart = targets.add_parser("dusart", help="the explicit pi(x) bounds at sample x")
-    dusart.add_argument("--samples", type=_int_list, default=None, help="comma-separated x values")
+    dusart.add_argument("--samples", type=_int_list, default=DEFAULT_DUSART_SAMPLES,
+                        help="comma-separated x values")
     dusart.add_argument("--precision", choices=["fast", "strict"], default="fast")
-    add_output(dusart, ["csv", "json", "table"])
-    # dusart runs no campaign; it accepts none of the campaign options
-    dusart.set_defaults(from_n=None, to_n=None, workers=1, checkpoint=None, resume=False)
+    add_output(dusart, ["json", "table"])
+    dusart.set_defaults(handler=_verify_dusart)
 
     table = sub.add_parser("table", help="emit the capacity ratio table")
     table.add_argument("what", choices=["c3"])
-    table.add_argument("--ns", type=_int_list, default=None, help="comma-separated n values")
+    table.add_argument("--ns", type=_int_list, default=DEFAULT_C3_NS, help="comma-separated n values")
     add_output(table, ["csv", "json", "table"])
+    table.set_defaults(handler=_table_c3)
 
     report = sub.add_parser("report", help="run the full default campaign suite")
     report.add_argument("what", choices=["all"])
     add_run(report)
     add_output(report, ["json", "table"])
+    report.set_defaults(handler=_report_all)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> CampaignConfig:
-    cfg = CampaignConfig(command=f"{args.group} {getattr(args, 'what', getattr(args, 'target', ''))}".strip())
-    if args.group == "compute":
-        cfg.n, cfg.x, cfg.method = args.n, args.x, args.method
-        return cfg
-    cfg.output_format, cfg.output_path = args.format, args.out
-    if args.group == "table":
-        cfg.ns = args.ns or []
-        return cfg
-    cfg.workers, cfg.precision_mode = args.workers, args.precision
-    if cfg.workers < 1:
-        raise DomainError("--workers must be >= 1")
-    if args.group == "verify":
-        cfg.from_n, cfg.to_n = args.from_n, args.to_n
-        cfg.checkpoint_path, cfg.resume = args.checkpoint, args.resume
-        if cfg.resume and cfg.checkpoint_path is None:
-            raise DomainError("--resume requires --checkpoint")
-        cfg.samples = args.samples or []
-    return cfg
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -272,8 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = _config_from_args(args)
-        return run(config)
+        return run(args)
     except (ValueError, OSError) as exc:  # input errors subclass ValueError
         print(f"primesq: error: {exc}", file=sys.stderr)
         return 2

@@ -46,7 +46,48 @@ def test_compute_m_and_bounds(capsys):
 
 def test_compute_missing_flag_is_usage_error(capsys):
     assert run_cli("compute", "f") == 2
-    assert "requires --n" in capsys.readouterr().err
+    assert "the following arguments are required: --n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "f", "--n", "4", "--x", "5"),
+    ("compute", "f", "--n", "4", "--method", "combinatorial"),
+    ("compute", "g", "--n", "10", "--x", "5"),
+    ("compute", "m", "--n", "650", "--method", "both"),
+    ("compute", "delta", "--n", "3", "--x", "5"),
+    ("compute", "bounds", "--x", "100", "--n", "5"),
+    ("compute", "bounds", "--x", "100", "--method", "both"),
+    ("compute", "pi", "--x", "100", "--n", "5"),
+])
+def test_compute_rejects_flags_its_quantity_ignores(argv, capsys):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"unrecognized arguments: {' '.join(argv[4:])}" in captured.err
+
+
+@pytest.mark.parametrize("n, want", [("9999999", "601174.568648\n"), ("1000000000", "47090672.721492\n")])
+def test_compute_delta_prints_correct_digits(n, want, capsys):
+    assert run_cli("compute", "delta", "--n", n) == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("n", [str(3 * 10**11), str(10**187)])
+def test_compute_delta_beyond_six_decimals_exits_2(n, capsys):
+    assert run_cli("compute", "delta", "--n", n) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("primesq: error: delta(") and captured.err.count("\n") == 1
+
+
+def test_compute_bounds_at_quad_precision(capsys):
+    assert run_cli("compute", "bounds", "--x", str(10**12)) == 0
+    out = capsys.readouterr().out
+    assert "L(1000000000000) = 37586336338.443184" in out
+    assert "U(1000000000000) = 37619992729.448120" in out
+    assert run_cli("compute", "bounds", "--x", str(10**400)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "exceed the double range" in captured.err
 
 
 def test_verify_below_domain_exits_2(capsys):
@@ -88,9 +129,9 @@ def test_campaign_at_far_n(tmp_path, capsys):
 
 def test_lemmas_and_dusart_reject_csv(capsys):
     assert run_cli("verify", "lemmas", "--from", "3", "--to", "10", "--format", "csv") == 2
-    assert "no CSV row schema for lemmas" in capsys.readouterr().err
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
     assert run_cli("verify", "dusart", "--format", "csv") == 2
-    assert "no CSV row schema for dusart" in capsys.readouterr().err
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
 def test_verify_lemmas_json(capsys):
@@ -163,6 +204,16 @@ def test_report_formats_build_no_row_tuples(monkeypatch, capsys, target, first):
 def test_resume_requires_checkpoint(capsys):
     assert run_cli("verify", "c2", "--from", "3", "--to", "10", "--resume") == 2
     assert "requires --checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [("verify", "c2", "--from", "3", "--to", "10", "--checkpoint", "ck"),
+                                  ("report", "all")])
+def test_zero_workers_exits_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv, "--workers", "0") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and "--workers" in captured.err
+    assert list(tmp_path.iterdir()) == []  # no checkpoint written
 
 
 def test_bad_usage_exits_2():
