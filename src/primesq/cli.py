@@ -27,13 +27,6 @@ DEFAULT_RANGES = {
 }
 DEFAULT_DUSART_SAMPLES = [32299, 355991, 10**6, 10**8]
 DEFAULT_C3_NS = [1000, 5000, 10000]
-# margin target -> the campaign that returns its report alone
-_MARGIN_REPORTS = {
-    "c1": partial(verify.verify_conjecture, "c1"),
-    "c2": partial(verify.verify_conjecture, "c2"),
-    "theorem": verify.verify_theorem,
-    "implication": verify.implication_check,
-}
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -65,12 +58,10 @@ def _campaign_kwargs(args: argparse.Namespace) -> dict:
 
 
 def _verify_margin(args: argparse.Namespace) -> int:
-    kwargs = _campaign_kwargs(args)
-    if args.format == "csv":  # only the CSV needs the rows
-        report, records = verify.run_margin_campaign(args.target, args.from_n, args.to_n, **kwargs)
-        text = verify.margin_rows_csv(records)
+    report, rows = verify.run_margin_campaign(args.target, args.from_n, args.to_n, **_campaign_kwargs(args))
+    if args.format == "csv":
+        text = verify.margin_rows_csv(rows)
     else:
-        report = _MARGIN_REPORTS[args.target](args.from_n, args.to_n, **kwargs)
         text = verify.report_json(report) if args.format == "json" else verify.report_table(report)
     _emit(text, args.out)
     return _report_exit_code(report, args)

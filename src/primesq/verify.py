@@ -10,8 +10,8 @@ pure functions of n into a column block: one array per row field. So any
 worker count and any resume point give bit-identical results, and one pass
 over a range serves every report drawn from it: suite_reports folds the
 margin reports and builds the lemma rows of `report all` from one margin
-pass. Reports fold the columns in n-order, never in completion order; row
-tuples are built only for callers that ask for rows.
+pass. Reports fold the columns in n-order, never in completion order, and
+the margin CSV formats them whole; no row is ever a tuple of its own.
 
 A run that computed any chunk checks its final sum against the combinatorial
 pi((to+1)^2), so campaigns need (to+1)^2 <= COMBINATORIAL_MAX. The last chunk
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -76,7 +77,7 @@ class MarginRecord(NamedTuple):
     """Per-n audit row; margins are rhs-f (c1), f-lhs (c2), f-t_floor (thm).
 
     Campaigns hold rows as a column block, a MarginRecord of equal-length
-    arrays, and build row tuples only for callers that ask for rows. A
+    arrays, from which reports are folded and the CSV is formatted. A
     checkpoint stores only f and pi_n2; the other fields are rebuilt from
     them on resume.
     """
@@ -159,11 +160,6 @@ def _lemma_rows(ns: np.ndarray, fs: np.ndarray, pis: np.ndarray, strict: bool) -
                        m1, cls1, m2, cls2)
 
 
-def _records(block: tuple) -> list[tuple]:
-    """The row tuples of a column block."""
-    return list(map(type(block), *(col.tolist() for col in block)))
-
-
 def _counts_job(chunk: tuple[int, int]) -> np.ndarray:
     """Worker job: the chunk's window counts f(n), nothing else."""
     return _window_counts(*chunk)
@@ -181,8 +177,19 @@ def _chunks(from_n: int, to_n: int) -> list[tuple[int, int]]:
 # --- checkpoint file: one JSON line per chunk, in order; torn tails discarded -
 
 
+def _mode_for(path: str) -> int:
+    """The mode open(path, "w") leaves: the file's own, or 0o666 less the umask for a new one."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def write_atomic(path: str, text: str) -> None:
-    """Replace the file at path with text, via a temp file in the same directory."""
+    """Replace the file at path with text, via a temp file in the same directory
+    that takes the mode writing the file in place would leave."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".primesq-")
@@ -191,6 +198,7 @@ def write_atomic(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+            os.fchmod(fh.fileno(), _mode_for(path))  # mkstemp creates it 0o600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -246,8 +254,8 @@ def _load_checkpoint(path: str, header: dict, chunks: list[tuple[int, int]]) -> 
             raise DomainError(f"checkpoint {path} has a record that is not a JSON object")
         if rec.get("chunk_start") != start:
             break
-        if type(rec.get("pi_at_start")) is not int:
-            raise DomainError(f"checkpoint {path}: chunk {start} has no integer pi_at_start")
+        if _int_column([rec.get("pi_at_start")], 1) is None:
+            raise DomainError(f"checkpoint {path}: chunk {start} has no pi_at_start that int64 holds")
         for key in ("f", "pi_n2"):
             rec[key] = _int_column(rec.get(key), end - start + 1)
             if rec[key] is None:
@@ -407,9 +415,9 @@ def _strict_flag(precision_mode: str) -> bool:
     return precision_mode == "strict"
 
 
-def _margin_campaign(target: str, from_n: int, to_n: int, *, workers: int = 1,
-                     precision_mode: str = "fast", checkpoint_path: str | None = None,
-                     resume: bool = False) -> tuple[ConjectureReport, MarginRecord]:
+def run_margin_campaign(target: str, from_n: int, to_n: int, *, workers: int = 1,
+                        precision_mode: str = "fast", checkpoint_path: str | None = None,
+                        resume: bool = False) -> tuple[ConjectureReport, MarginRecord]:
     """The target's report over [from_n, to_n] and the column block of its rows."""
     if target not in MARGIN_TARGETS:
         raise ValueError(f"unknown target {target!r}")
@@ -423,24 +431,16 @@ def _margin_campaign(target: str, from_n: int, to_n: int, *, workers: int = 1,
     return fold_margin_report(target, from_n, to_n, rows, strict), rows
 
 
-def run_margin_campaign(target: str, from_n: int, to_n: int,
-                        **kwargs) -> tuple[ConjectureReport, list[MarginRecord]]:
-    """The target's report over [from_n, to_n] and its rows, one MarginRecord
-    per n; kwargs are workers, precision_mode, checkpoint_path and resume."""
-    report, rows = _margin_campaign(target, from_n, to_n, **kwargs)
-    return report, _records(rows)
-
-
 def verify_conjecture(which: str, from_n: int, to_n: int, **kwargs) -> ConjectureReport:
     """Check one of the two strict inequalities over n = from..to."""
     if which not in ("c1", "c2"):
         raise ValueError("which must be 'c1' or 'c2'")
-    return _margin_campaign(which, from_n, to_n, **kwargs)[0]
+    return run_margin_campaign(which, from_n, to_n, **kwargs)[0]
 
 
 def verify_theorem(from_n: int, to_n: int, **kwargs) -> ConjectureReport:
     """Check t_floor(n) <= f(n); the note carries the floor sign transition."""
-    return _margin_campaign("theorem", from_n, to_n, **kwargs)[0]
+    return run_margin_campaign("theorem", from_n, to_n, **kwargs)[0]
 
 
 def implication_check(from_n: int, to_n: int, **kwargs) -> ConjectureReport:
@@ -449,7 +449,7 @@ def implication_check(from_n: int, to_n: int, **kwargs) -> ConjectureReport:
     Any violation here signals a precision bug, not a mathematical finding:
     floor(x) <= F follows from x < F + 1 whenever F is an integer.
     """
-    return _margin_campaign("implication", from_n, to_n, **kwargs)[0]
+    return run_margin_campaign("implication", from_n, to_n, **kwargs)[0]
 
 
 def _lemma_reports(from_n: int, to_n: int, rows: LemmaRecord,
@@ -487,7 +487,7 @@ def suite_reports(margin_ranges: dict[str, tuple[int, int]], lemma_range: tuple[
     equals the one its own campaign gives."""
     spans = [*margin_ranges.values(), lemma_range]
     lo, hi = min(a for a, _ in spans), max(b for _, b in spans)
-    rows = _margin_campaign("c2", lo, hi, workers=workers, precision_mode=precision_mode)[1]
+    rows = run_margin_campaign("c2", lo, hi, workers=workers, precision_mode=precision_mode)[1]
     strict = precision_mode == "strict"
     reports = {t: fold_margin_report(t, a, b, rows, strict) for t, (a, b) in margin_ranges.items()}
     a, b = lemma_range
@@ -522,15 +522,13 @@ def verify_dusart(samples: list[int]) -> ConjectureReport:
 # --- emission -----------------------------------------------------------------
 
 
-def margin_rows_csv(records: list[MarginRecord]) -> str:
-    lines = [MARGIN_CSV_COLUMNS]
-    for r in records:
-        lines.append(
-            f"{r.n},{r.f},{r.pi_n2},{r.delta:.6f},{r.c1_rhs:.6f},{r.c2_lhs:.6f},"
-            f"{r.t_floor},{r.margin_c1:.6f},{r.margin_c2:.6f},{r.margin_thm},"
-            f"{1 if r.boundary_flag else 0}"
-        )
-    return "\n".join(lines) + "\n"
+def margin_rows_csv(rows: MarginRecord) -> str:
+    """The margin CSV of a column block: each column formatted whole, reals to
+    6 decimals and integers as they are, then zipped into lines."""
+    real = "{:.6f}".format
+    fields = (getattr(rows, name) for name in MARGIN_CSV_COLUMNS.split(","))
+    cols = (map(real if col.dtype.kind == "f" else str, col.tolist()) for col in fields)
+    return "\n".join([MARGIN_CSV_COLUMNS, *map(",".join, zip(*cols))]) + "\n"
 
 
 def report_json(report: ConjectureReport) -> str:

@@ -3,8 +3,9 @@ one bool per integer, an open-interval prime count, backward and forward
 compensated sums of mbound's gaps with a linear-scan M(n) on the backward
 ones, scalar Miller-Rabin, the reference for the vectorised kernel, campaign
 rows built one n at a time from the scalar analytic functions, the reference
-for the chunk row builders, and reports folded one row at a time, the
-reference for the column folds."""
+for the chunk row builders, reports folded one row at a time, the reference
+for the column folds, and the margin CSV formatted one row tuple at a time,
+the reference for the column formatter."""
 
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from primesq.verify import (
     CLS_BOUNDARY,
     CLS_PASS,
     CLS_VIOLATION,
+    MARGIN_CSV_COLUMNS,
     ConjectureReport,
     LemmaRecord,
     MarginRecord,
@@ -293,3 +295,20 @@ def margin_report(target: str, from_n: int, to_n: int, rows: list[MarginRecord],
         last = max((r.n for r in rows if r.t_floor < 0), default="none")
         note += f";last_negative_t_floor={last}"
     return fold_items(target, from_n, to_n, map(MARGIN_ITEM[target], rows), note)
+
+
+def records(block: tuple) -> list[tuple]:
+    """The row tuples of a column block, each field a Python scalar."""
+    return list(map(type(block), *(col.tolist() for col in block)))
+
+
+def margin_csv(rows: list[MarginRecord]) -> str:
+    """The margin CSV of row tuples, one line at a time."""
+    lines = [MARGIN_CSV_COLUMNS]
+    for r in rows:
+        lines.append(
+            f"{r.n},{r.f},{r.pi_n2},{r.delta:.6f},{r.c1_rhs:.6f},{r.c2_lhs:.6f},"
+            f"{r.t_floor},{r.margin_c1:.6f},{r.margin_c2:.6f},{r.margin_thm},"
+            f"{1 if r.boundary_flag else 0}"
+        )
+    return "\n".join(lines) + "\n"

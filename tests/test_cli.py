@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import pytest
 
@@ -184,21 +186,39 @@ def test_cli_checkpoint_resume(tmp_path):
 
 
 @pytest.mark.parametrize("target, first", [("c1", "5"), ("c2", "3"), ("theorem", "3"), ("implication", "3")])
-def test_report_formats_build_no_row_tuples(monkeypatch, capsys, target, first):
-    argv = ["verify", target, "--from", first, "--to", "1100"]
-    outs = {}
-    for fmt in ("json", "table"):
-        assert run_cli(*argv, "--format", fmt) == 0
-        outs[fmt] = capsys.readouterr().out
+def test_margin_commands_run_one_campaign(monkeypatch, capsys, target, first):
+    calls, real_run = [], verify._run_chunked
 
-    def boom(block):
-        raise AssertionError("row tuples built for a report")
+    def counted_run(command, from_n, to_n, **kwargs):
+        calls.append((command, from_n, to_n))
+        return real_run(command, from_n, to_n, **kwargs)
 
-    monkeypatch.setattr(verify, "_records", boom)
-    for fmt, want in outs.items():
-        assert run_cli(*argv, "--format", fmt) == 0
-        assert capsys.readouterr().out == want
-    assert run_cli(*argv, "--format", "csv") == 3  # the CSV still asks for rows
+    monkeypatch.setattr(verify, "_run_chunked", counted_run)
+    for fmt in ("csv", "json", "table"):
+        calls.clear()
+        assert run_cli("verify", target, "--from", first, "--to", "1100", "--format", fmt) == 0
+        assert calls == [(f"verify {target}", int(first), 1100)]
+
+
+def test_written_files_get_the_mode_open_gives(tmp_path, capsys):
+    ck, out = tmp_path / "ck.txt", tmp_path / "out.csv"
+    argv = ["verify", "c2", "--from", "3", "--to", "10", "--checkpoint", str(ck), "--format", "csv",
+            "--out", str(out)]
+    old = os.umask(0o022)
+    try:
+        assert run_cli(*argv) == 0
+        assert [stat.S_IMODE(p.stat().st_mode) for p in (ck, out)] == [0o644, 0o644]
+        for p in (ck, out):
+            p.chmod(0o640)
+        assert run_cli(*argv) == 0  # rewrites both
+        assert [stat.S_IMODE(p.stat().st_mode) for p in (ck, out)] == [0o640, 0o640]
+        os.umask(0o027)
+        ck.unlink()
+        out.unlink()
+        assert run_cli(*argv) == 0
+        assert [stat.S_IMODE(p.stat().st_mode) for p in (ck, out)] == [0o640, 0o640]
+    finally:
+        os.umask(old)
 
 
 def test_resume_requires_checkpoint(capsys):

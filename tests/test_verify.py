@@ -26,7 +26,7 @@ from primesq.verify import (
     verify_theorem,
 )
 
-from oracles import count_primes_open, fold_items, lemma_row, margin_report, margin_row
+from oracles import count_primes_open, fold_items, lemma_row, margin_csv, margin_report, margin_row, records
 
 
 def trial_f(n: int) -> int:
@@ -96,30 +96,30 @@ def test_dusart_skip_and_margin():
 
 
 def test_margin_record_fields_consistent():
-    report, records = run_margin_campaign("c2", 3, 80)
-    assert report.checked == len(records) == 78
-    for rec in records:
+    report, rows = run_margin_campaign("c2", 3, 80)
+    assert report.checked == rows.n.size == 78
+    for rec in records(rows):
         assert rec.margin_c1 == pytest.approx(rec.c1_rhs - rec.f, abs=1e-12)
         assert rec.margin_c2 == pytest.approx(rec.f - rec.c2_lhs, abs=1e-12)
         assert rec.margin_thm == rec.f - rec.t_floor
 
 
 def test_rows_audit_against_independent_count():
-    _, records = run_margin_campaign("theorem", 3, 400)
+    rows = records(run_margin_campaign("theorem", 3, 400)[1])
     rng = random.Random(99)
-    for rec in rng.sample(records, max(1, len(records) // 100)):
+    for rec in rng.sample(rows, max(1, len(rows) // 100)):
         assert rec.f == count_primes_open(rec.n**2, (rec.n + 1) ** 2)
 
 
 def test_csv_schema():
-    _, records = run_margin_campaign("c2", 3, 10)
-    text = margin_rows_csv(records)
+    _, rows = run_margin_campaign("c2", 3, 10)
+    text = margin_rows_csv(rows)
     lines = text.splitlines()
     assert lines[0] == MARGIN_CSV_COLUMNS
-    assert len(lines) == 1 + len(records)
+    assert len(lines) == 1 + rows.n.size
     first = lines[1].split(",")
     assert first[0] == "3" and first[1] == "2"
-    assert first[3] == f"{records[0].delta:.6f}"
+    assert first[3] == f"{rows.delta[0]:.6f}"
     assert first[10] in ("0", "1")
 
 
@@ -372,7 +372,7 @@ def _bits(rows) -> list[tuple]:
     """Rows, or the rows of a column block, with every float as its hex digits and
     every other field tagged with its type."""
     if isinstance(rows, tuple):  # a column block: a row type holding one array per field
-        rows = v._records(rows)
+        rows = records(rows)
     return [tuple(x.hex() if type(x) is float else (type(x).__name__, x) for x in row) for row in rows]
 
 
@@ -640,6 +640,7 @@ def _set(key: str, i: int, value):
     pytest.param(1, _set("pi_n2", 0, 2**63), id="pi_n2-beyond-int64"),
     pytest.param(1, _edited_record(lambda rec: rec.pop("pi_n2")), id="record-without-pi_n2"),
     pytest.param(1, _edited_record(lambda rec: rec.pop("pi_at_start")), id="record-without-pi_at_start"),
+    pytest.param(2, _edited_record(lambda rec: rec.update(pi_at_start=2**64)), id="pi_at_start-beyond-int64"),
 ])
 def test_malformed_checkpoint_exits_2(tmp_path, capsys, at, malform):
     from primesq import cli
@@ -710,22 +711,25 @@ def test_fold_matches_row_fold(margins, cls, want):
 
 
 def _random_margin_block(rng, size: int, pass_share: float) -> v.MarginRecord:
-    """A column block of margin rows with random classes, margins drawn with ties and
-    both signed zeros, and floors on both sides of f and of 0."""
+    """A column block of margin rows with random classes and boundary flags, reals
+    from 1e-9 to 1e9 of either sign, margins drawn with ties and both signed zeros,
+    and floors on both sides of f and of 0."""
     ns = np.arange(3, 3 + size, dtype=np.int64)
     fs = rng.integers(0, 40, size)
     tf = fs + rng.integers(-4, 3, size)
     tf[rng.random(size) < 0.3] -= 50
-    zeros = np.zeros(size)
     pick = [-2.5, -0.0, 0.0, 0.0, 0.75, 0.75, 4.0]
 
     def classes():
         return np.where(rng.random(size) < pass_share, v.CLS_PASS,
                         rng.choice([v.CLS_VIOLATION, v.CLS_BOUNDARY], size))
 
-    return v.MarginRecord(ns, fs, zeros.astype(np.int64), zeros, zeros, zeros, tf,
+    def reals():
+        return rng.uniform(-1.0, 1.0, size) * 10.0 ** rng.integers(-9, 10, size)
+
+    return v.MarginRecord(ns, fs, np.cumsum(fs) - fs, reals(), reals(), reals(), tf,
                           rng.choice(pick, size), rng.choice(pick, size), fs - tf,
-                          zeros.astype(np.int64), classes(), classes(), classes())
+                          rng.integers(0, 2, size), classes(), classes(), classes())
 
 
 @pytest.mark.parametrize("strict", [False, True], ids=["fast", "strict"])
@@ -733,13 +737,31 @@ def test_margin_folds_match_row_folds(strict):
     rng = np.random.default_rng(12)
     for size, pass_share in ((400, 0.9), (400, 0.5), (60, 0.0), (1, 1.0)):
         block = _random_margin_block(rng, size, pass_share)
-        rows = v._records(block)
+        rows = records(block)
         last = 2 + size
         for target in v.MARGIN_TARGETS:
             for a, b in ((3, last), (3 + size // 3, last - size // 4), (last, last)):
                 note = v._campaign_note(a, b, strict)
                 got = v.fold_margin_report(target, a, b, block, strict)
                 assert repr(got) == repr(margin_report(target, a, b, rows, note))
+
+
+def test_margin_csv_matches_row_csv():
+    rng = np.random.default_rng(7)
+    for size, pass_share in ((400, 0.5), (1, 1.0), (0, 1.0)):
+        block = _random_margin_block(rng, size, pass_share)
+        assert margin_rows_csv(block) == margin_csv(records(block))
+
+
+def test_far_campaign_csv_matches_row_csv(tmp_path, capsys):
+    from primesq import cli
+
+    want = margin_csv(records(run_margin_campaign("c2", 100355, 101378)[1]))
+    ck = tmp_path / "ck.txt"
+    argv = ["verify", "c2", "--from", "100355", "--to", "101378", "--format", "csv", "--checkpoint", str(ck)]
+    for extra in (["--workers", "1"], ["--workers", "2"], ["--resume"]):  # the last resumes a complete one
+        assert cli.main(argv + extra) == 0
+        assert capsys.readouterr().out == want
 
 
 def test_lemma_folds_match_row_folds():
@@ -751,7 +773,7 @@ def test_lemma_folds_match_row_folds():
     zeros = np.zeros(size)
     block = v.LemmaRecord(ns, ns, zeros, zeros, zeros, zeros, m1, cls1, m2, cls2)
     rep1, rep2 = v._lemma_reports(3, 2 + size, block, False)
-    rows = v._records(block)
+    rows = records(block)
     note = v._campaign_note(3, 2 + size, False)
     below = sum(1 for r in rows if r.n < v.LEMMA2_MIN_N and r.cls_l2 != v.CLS_PASS)
     want1 = fold_items("lemma1", 3, 2 + size, ((r.n, r.margin_l1, r.cls_l1) for r in rows),
