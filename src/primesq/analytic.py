@@ -27,8 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from mpmath import mp
-import numpy as np  # after mpmath: numpy first leaves a ~0.5 MB higher peak RSS in g_of and f_of
+import numpy as np
 
 from .errors import DomainError
 
@@ -121,6 +120,8 @@ def _evaluate(formula, precision: str, *args, log=_log) -> RealEval:
     if precision == "double":
         val, scale = formula(log, *args)
         return RealEval(val, _ERR_DOUBLE * scale, "double")
+    from mpmath import mp  # only the 96/160-bit paths need it
+
     with mp.workprec(PRECISION_BITS[precision]):
         val, scale = formula(mp.log, *args)
         v = float(val)

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from mpmath import mp, mpf
 
 from .analytic import (
     _U,
@@ -31,6 +31,9 @@ from .analytic import (
     theorem_floor,
 )
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    from mpmath import mpf
 
 START_K = 597  # least k certifying both L(k^2) and U((k+1)^2)
 
@@ -107,6 +110,8 @@ def _tail(m: int, n: int) -> tuple[float, float]:
 
 def _tail_quad(m: int, n: int) -> mpf:
     """Tail capacity at quad precision, for deciding near-tie comparisons."""
+    from mpmath import mp, mpf  # only near-ties need it
+
     with mp.workprec(PRECISION_BITS["quad"]):
         total = mpf(0)
         for k in range(m, n + 1):

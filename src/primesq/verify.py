@@ -28,7 +28,6 @@ import json
 import os
 import stat
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -336,6 +335,8 @@ def _run_chunked(command: str, from_n: int, to_n: int, *, workers: int, strict: 
         append = _checkpoint_writer(checkpoint_path, header, done)
         seeds = (todo[0][0] ** 2, (to_n + 1) ** 2)
         parallel = workers > 1
+        if parallel:  # a one-worker campaign never loads the pool machinery
+            from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(workers, len(todo) + 2)) if parallel else nullcontext() as pool:
             try:
                 if parallel:

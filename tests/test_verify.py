@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import json
 import math
@@ -476,7 +477,7 @@ def test_campaign_pool_capped_at_chunks_left(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(v, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)  # what _run_chunked imports
     monkeypatch.setattr(v, "CHUNK_SIZE", 4)
     report, _ = run_margin_campaign("c2", 3, 22, workers=64)  # five chunks and two seeds
     assert sizes == [7]
