@@ -16,7 +16,6 @@ exact below 2^47 > F_WINDOW_MAX.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from collections.abc import Iterator
@@ -170,7 +169,9 @@ def pi_exact_many(xs: list[int]) -> list[int]:
 # lo mod w, one gather per wheel w, no division per candidate. Then, in
 # rounds, each unresolved row tests its next survivors until it finds a prime
 # or runs out; a row with none gets the next G_SPAN candidates of its window
-# in a later pass, until the window ends.
+# in a later pass, until the window ends. Each survivor takes only the bases
+# its own size needs (k once it passes k bases below psi_k), and only the
+# survivors still undecided take the squarings after a^d.
 
 G_BLOCK = 8192  # windows per block
 G_SPAN = 64  # candidates per window per pass
@@ -203,15 +204,21 @@ def _mulmod(a: np.ndarray, b, m: np.ndarray, inv: np.ndarray) -> np.ndarray:
     |a*b - q*m| <= 0.55 m. Both int64 products wrap, but their difference is
     that residue, which int64 holds exactly.
     """
-    q = np.rint(a.astype(np.float64) * b * inv).astype(np.int64)
-    return a * b - q * m
+    q = a.astype(np.float64)
+    q *= b
+    q *= inv
+    r = a * b
+    r -= np.rint(q, out=q).astype(np.int64) * m
+    return r
 
 
 def _strong_probable_prime(x: np.ndarray, a: int) -> np.ndarray:
     """Whether each odd x, a < x < 2^47, is a strong probable prime to base a.
 
     a^d mod x by left-to-right exponentiation: _POW_BITS squarings, then one
-    multiplication by a^digit for the next _POW_BITS bits of d.
+    multiplication by a^digit for the next _POW_BITS bits of d. x passes if
+    a^d = 1 or some a^(d * 2^r), r < s, is -1 mod x; each further squaring
+    takes only the x still undecided whose own s allows it.
     """
     inv = 1.0 / x.astype(np.float64)
     d = x - 1
@@ -225,26 +232,36 @@ def _strong_probable_prime(x: np.ndarray, a: int) -> np.ndarray:
         y = _mulmod(y, powers[(d >> shift) & ((1 << _POW_BITS) - 1)], x, inv)
     y %= x
     ok = (y == 1) | (y == x - 1)
-    for r in range(1, int(s.max())):
-        y = _mulmod(y, y, x, inv) % x
-        ok |= (y == x - 1) & (r < s)
+    live = np.flatnonzero(~ok & (s > 1))  # y is not +-1 and x - 1 allows a square
+    y, r = y[live], 0
+    while live.size:
+        r += 1
+        xl = x[live]
+        y = _mulmod(y, y, xl, inv[live]) % xl  # a^(d * 2^r) mod x
+        hit = y == xl - 1
+        ok[live[hit]] = True
+        keep = ~hit & (s[live] > r + 1)
+        live, y = live[keep], y[keep]
     return ok
 
 
 def _is_prime_many(x: np.ndarray) -> np.ndarray:
     """Whether each int64 x, 0 <= x < 2^47, is prime.
 
-    Odd x above the bases take a strong probable-prime test to the first k
-    bases, the fewest whose psi_k exceeds the largest of them.
+    Odd x above the bases take strong probable-prime tests to the bases in
+    turn. An x that passes the first k is prime if it lies below psi_k, so
+    base k + 1 tests only the x >= psi_k that passed the first k.
     """
     small = x <= MILLER_RABIN_BASES[-1]
     prime = small & np.isin(x, MILLER_RABIN_BASES)
     test = np.flatnonzero(~small & ((x & 1) == 1))
-    top = int(x[test].max()) if test.size else 0
-    for a in MILLER_RABIN_BASES[:bisect.bisect_right(MILLER_RABIN_PSI, top) + 1]:
-        if test.size:
-            test = test[_strong_probable_prime(x[test], a)]
-    prime[test] = True
+    for a, psi in zip(MILLER_RABIN_BASES, MILLER_RABIN_PSI):
+        if not test.size:
+            break
+        test = test[_strong_probable_prime(x[test], a)]
+        below = x[test] < psi
+        prime[test[below]] = True
+        test = test[~below]
     return prime
 
 

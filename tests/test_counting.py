@@ -5,10 +5,12 @@ import random
 import numpy as np
 import pytest
 
+from primesq import counting
 from primesq.counting import (
     COMBINATORIAL_MAX,
     F_WINDOW_MAX,
     G_BLOCK,
+    MILLER_RABIN_BASES,
     WINDOW_SIEVE_MAX,
     FRecord,
     _first_primes,
@@ -16,6 +18,7 @@ from primesq.counting import (
     _is_prime_many,
     _mulmod,
     _pi_combinatorial,
+    _strong_probable_prime,
     _window_counts,
     f_of,
     g_of,
@@ -232,12 +235,82 @@ def test_kernel_matches_miller_rabin_below_2e5():
 
 def test_kernel_rejects_pseudoprimes():
     # psi_1..psi_6, the least strong pseudoprimes to the first k bases, and Carmichael numbers;
-    # alone, psi_k is the largest x of its batch, which must then take k + 1 bases
+    # psi_k passes its first k bases, so it must take k + 1 bases in any batch
     psi = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383]
     carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185, 9746347772161]
     for x in psi + carmichael:
         assert not _is_prime_many(np.array([x], dtype=np.int64))[0], x
     _kernel_agrees(psi + carmichael)
+
+
+def test_kernel_bases_per_candidate_in_one_shuffled_batch():
+    psi = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383]
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185, 9746347772161]
+    xs = [p for p in range(38) if miller_rabin(p)] + psi + carmichael
+    for v in psi + [10**14]:
+        xs += _primes_near(v, 2)
+    random.Random(19).shuffle(xs)
+    _kernel_agrees(xs)
+
+
+def test_later_bases_test_only_the_candidates_that_need_them(monkeypatch):
+    calls = []
+
+    def spy(x, a):
+        calls.append((a, x.tolist()))
+        return _strong_probable_prime(x, a)
+
+    big = _primes_near(10**13, 1)[1]
+    xs = [p for p in range(41, 2047) if miller_rabin(p)] + [big]
+    monkeypatch.setattr(counting, "_strong_probable_prime", spy)
+    assert _is_prime_many(np.array(xs, dtype=np.int64)).all()
+    assert calls[0] == (2, xs)
+    assert calls[1:] == [(a, [big]) for a in (3, 5, 7, 11, 13, 17)]  # psi_6 < 10^13 < psi_7
+
+
+def _sprp(x, a):
+    """Strong probable-prime test of odd x > a to base a, in Python integers."""
+    s = ((x - 1) & (1 - x)).bit_length() - 1
+    y = pow(a, (x - 1) >> s, x)
+    return y == 1 or any(pow(y, 1 << r, x) == x - 1 for r in range(s))
+
+
+# primes with large s (2^s exactly divides x - 1), and strong pseudoprimes to base 2 with s = 6..9
+LARGE_S_PRIMES = [65537, 786433, 167772161, 469762049, 2013265921]
+LARGE_S_PSEUDOPRIMES = [4033, 8321, 65281, 130561, 357761, 1357441]
+
+
+def test_kernel_tail_on_large_s_and_3_mod_4():
+    rng = random.Random(4)
+    three_mod_4 = [rng.randrange(10**5, 10**10) // 4 * 4 + 3 for _ in range(300)]
+    xs = LARGE_S_PRIMES + LARGE_S_PSEUDOPRIMES + three_mod_4 + [p for p in range(10**6 + 3, 10**6 + 800, 4)]
+    rng.shuffle(xs)
+    assert all(_sprp(x, 2) for x in LARGE_S_PSEUDOPRIMES)
+    _kernel_agrees(xs)
+    x = np.array(xs, dtype=np.int64)
+    for a in MILLER_RABIN_BASES[:7]:
+        assert _strong_probable_prime(x, a).tolist() == [_sprp(v, a) for v in xs], a
+
+
+def test_tail_squares_only_the_undecided(monkeypatch):
+    moduli = []
+
+    def spy(a, b, m, inv):
+        moduli.append(m.tolist())
+        return _mulmod(a, b, m, inv)
+
+    monkeypatch.setattr(counting, "_mulmod", spy)
+    three_mod_4 = list(range(10**6 + 3, 10**6 + 400, 4))  # s = 1: no squaring after a^d
+    _strong_probable_prime(np.array(three_mod_4, dtype=np.int64), 3)
+    assert moduli and all(m == three_mod_4 for m in moduli)
+    moduli.clear()
+    # 3 is a primitive root mod 65537 = 2^16 + 1, so 3^(2^r) first reaches -1 at r = 15;
+    # 1000005 = 5 * 200001 has s = 2 and is still undecided after 3^d, so it takes one squaring;
+    # 13 has s = 2 too, but 3^3 = 1 mod 13 decides it before any squaring
+    batch = three_mod_4 + [13, 1000005, 65537]
+    assert _strong_probable_prime(np.array(batch, dtype=np.int64), 3)[-3:].tolist() == [True, False, True]
+    assert moduli[-15:] == [[1000005, 65537]] + [[65537]] * 14
+    assert all(m == batch for m in moduli[:-15])
 
 
 def test_kernel_on_squares_and_products_of_close_primes():

@@ -460,7 +460,8 @@ def test_campaign_pool_capped_at_chunks_left(monkeypatch):
     sizes = []
 
     class InProcessPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
+            assert initializer is v._pin_malloc
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -482,6 +483,40 @@ def test_campaign_pool_capped_at_chunks_left(monkeypatch):
     report, _ = run_margin_campaign("c2", 3, 22, workers=64)  # five chunks and two seeds
     assert sizes == [7]
     assert report.checked == 20 and report.violations == []
+
+
+def test_pin_malloc_serves_large_temporaries_from_the_heap():
+    import ctypes
+    import subprocess
+    import sys
+    import textwrap
+
+    import primesq
+
+    try:
+        ctypes.CDLL("libc.so.6").mallinfo2
+    except (OSError, AttributeError):
+        pytest.skip("needs glibc 2.33 or later")
+    # in a child process, so the test run's own malloc state is left alone
+    code = textwrap.dedent("""
+        import ctypes, numpy as np
+        from primesq.verify import _pin_malloc
+        class Info(ctypes.Structure):
+            _fields_ = [(name, ctypes.c_size_t) for name in ("arena", "ordblks", "smblks", "hblks", "hblkhd",
+                        "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+        libc = ctypes.CDLL("libc.so.6")
+        libc.mallinfo2.restype = Info
+        def mapped_while_alive(size):
+            a = np.ones(size // 8)
+            return libc.mallinfo2().hblkhd - base
+        base = libc.mallinfo2().hblkhd
+        print(mapped_while_alive(16 << 20) >= 16 << 20)  # above the default threshold: mapped
+        _pin_malloc()
+        print(mapped_while_alive(24 << 20) < 1 << 20)  # above the risen threshold, below 32 MiB: the heap
+    """)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(primesq.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.stdout.split() == ["True", "True"], done.stderr
 
 
 def test_dusart_bound_within_error_is_boundary(monkeypatch):
