@@ -18,8 +18,8 @@ margin_sides gives a campaign's n delta, c1_rhs, c2_lhs and theorem_floor
 from one evaluation each of delta and r.
 
 The one place rounding can flip a verdict is the floor of a near-integer
-argument, so theorem_floor evaluates its argument at 53, then 96, then 160
-bits, and flags arguments that stay within 1e-30 of an integer at 160 bits.
+argument, so theorem_floor evaluates at 160 bits each argument the double
+tier leaves undecided, and flags those within 1e-30 of an integer there.
 """
 
 from __future__ import annotations
@@ -40,9 +40,7 @@ _U = {name: 2.0 ** (-bits) for name, bits in PRECISION_BITS.items()}
 _ERR_C = 8.0
 _ERR_DOUBLE = _ERR_C * _U["double"]  # a power of two, so scaling by it is exact
 
-# floor escalation policy: double -> extended below 1e-9 (or within the
-# tracked error), extended -> quad when extended cannot certify clearance,
-# boundary when quad still sees the argument within 1e-30 of an integer.
+# floors: the double tier decides from 1e-9 off an integer, 160 bits flag within 1e-30
 ESCALATE_DIST = 1e-9
 BOUNDARY_DIST = 1e-30
 
@@ -81,8 +79,8 @@ SQUARE_N_MAX = math.isqrt(2**63 - 1) - 1
 
 
 def _check_squares(n, name: str) -> None:
-    """Over an int64 array, DomainError where (n+1)^2 would wrap; Python ints never do."""
-    if isinstance(n, np.ndarray) and n.max() > SQUARE_N_MAX:
+    """Over an int64 array or element, DomainError where (n+1)^2 would wrap; Python ints never do."""
+    if isinstance(n, (np.ndarray, np.integer)) and np.max(n) > SQUARE_N_MAX:
         raise DomainError(f"{name} over an int64 array needs every element <= {SQUARE_N_MAX}")
 
 
@@ -257,35 +255,34 @@ def dusart_upper(x: float, precision: str = "double") -> tuple[RealEval, bool]:
 
 
 def theorem_floor(n: int) -> tuple[int, bool]:
-    """floor(delta(n) - r(n)) plus a flag for quad-resistant near-integers.
-
-    Over an array of n, arrays of both: the double tier runs on the whole
-    array, and only the n it leaves undecided climb the ladder one by one.
-    """
+    """floor(delta(n) - r(n)) plus a flag for quad-resistant near-integers; over an
+    array of n, arrays of both. The double tier decides each argument at least
+    max(ESCALATE_DIST, 4x its error) from its nearest integer k; each other n
+    takes one 160-bit evaluation of the argument less k."""
     _check(n, 3, "theorem_floor")
     if isinstance(n, np.ndarray):
         return _floors(n, _evaluate(_floor_offset, "double", n, 0, log=_memo_log()))
-    near = 0
-    # each tier: its precision and the least distance to an integer it accepts
-    for precision, clear in (("double", ESCALATE_DIST), ("extended", BOUNDARY_DIST), ("quad", BOUNDARY_DIST)):
-        ev = _evaluate(_floor_offset, precision, n, near)
-        fl = near + math.floor(ev.value)
-        step = round(ev.value)
-        dist = abs(ev.value - step)
-        if dist >= max(clear, 4.0 * ev.abs_err):
-            return fl, False
-        near += step
-    return fl, dist < BOUNDARY_DIST
+    ev = _evaluate(_floor_offset, "double", n, 0)
+    k = round(ev.value)
+    if abs(ev.value - k) < max(ESCALATE_DIST, 4.0 * ev.abs_err):
+        return _quad_floor(n, k)
+    return math.floor(ev.value), False
+
+
+def _quad_floor(n: int, k: int) -> tuple[int, bool]:
+    """theorem_floor(n) from one 160-bit evaluation of the argument less k."""
+    v = _evaluate(_floor_offset, "quad", n, k).value
+    return k + math.floor(v), abs(v - round(v)) < BOUNDARY_DIST
 
 
 def _floors(n: np.ndarray, ev: RealEval) -> tuple[np.ndarray, np.ndarray]:
     """theorem_floor over an array of n from the double-tier floor argument ev."""
     floors = np.floor(ev.value).astype(np.int64)
-    step = np.rint(ev.value)  # round half to even, as round() does
-    undecided = np.abs(ev.value - step) < np.maximum(ESCALATE_DIST, 4.0 * ev.abs_err)
+    k = np.rint(ev.value)  # round half to even, as round() does
+    undecided = np.abs(ev.value - k) < np.maximum(ESCALATE_DIST, 4.0 * ev.abs_err)
     flags = np.zeros(n.size, dtype=bool)
     for i in np.flatnonzero(undecided).tolist():
-        floors[i], flags[i] = theorem_floor(int(n[i]))
+        floors[i], flags[i] = _quad_floor(int(n[i]), int(k[i]))
     return floors, flags
 
 

@@ -116,21 +116,52 @@ def test_theorem_floor_values():
         theorem_floor(2)
 
 
+def _oracle_floor(n: int) -> int:
+    """floor(delta(n) - r(n)) from the paper's expression at 160 bits."""
+    with mp.workprec(160):
+        arg = (((n + 1) ** 2) / mp.log(n + 1) - (n * n) / mp.log(n)) / 2 - mp.log(n) ** 2 / mp.log(mp.log(n))
+        return int(mp.floor(arg))
+
+
 def test_theorem_floor_matches_quad_oracle(monkeypatch):
     import primesq.analytic as analytic
 
-    oracle = {}
-    with mp.workprec(160):
-        for n in range(3, 300):
-            arg = (((n + 1) ** 2) / mp.log(n + 1) - (n * n) / mp.log(n)) / 2 \
-                - mp.log(n) ** 2 / mp.log(mp.log(n))
-            oracle[n] = int(mp.floor(arg))
+    oracle = {n: _oracle_floor(n) for n in range(3, 300)}
     assert {n: theorem_floor(n) for n in oracle} == {n: (fl, False) for n, fl in oracle.items()}
-    # no n here comes near an integer, so force the extended tier, then the quad tier
+    # no n here comes near an integer, so force the 160-bit step for every n
     monkeypatch.setattr(analytic, "ESCALATE_DIST", 1.0)
     assert {n: theorem_floor(n) for n in oracle} == {n: (fl, False) for n, fl in oracle.items()}
     monkeypatch.setattr(analytic, "BOUNDARY_DIST", 1.0)
     assert {n: theorem_floor(n) for n in oracle} == {n: (fl, True) for n, fl in oracle.items()}
+
+
+@pytest.mark.parametrize("lo, hi, size", [(950_000, 1_050_000, 6000), (9_900_000, 10_000_000, 300)])
+def test_undecided_floors_take_one_quad_step(monkeypatch, lo, hi, size):
+    # about 0.1% of floor arguments near 1e6 and 7% near 1e7 fall within the double tier's error of an integer
+    import primesq.analytic as analytic
+
+    ns = np.sort(np.random.default_rng(20).choice(np.arange(lo, hi), size, replace=False))
+    calls = []
+    evaluate = analytic._evaluate
+
+    def spy(formula, precision, *args, **kw):
+        if formula is analytic._floor_offset:
+            calls.append((precision, args[0]))
+        return evaluate(formula, precision, *args, **kw)
+
+    monkeypatch.setattr(analytic, "_evaluate", spy)
+    floors, flags = theorem_floor(ns)
+    # one double pass over the array, then at least one undecided n, each once at 160 bits
+    assert calls[0][0] == "double" and {precision for precision, _ in calls[1:]} == {"quad"}
+    quad = [n for _, n in calls[1:]]
+    assert len(set(quad)) == len(quad) and set(quad) <= set(ns.tolist())
+    for n in quad:  # and alone: the double tier, then one 160-bit evaluation
+        calls.clear()
+        theorem_floor(n)
+        assert calls == [("double", n), ("quad", n)]
+    want = [(_oracle_floor(n), False) for n in ns.tolist()]
+    assert list(zip(floors.tolist(), flags.tolist())) == want
+    assert [theorem_floor(n) for n in ns.tolist()] == want
 
 
 def test_sum_r_small_values():
@@ -281,8 +312,11 @@ def test_array_squares_range_checked(name, fn):
     # (n+1)^2 wraps int64 above SQUARE_N_MAX: delta(4e9) over an array gave 181542872.0, not 176825856.0
     assert SQUARE_N_MAX == 3037000498 and (SQUARE_N_MAX + 1) ** 2 < 2**63 <= (SQUARE_N_MAX + 2) ** 2
     for top in (SQUARE_N_MAX + 1, 4_000_000_000):
-        with pytest.raises(DomainError, match=f"{name} over an int64 array needs every element <= 3037000498"):
-            fn(np.array([1000, top]))  # the greatest element, not the first, is out of range
+        # the greatest element, not the first, is out of range; an int64 element wraps as its array does
+        inputs = [np.array([1000, top])] + ([] if name in ("margin_sides", "lemma1_forms") else [np.int64(top)])
+        for n in inputs:
+            with pytest.raises(DomainError, match=f"{name} over an int64 array needs every element <= 3037000498"):
+                fn(n)
 
 
 def test_array_squares_exact_at_range_end():
