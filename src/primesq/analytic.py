@@ -79,8 +79,13 @@ SQUARE_N_MAX = math.isqrt(2**63 - 1) - 1
 
 
 def _check_squares(n, name: str) -> None:
-    """Over an int64 array or element, DomainError where (n+1)^2 would wrap; Python ints never do."""
-    if isinstance(n, (np.ndarray, np.integer)) and np.max(n) > SQUARE_N_MAX:
+    """Over an int64 array or element, DomainError where (n+1)^2 would wrap; Python ints never do.
+    Narrower numpy integers wrap far sooner, so they are refused."""
+    if not isinstance(n, (np.ndarray, np.integer)):
+        return
+    if n.dtype.kind in "iu" and n.dtype != np.int64:
+        raise DomainError(f"{name} needs int64 numpy integers, got {n.dtype}")
+    if np.max(n) > SQUARE_N_MAX:
         raise DomainError(f"{name} over an int64 array needs every element <= {SQUARE_N_MAX}")
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Literal
@@ -56,7 +57,7 @@ class FRecord:
 
 
 def _check_window_range(n: int) -> None:
-    if (n + 1) ** 2 > F_WINDOW_MAX:
+    if (operator.index(n) + 1) ** 2 > F_WINDOW_MAX:  # a Python int: numpy integers may wrap
         raise DomainError(f"f(n) and g(n) need (n+1)^2 <= {F_WINDOW_MAX}, so n <= {math.isqrt(F_WINDOW_MAX) - 1}")
 
 
@@ -70,6 +71,7 @@ def _window_counts(n_from: int, n_to: int) -> np.ndarray:
 
 def f_of(n: int) -> int:
     """Number of primes strictly between n^2 and (n+1)^2."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError("need n >= 1")
     return int(_window_counts(n, n)[0])
@@ -77,6 +79,7 @@ def f_of(n: int) -> int:
 
 def stream_f(from_n: int, to_n: int) -> list[FRecord]:
     """Rows for n = from_n..to_n; the first pi(n^2) is seeded exactly."""
+    from_n, to_n = operator.index(from_n), operator.index(to_n)
     if not 1 <= from_n <= to_n:
         raise ValueError("need 1 <= from <= to")
     counts = _window_counts(from_n, to_n)
@@ -167,11 +170,13 @@ def pi_exact_many(xs: list[int]) -> list[int]:
 # of G_BLOCK windows lays out the next G_SPAN candidates of each as a matrix
 # and strikes the multiples of the 12 bases with residue patterns gathered by
 # lo mod w, one gather per wheel w, no division per candidate. Then, in
-# rounds, each unresolved row tests its next survivors until it finds a prime
-# or runs out; a row with none gets the next G_SPAN candidates of its window
-# in a later pass, until the window ends. Each survivor takes only the bases
-# its own size needs (k once it passes k bases below psi_k), and only the
-# survivors still undecided take the squarings after a^d.
+# rounds of up to about G_BLOCK candidates, each unresolved row tests its
+# next survivors until it finds a prime or runs out; a row with none gets the
+# next G_SPAN candidates of its window in a later pass, until the window
+# ends. Each round takes two Miller-Rabin passes: base 2 on every odd
+# candidate, then one pass that holds each base-2 survivor once per further
+# base its own size needs (3..p_k for the least k with x < psi_k). Only the
+# candidates still undecided take the squarings after a^d.
 
 G_BLOCK = 8192  # windows per block
 G_SPAN = 64  # candidates per window per pass
@@ -194,6 +199,13 @@ def _strike_patterns() -> list[tuple[int, np.ndarray]]:
     return out
 
 
+@functools.cache
+def _base_powers() -> np.ndarray:
+    """a^j for every base a and j < 2^_POW_BITS, flat at a * 2^_POW_BITS + j."""
+    a = np.arange(MILLER_RABIN_BASES[-1] + 1, dtype=np.int64)
+    return (a[:, None] ** np.arange(1 << _POW_BITS)).ravel()
+
+
 def _mulmod(a: np.ndarray, b, m: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """A residue of a * b mod m in (-m, m), for m < 2^47, |a| < m and either
     b = a or 0 < b < 2^37; inv = 1 / m in float64.
@@ -212,8 +224,9 @@ def _mulmod(a: np.ndarray, b, m: np.ndarray, inv: np.ndarray) -> np.ndarray:
     return r
 
 
-def _strong_probable_prime(x: np.ndarray, a: int) -> np.ndarray:
-    """Whether each odd x, a < x < 2^47, is a strong probable prime to base a.
+def _strong_probable_prime(x: np.ndarray, a) -> np.ndarray:
+    """Whether each odd x, a < x < 2^47, is a strong probable prime to base a,
+    a scalar base or one base per element, each a <= 37.
 
     a^d mod x by left-to-right exponentiation: _POW_BITS squarings, then one
     multiplication by a^digit for the next _POW_BITS bits of d. x passes if
@@ -224,12 +237,12 @@ def _strong_probable_prime(x: np.ndarray, a: int) -> np.ndarray:
     d = x - 1
     s = np.frexp((d & -d).astype(np.float64))[1] - 1  # 2^s exactly divides x - 1
     d >>= s
-    powers = a ** np.arange(1 << _POW_BITS, dtype=np.int64)
+    powers, start = _base_powers(), np.left_shift(a, _POW_BITS)  # a^j sits at start + j
     y = np.ones_like(x)
     for shift in range(int(d.max()).bit_length() // _POW_BITS * _POW_BITS, -1, -_POW_BITS):
         for _ in range(_POW_BITS):
             y = _mulmod(y, y, x, inv)
-        y = _mulmod(y, powers[(d >> shift) & ((1 << _POW_BITS) - 1)], x, inv)
+        y = _mulmod(y, powers[((d >> shift) & ((1 << _POW_BITS) - 1)) + start], x, inv)
     y %= x
     ok = (y == 1) | (y == x - 1)
     live = np.flatnonzero(~ok & (s > 1))  # y is not +-1 and x - 1 allows a square
@@ -248,20 +261,24 @@ def _strong_probable_prime(x: np.ndarray, a: int) -> np.ndarray:
 def _is_prime_many(x: np.ndarray) -> np.ndarray:
     """Whether each int64 x, 0 <= x < 2^47, is prime.
 
-    Odd x above the bases take strong probable-prime tests to the bases in
-    turn. An x that passes the first k is prime if it lies below psi_k, so
-    base k + 1 tests only the x >= psi_k that passed the first k.
+    Odd x above the bases take two strong probable-prime passes. The first
+    tests every such x to base 2. An x that passes is prime if it passes the
+    first k bases for the least k with x < psi_k, so the second pass holds
+    it once for each of the bases 3..p_k, one base per element.
     """
     small = x <= MILLER_RABIN_BASES[-1]
     prime = small & np.isin(x, MILLER_RABIN_BASES)
     test = np.flatnonzero(~small & ((x & 1) == 1))
-    for a, psi in zip(MILLER_RABIN_BASES, MILLER_RABIN_PSI):
-        if not test.size:
-            break
-        test = test[_strong_probable_prime(x[test], a)]
-        below = x[test] < psi
-        prime[test[below]] = True
-        test = test[~below]
+    if test.size:
+        test = test[_strong_probable_prime(x[test], 2)]
+    # k - 1 further bases each; psi_12 > 2^63 is left out so that numpy compares in int64
+    more = np.searchsorted(MILLER_RABIN_PSI[:-1], x[test], side="right")
+    prime[test] = True
+    if more.any():
+        held = np.repeat(test, more)
+        nth = np.arange(held.size) - np.repeat(np.cumsum(more) - more, more)  # 0..k-2 per x
+        bases = np.array(MILLER_RABIN_BASES[1:])[nth]
+        prime[held[~_strong_probable_prime(x[held], bases)]] = False
     return prime
 
 
@@ -275,12 +292,13 @@ def _span_first_primes(lo: np.ndarray, end: np.ndarray) -> np.ndarray:
         alive[near:] &= pattern[lo[near:] % w]
     hit = np.flatnonzero(alive)  # row * G_SPAN + column of each survivor, in row-major order
     stop = np.cumsum(np.count_nonzero(alive, axis=1))
+    del alive  # frees the strike matrix before the rounds allocate theirs
     at = np.concatenate(([0], stop[:-1]))  # each row's next untested survivor
     found = np.zeros(rows, dtype=np.int64)
     live = np.flatnonzero(at < stop)
     while live.size:
-        # test up to `take` survivors of each live row, so a round stays about `rows` long
-        take = np.minimum(stop[live] - at[live], max(1, rows // live.size))
+        # test up to `take` survivors of each live row, so a round stays about G_BLOCK long
+        take = np.minimum(stop[live] - at[live], max(1, G_BLOCK // live.size))
         row = np.repeat(live, take)
         first = np.cumsum(take) - take
         k = at[row] + np.arange(row.size) - np.repeat(first, take)
@@ -310,6 +328,7 @@ def _first_primes(t_from: int, t_to: int) -> Iterator[np.ndarray]:
 
 def g_of(n: int) -> int:
     """How many t <= n have at least one prime in (t^2, (t+1)^2); (n+1)^2 <= F_WINDOW_MAX."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError("need n >= 1")
     _check_window_range(n)

@@ -319,6 +319,25 @@ def test_array_squares_range_checked(name, fn):
                 fn(n)
 
 
+@pytest.mark.parametrize("name, fn", ARRAY_SQUARING, ids=[name for name, _ in ARRAY_SQUARING])
+def test_narrow_integers_refused(name, fn):
+    # int32 squares wrap far below SQUARE_N_MAX: delta over int32 [100000] gave 8632.73, not 8308.70
+    for dtype in (np.int32, np.int16, np.uint64):
+        inputs = [np.array([1000], dtype=dtype)] + ([] if name in ("margin_sides", "lemma1_forms") else [dtype(1000)])
+        for n in inputs:
+            with pytest.raises(DomainError, match=f"{name} needs int64 numpy integers"):
+                fn(n)
+
+
+def test_narrow_integer_values_not_wrapped():
+    with pytest.raises(DomainError):
+        delta(np.array([100000], dtype=np.int32))
+    with pytest.raises(DomainError):
+        theorem_floor(np.array([100000], dtype=np.int32))  # gave 8578, not 8254
+    assert delta(np.array([100000], dtype=np.int64)).value[0] == delta(100000).value
+    assert theorem_floor(np.array([100000], dtype=np.int64))[0].tolist() == [theorem_floor(100000)[0]] == [8254]
+
+
 def test_array_squares_exact_at_range_end():
     n = SQUARE_N_MAX
     for fn in (delta, c1_rhs, c2_lhs):

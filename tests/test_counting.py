@@ -209,6 +209,19 @@ def test_f_range_limit():
         g_of(4_000_000_000)
 
 
+def test_numpy_integers_narrower_than_int64_do_not_wrap():
+    # int32 squares wrap: f_of(np.int32(50000)) raised "need 0 <= lo <= hi", and the range
+    # check passed np.int32(20_000_000), whose candidates lie outside _mulmod's exact range
+    assert f_of(np.int32(50000)) == f_of(50000) == 4605
+    assert g_of(np.int16(300)) == g_of(300)
+    assert stream_f(np.int32(50000), np.int32(50001)) == stream_f(50000, 50001)
+    for n in (np.int32(20_000_000), np.int64(20_000_000), 20_000_000):
+        with pytest.raises(DomainError):
+            counting._check_window_range(n)
+        with pytest.raises(DomainError):
+            g_of(n)
+
+
 # --- the vectorised Miller-Rabin kernel against the scalar oracle ------------
 
 
@@ -257,15 +270,16 @@ def test_later_bases_test_only_the_candidates_that_need_them(monkeypatch):
     calls = []
 
     def spy(x, a):
-        calls.append((a, x.tolist()))
+        calls.append((np.broadcast_to(a, x.shape).tolist(), x.tolist()))
         return _strong_probable_prime(x, a)
 
     big = _primes_near(10**13, 1)[1]
     xs = [p for p in range(41, 2047) if miller_rabin(p)] + [big]
     monkeypatch.setattr(counting, "_strong_probable_prime", spy)
     assert _is_prime_many(np.array(xs, dtype=np.int64)).all()
-    assert calls[0] == (2, xs)
-    assert calls[1:] == [(a, [big]) for a in (3, 5, 7, 11, 13, 17)]  # psi_6 < 10^13 < psi_7
+    # base 2 on every x, then one call that holds each x once per further base it needs:
+    # below psi_1 = 2047 none, and psi_6 < 10^13 < psi_7, so big takes the next six
+    assert calls == [([2] * len(xs), xs), ([3, 5, 7, 11, 13, 17], [big] * 6)]
 
 
 def _sprp(x, a):
@@ -290,6 +304,15 @@ def test_kernel_tail_on_large_s_and_3_mod_4():
     x = np.array(xs, dtype=np.int64)
     for a in MILLER_RABIN_BASES[:7]:
         assert _strong_probable_prime(x, a).tolist() == [_sprp(v, a) for v in xs], a
+
+
+def test_one_base_per_element_in_a_shuffled_batch():
+    psi = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383]
+    pairs = [(x, a) for x in LARGE_S_PRIMES + LARGE_S_PSEUDOPRIMES + psi for a in range(2, 18)]
+    random.Random(21).shuffle(pairs)
+    x = np.array([p[0] for p in pairs], dtype=np.int64)
+    a = np.array([p[1] for p in pairs], dtype=np.int64)
+    assert _strong_probable_prime(x, a).tolist() == [_sprp(*p) for p in pairs]
 
 
 def test_tail_squares_only_the_undecided(monkeypatch):
@@ -379,6 +402,24 @@ def test_first_primes_at_a_block_edge():
     assert got == _sieve_first_primes(G_BLOCK - 2, G_BLOCK + 1)
     assert _kernel_first_primes(G_BLOCK - 2, G_BLOCK + 1) == got
     assert [g_of(n) for n in (G_BLOCK - 1, G_BLOCK, G_BLOCK + 1)] == [G_BLOCK - 1, G_BLOCK, G_BLOCK + 1]
+
+
+def test_a_round_takes_every_survivor_of_a_few_rows(monkeypatch):
+    # each first prime lies more than 40 past t^2; rounds sized to the 3 rows rather
+    # than to G_BLOCK would test one survivor per row at a time, in 7 rounds
+    sizes = []
+
+    def spy(x):
+        sizes.append(x.size)
+        return _is_prime_many(x)
+
+    monkeypatch.setattr(counting, "_is_prime_many", spy)
+    ts = [1033, 1056, 1081]
+    t = np.array(ts, dtype=np.int64)
+    found = counting._span_first_primes(t * t + 1, (t + 1) ** 2)
+    assert found.tolist() == [_sieve_first_primes(v, v)[0] for v in ts]
+    assert (found - t * t > 40).all()
+    assert len(sizes) == 1
 
 
 @pytest.mark.parametrize("near", [10**6, 9_999_999])
