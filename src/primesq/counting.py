@@ -119,7 +119,9 @@ def _pi_combinatorial(x: int) -> int:
     if x < 2:
         return 0
     r, y = math.isqrt(x), _icbrt(x)
-    small = np.maximum(np.arange(-1, r, dtype=np.int64), 0)
+    # small[v] <= v - 1 < r <= 10^6 for x <= COMBINATORIAL_MAX, so int32 holds it
+    # and halves the traffic of its updates; large and quot reach x and stay int64
+    small = np.maximum(np.arange(-1, r, dtype=np.int32), 0)
     quot = x // np.maximum(np.arange(r + 1, dtype=np.int64), 1)  # x // i; x // (i * p) is quot[i] // p
     large = quot - 1  # large[0] is unused
     for p in range(2, y + 1):

@@ -9,14 +9,21 @@ stored.
 Each base prime p >= 5 strikes two progressions, its multiples p*m with
 m = 1 and m = 5 mod 6, each a step of 2p slots. A few in-place numpy
 operations find every base prime's first two such multiples in the window.
-Primes below SLICE_PRIME_MAX strike by slice assignment; all larger ones
-strike together, one fancy-index round per multiple. An index past the
-window is clamped to one sentinel slot after it, and each round takes only
-the prefix of primes that can still strike, so the Python steps per window
-do not grow with the number of base primes.
+How a prime strikes depends on how often it strikes the window at hand: in
+a window of n slots, a prime p <= n // (2 * MAX_ROUNDS) hits each of its
+progressions at least MAX_ROUNDS times and strikes by slice assignment;
+all larger ones strike together, one fancy-index round per multiple, in at
+most MAX_ROUNDS rounds. An index past the window is clamped to one sentinel
+slot after it, and each round takes only the prefix of primes that can
+still strike, so the Python steps per window do not grow with the number
+of base primes. A full segment of 2^20 slots splits at 16384.
 
-Counts stream such windows and sum their marks up to each bound; no window
-is ever turned into a list of primes.
+The base-prime table is itself one such window over [0, limit], whose
+base primes come from base_primes itself at isqrt(limit). The package-wide
+table starts empty, so import sieves nothing, and grows in blocks of 2^16.
+
+Counts stream such windows and sum their marks up to each bound; no counted
+window is ever turned into a list of primes.
 """
 
 from __future__ import annotations
@@ -30,8 +37,11 @@ from .errors import InsufficientTable
 
 # Slots per segment used by streaming counts (covers 3 * 2^20 integers).
 DEFAULT_SEGMENT_SLOTS = 1 << 20
-# Base primes below this strike by slice assignment; larger ones in rounds.
-SLICE_PRIME_MAX = 1 << 14
+# A base prime that hits each of its progressions in a window at least this
+# many times strikes by slice assignment; the others take at most this many rounds.
+MAX_ROUNDS = 32
+# The package-wide table grows to a multiple of this limit.
+SHARED_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -49,31 +59,32 @@ class PrimeTable:
 
 
 def base_primes(limit: int) -> PrimeTable:
-    """Simple sieve of Eratosthenes up to limit inclusive."""
+    """The primes up to limit inclusive, from one window sieve of [0, limit]."""
     if limit < 0:
         raise ValueError("limit must be >= 0")
     if limit < 2:
         return PrimeTable(limit, np.empty(0, dtype=np.int64))
-    is_p = np.ones(limit + 1, dtype=bool)
-    is_p[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if is_p[p]:
-            is_p[p * p :: p] = False
-    return PrimeTable(limit, np.flatnonzero(is_p).astype(np.int64, copy=False))
+    seg = sieve_window(0, limit + 1, base_primes(math.isqrt(limit)))
+    primes = np.flatnonzero(seg.bits)  # slot s holds 3s + 1 or 3s + 2, whichever is odd
+    primes *= 3
+    primes += 1
+    primes |= 1
+    return PrimeTable(limit, np.concatenate((np.array(seg.small, dtype=np.int64), primes)))
 
 
-_shared: PrimeTable = base_primes(1 << 16)
+_shared = PrimeTable(0, np.empty(0, dtype=np.int64))
 
 
 def shared_table(limit: int) -> PrimeTable:
     """Package-wide prime table covering limit. Returned values are immutable.
 
-    The table grows to at least twice its limit, so re-sieves amortize;
-    growing never changes previously listed primes, it only appends.
+    The table grows to at least twice its limit, and to limit rounded up to
+    a multiple of SHARED_BLOCK, so re-sieves amortize; growing never changes
+    previously listed primes, it only appends.
     """
     global _shared
     if _shared.limit < limit:
-        _shared = base_primes(max(limit, 2 * _shared.limit))
+        _shared = base_primes(max(2 * _shared.limit, -(-limit // SHARED_BLOCK) * SHARED_BLOCK))
     return _shared
 
 
@@ -153,7 +164,7 @@ def sieve_window(lo: int, hi: int, table: PrimeTable) -> SegmentBitmap:
             idx //= 3  # the multiple's slot; a step of 6p integers is 2p slots
             np.minimum(idx, n, out=idx)
         step = np.multiply(p, 2, out=m)
-        k = int(np.searchsorted(p, SLICE_PRIME_MAX))
+        k = int(np.searchsorted(p, n // (2 * MAX_ROUNDS), side="right"))
         for a, b, q in zip(i1[:k].tolist(), i2[:k].tolist(), step[:k].tolist()):
             bits[a::q] = False
             bits[b::q] = False

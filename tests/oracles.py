@@ -1,4 +1,5 @@
-"""Test-only code: views of sieve segments, trial division, a window sieve with
+"""Test-only code: views of sieve segments, trial division, a sieve of
+Eratosthenes, the reference for the base-prime table, a window sieve with
 one bool per integer, an open-interval prime count, backward and forward
 compensated sums of mbound's gaps with a linear-scan M(n) on the backward
 ones, scalar Miller-Rabin, the reference for the vectorised kernel, campaign
@@ -85,6 +86,16 @@ def is_prime(x: int) -> bool:
             return False
         f += 2
     return True
+
+
+def eratosthenes(limit: int) -> np.ndarray:
+    """The primes up to limit inclusive as int64, from one bool per integer."""
+    is_p = np.ones(max(limit + 1, 2), dtype=bool)
+    is_p[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if is_p[p]:
+            is_p[p * p :: p] = False
+    return np.flatnonzero(is_p[: limit + 1]).astype(np.int64)
 
 
 def window_primes(lo: int, hi: int) -> list[int]:

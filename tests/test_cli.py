@@ -291,7 +291,7 @@ def test_compute_f_range(capsys):
     err = capsys.readouterr().err
     assert "9999999" in err and err.count("\n") == 1
     assert run_cli("compute", "f", "--n", "9999999") == 0
-    assert int(capsys.readouterr().out) > 0
+    assert capsys.readouterr().out == "621074\n"
 
 
 def test_compute_g_range(capsys):

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from primesq import counting
+from primesq import counting, sieve
 from primesq.counting import (
     COMBINATORIAL_MAX,
     F_WINDOW_MAX,
@@ -27,7 +27,7 @@ from primesq.counting import (
     stream_f,
 )
 from primesq.errors import DomainError, Unsupported
-from primesq.sieve import shared_table, sieve_window
+from primesq.sieve import PrimeTable, shared_table, sieve_window
 
 from oracles import is_prime, marked_values, miller_rabin
 
@@ -427,3 +427,37 @@ def test_first_primes_match_sieve_far(near):
     rng = random.Random(near)
     t0 = min(rng.randrange(near - 10**5, near), 9_999_999 - 40)
     assert _kernel_first_primes(t0, t0 + 40) == _sieve_first_primes(t0, t0 + 40, span=4096)
+
+
+def _miller_rabin_window_count(n):
+    """f(n) from _is_prime_many over the integers prime to 6 in (n^2, (n+1)^2), n >= 2."""
+    x = np.arange(n * n + 1, (n + 1) ** 2, dtype=np.int64)
+    x = x[(x % 2 != 0) & (x % 3 != 0)]
+    return sum(int(np.count_nonzero(_is_prime_many(x[i:i + G_BLOCK]))) for i in range(0, x.size, G_BLOCK))
+
+
+def test_f_at_the_shared_table_growth_boundaries(monkeypatch):
+    # f(n) needs base primes up to n, so from an empty table f(2^16 - 1) and f(2^16)
+    # take a 2^16 table, f(2^16 + 1) grows it, and so on at 2^20
+    monkeypatch.setattr(sieve, "_shared", PrimeTable(0, np.empty(0, dtype=np.int64)))
+    cases = [(65535, 5853, 65536), (65536, 5862, 65536), (65537, 5895, 131072),
+             (2**20 - 1, 75527, 2**20), (2**20, 75803, 2**20), (2**20 + 1, 75500, 2**21)]
+    for n, f, limit in cases:
+        assert f_of(n) == f == _miller_rabin_window_count(n), n
+        assert sieve._shared.limit == limit, n
+
+
+def test_consecutive_windows_build_the_shared_table_once(monkeypatch):
+    monkeypatch.setattr(sieve, "_shared", PrimeTable(0, np.empty(0, dtype=np.int64)))
+    limits = []
+    real = sieve.base_primes
+
+    def counted(limit):
+        limits.append(limit)
+        return real(limit)
+
+    monkeypatch.setattr(sieve, "base_primes", counted)
+    for n in range(10**6, 10**6 + 12):
+        f_of(n)
+    # one table of 2^20, whose own base primes recurse down through isqrt
+    assert limits == [2**20, 2**10, 32, 5, 2, 1]

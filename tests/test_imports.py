@@ -1,4 +1,5 @@
-"""Start-up hygiene: mpmath and the process pool load only where a command uses them.
+"""Start-up hygiene: mpmath and the process pool load only where a command uses
+them, and import builds no base-prime table.
 
 Each case runs in a fresh interpreter, since this test process has loaded
 both long ago; a stray top-level import of either would fail the first cases.
@@ -45,3 +46,11 @@ def test_cold_process_loads_only_what_it_uses(code, mpmath, pool, out):
     assert (loaded["mpmath"], loaded["pool"]) == (mpmath, pool)
     if out is not None:
         assert loaded["out"] == out
+
+
+def test_import_sieves_nothing():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(primesq.__file__)))
+    code = "import primesq.cli; from primesq import sieve; print(sieve._shared.limit)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"

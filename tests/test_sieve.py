@@ -7,6 +7,7 @@ import pytest
 from primesq import sieve
 from primesq.errors import InsufficientTable
 from primesq.sieve import (
+    PrimeTable,
     base_primes,
     count_primes_below,
     shared_table,
@@ -16,6 +17,7 @@ from primesq.sieve import (
 from oracles import (
     concat,
     count_primes_open,
+    eratosthenes,
     is_marked,
     is_prime,
     marked_values,
@@ -42,15 +44,30 @@ def test_base_primes_strictly_increasing_and_complete():
     assert listed == [x for x in range(301) if is_prime(x)]
 
 
+BASE_PRIME_LIMITS = [*range(300), *(2**k + d for k in range(1, 21) for d in (-1, 0, 1)), 10**6, 10**7]
+
+
+def test_base_primes_match_eratosthenes():
+    for limit in BASE_PRIME_LIMITS:
+        table = base_primes(limit)
+        assert table.limit == limit
+        assert table.primes.dtype == np.int64
+        assert np.array_equal(table.primes, eratosthenes(limit)), limit
+
+
 def test_growing_never_changes_prefix(monkeypatch):
-    monkeypatch.setattr(sieve, "_shared", base_primes(100))
+    monkeypatch.setattr(sieve, "_shared", PrimeTable(0, np.empty(0, dtype=np.int64)))
+    assert shared_table(0).limit == 0  # nothing is sieved until a count needs it
     small = shared_table(50)
-    assert small.limit == 100
-    big = shared_table(150)
-    assert big.limit == 200  # grown to at least twice the old limit
-    assert big.primes[: len(small)].tolist() == small.primes.tolist()
-    assert shared_table(1000).limit == 1000
-    assert shared_table(999) is shared_table(1000)
+    assert small.limit == 65536  # the limit rounded up to a whole block of 2^16
+    grown = shared_table(65537)
+    assert grown.limit == 131072  # twice the old limit
+    assert grown.primes[: len(small)].tolist() == small.primes.tolist()
+    assert shared_table(400_000).limit == 458752  # 7 blocks, more than twice the old limit
+    assert shared_table(300_000) is shared_table(458752)
+    monkeypatch.setattr(sieve, "_shared", base_primes(100_000))
+    assert shared_table(100_000) is sieve._shared
+    assert shared_table(100_001).limit == 200_000  # twice the old limit, not a whole block
 
 
 def test_sieve_window_examples():
@@ -195,7 +212,8 @@ def test_far_windows_match_trial_division():
 
 @pytest.mark.parametrize("p", [3, 127, 16381, 16411, 999983])
 def test_windows_at_a_prime_square(p):
-    # p is the last base prime each window needs; 16381 < SLICE_PRIME_MAX < 16411
+    # p is the last base prime each window needs; a full segment's slices stop
+    # between 16381 and 16411
     sq = p * p
     for lo in range(sq - 2, sq + 3):
         for width in (0, 1, 2, 3, 40):
@@ -204,11 +222,12 @@ def test_windows_at_a_prime_square(p):
 
 
 def test_slice_split_sits_between_the_test_primes():
-    assert 16381 < sieve.SLICE_PRIME_MAX < 16411
+    split = sieve.DEFAULT_SEGMENT_SLOTS // (2 * sieve.MAX_ROUNDS)  # the largest prime a full segment slices
+    assert 16381 < split == 16384 < 16411
 
 
 def test_wide_far_windows_match_miller_rabin():
-    # wide enough that primes above SLICE_PRIME_MAX strike several times
+    # wide enough that primes which strike in rounds, up to 16411, strike several times
     for lo in (16411**2 - 5, 10**12 + 12345):
         hi = lo + 4 * 16411 + 7
         _check_window(lo, hi, shared_table(math.isqrt(hi)), miller_rabin)
@@ -245,7 +264,7 @@ def test_large_prime_steps_onto_the_last_slot_or_the_sentinel(first, rounds):
 
 def test_rounds_alone_match_trial_division(monkeypatch):
     # with every base prime striking in rounds, small primes take many rounds each
-    monkeypatch.setattr(sieve, "SLICE_PRIME_MAX", 0)
+    monkeypatch.setattr(sieve, "MAX_ROUNDS", 10**9)
     for hi in range(0, 60):
         for lo in range(0, hi + 1):
             _check_window(lo, hi, base_primes(math.isqrt(max(hi - 1, 0))))
@@ -257,7 +276,8 @@ def test_rounds_alone_match_trial_division(monkeypatch):
 
 def test_rounds_clamp_only_primes_that_can_strike_again(monkeypatch):
     # a prime strikes again in round r only if r steps of 2p slots fit in the
-    # n slots, so each round clamps the prefix of primes p <= n // (2r), both progressions
+    # n slots, so each round clamps the prefix of primes p <= n // (2r), both
+    # progressions; the primes above n // (2 * MAX_ROUNDS) take at most MAX_ROUNDS rounds
     class Recorder:
         def __init__(self):
             self.sizes = []
@@ -269,13 +289,14 @@ def test_rounds_clamp_only_primes_that_can_strike_again(monkeypatch):
             self.sizes.append(a.size)
             return np.minimum(a, b, out=out)
 
-    monkeypatch.setattr(sieve, "SLICE_PRIME_MAX", 101)
-    rec = Recorder()
-    monkeypatch.setattr(sieve, "np", rec)
+    monkeypatch.setattr(sieve, "MAX_ROUNDS", 15)
     lo, hi = 10**8 + 1, 10**8 + 9001
     table = base_primes(math.isqrt(hi))
+    rec = Recorder()
+    monkeypatch.setattr(sieve, "np", rec)
     seg = sieve_window(lo, hi, table)
     n, p = seg.bits.size, table.primes[2:]
+    assert n // (2 * 15) == 100  # the primes from 101 on take rounds
     large = p[p >= 101]
     expected, r = [], 1
     while (k := int(np.count_nonzero(large <= n // (2 * r)))):
@@ -283,7 +304,7 @@ def test_rounds_clamp_only_primes_that_can_strike_again(monkeypatch):
         r += 1
     assert rec.sizes[:2] == [p.size, p.size]  # every first multiple, once
     assert [s for s in rec.sizes[2:] if s] == expected
-    assert len(expected) > 10
+    assert len(expected) == 2 * (15 - 1)  # 15 rounds, the last with nothing left to clamp
 
 
 @pytest.mark.parametrize("slots", [1, 2, 7])
