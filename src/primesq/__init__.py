@@ -10,7 +10,6 @@ certified-capacity start index and its ratio table.
 
 from .analytic import (
     RealEval,
-    SumRCache,
     c1_rhs,
     c2_lhs,
     delta,
@@ -49,7 +48,6 @@ __all__ = [
     "PrimeTable",
     "RealEval",
     "SegmentBitmap",
-    "SumRCache",
     "Unsupported",
     "base_primes",
     "bound_gap",

@@ -3,9 +3,9 @@
 Every quantity below uses natural logarithms and is written once, as a
 formula over a log function that returns (value, error scale). One
 evaluator runs it at a precision: "double" (53 bits) on floats with error
-bound _ERR_C*u*scale, "extended" (96 bits) or "quad" (160 bits) on mpmath
-numbers under mp.workprec, with the same bound at that precision's u plus
-half an ulp for the rounding of the result to a float. Squares are formed in
+bound _ERR_C*u*scale, or "quad" (160 bits) on mpmath numbers under
+mp.workprec, with the same bound at that precision's u plus half an ulp for
+the rounding of the result to a float. Squares are formed in
 integer arithmetic before conversion, so they are exact for every n this
 package sweeps.
 
@@ -20,10 +20,15 @@ from one evaluation each of delta and r.
 The one place rounding can flip a verdict is the floor of a near-integer
 argument, so theorem_floor evaluates at 160 bits each argument the double
 tier leaves undecided, and flags those within 1e-30 of an integer there.
+
+The lemmas' running sum of r(k) at double precision sums the double terms
+exactly, in two int64 lanes of prefix sums over blocks of SUM_R_BLOCK k, and
+rounds once; so every read is a pure function of n, in any order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError
 
-PRECISION_BITS = {"double": 53, "extended": 96, "quad": 160}
+PRECISION_BITS = {"double": 53, "quad": 160}
 
 # unit roundoff per precision level
 _U = {name: 2.0 ** (-bits) for name, bits in PRECISION_BITS.items()}
@@ -123,7 +128,9 @@ def _evaluate(formula, precision: str, *args, log=_log) -> RealEval:
     if precision == "double":
         val, scale = formula(log, *args)
         return RealEval(val, _ERR_DOUBLE * scale, "double")
-    from mpmath import mp  # only the 96/160-bit paths need it
+    if precision not in PRECISION_BITS:
+        raise ValueError(f"precision must be one of {', '.join(PRECISION_BITS)}, got {precision!r}")
+    from mpmath import mp  # only the 160-bit path needs it
 
     with mp.workprec(PRECISION_BITS[precision]):
         val, scale = formula(mp.log, *args)
@@ -169,18 +176,33 @@ def _floor_offset(log, n: int, k: int):
 
 
 def _r_sum(log, n: int):
-    """Sum of r(k) over 3 <= k < n (none for n <= 3) and its error scale."""
-    if log is _log:  # the process-wide running sum, read in n-order; its bound rescales exactly
-        if not isinstance(n, np.ndarray):
-            s = sum_r(max(n, 3))
-            return s.value, s.abs_err / _ERR_DOUBLE
-        sums = _default_sum_r.values_at(np.maximum(n, 3).tolist())
-        value, err = np.array([(s.value, s.abs_err) for s in sums]).T
-        return value, err / _ERR_DOUBLE
-    total = 0
-    for k in range(3, n):
-        total += _r(log, k)[0]
-    return total, float(total) * max(1, n - 3)
+    """Sum of r(k) over 3 <= k < n (none for n <= 3) and its error scale.
+
+    On the double path, n <= SUM_R_MAX and may be an int64 array in any order.
+    Each double r(k) is within _ERR_DOUBLE*scale(k) of r(k), and their exact
+    sum S is rounded once, within u*|S| = _ERR_DOUBLE*|S|/_ERR_C; the exact sum
+    of the scales is rounded once too, a relative 2^-53 inside _ERR_C's headroom.
+    """
+    if log is not _log:
+        total = 0
+        for k in range(3, n):
+            total += _r(log, k)[0]
+        return total, float(total) * max(1, n - 3)
+    ns = np.atleast_1d(np.maximum(n, 3))
+    if ns.max() > SUM_R_MAX:
+        raise DomainError(f"sum_r at double precision needs n <= {SUM_R_MAX}")
+    blocks, offsets = np.divmod(ns - 3, SUM_R_BLOCK)
+    sums = np.empty((2, ns.size))
+    for b in sorted(set(blocks.tolist())):
+        while len(_block_starts) <= b:  # each block below b, once
+            hi, lo = _block_prefix(len(_block_starts) - 1)[:, :, -1].tolist()
+            _block_starts.append(tuple(s + (h << 32) + x for s, h, x in zip(_block_starts[-1], hi, lo)))
+        at = np.flatnonzero(blocks == b)
+        hi, lo = _block_prefix(b)[:, :, offsets[at]].tolist()
+        for i, start in enumerate(_block_starts[b]):  # int / int rounds the exact quotient once
+            sums[i, at] = [(start + (h << 32) + x) / 2**50 for h, x in zip(hi[i], lo[i])]
+    total, scale = (sums[0], sums[1]) if isinstance(n, np.ndarray) else (sums[0, 0].item(), sums[1, 0].item())
+    return total, scale + total / _ERR_C
 
 
 def _lemma_const(log):
@@ -307,88 +329,35 @@ def margin_sides(n: np.ndarray) -> tuple[RealEval, RealEval, RealEval, np.ndarra
     return d, _c1(d, s), _c2(d, r), floors, flags
 
 
-# --- compensated running sum of r(k) -----------------------------------------
+# --- exact running sum of r(k) ------------------------------------------------
 
-SUM_R_CHECKPOINT_EVERY = 10_000
+SUM_R_MAX = 10**7  # the greatest n whose sum_r is served at double precision
+SUM_R_BLOCK = 4096  # k per block of prefix sums
+
+# the exact sums of r(k) and of its error scale, times 2^50, before each block reached so far
+_block_starts = [(0, 0)]
 
 
-class SumRCache:
-    """Compensated running sum of r(k) for k ascending from 3.
+@functools.lru_cache(maxsize=1)
+def _block_prefix(b: int) -> np.ndarray:
+    """Prefix sums of r(k) and its error scale, times 2^50, over block b's k from
+    3 + b*SUM_R_BLOCK, as int64 lanes of shape (hi/lo, quantity, terms + 1).
 
-    The Kahan carry is folded into the sum every SUM_R_CHECKPOINT_EVERY terms
-    and a checkpoint (next_k, partial_sum, err_bound) is recorded. Folding at
-    fixed term counts makes the value at any n a pure function of n alone,
-    independent of query history, which keeps chunked campaigns
-    bit-reproducible.
-
-    Single writer, any number of readers of returned values.
+    For 3 <= k < SUM_R_MAX every double r(k) lies in [5.44, 93.5] and every
+    scale in [13.9, 149.3], so each is a multiple of 2^-50 and, times 2^50, an
+    integer q below 2^58; the lanes q >> 32 and q mod 2^32 sum a block exactly.
     """
-
-    def __init__(self) -> None:
-        self._next_k = 3
-        self._sum = 0.0
-        self._carry = 0.0
-        self._err = 0.0
-        self._checkpoints: list[tuple[int, float, float]] = [(3, 0.0, 0.0)]
-
-    def _advance(self, k_stop: int) -> None:
-        # consume terms k = next_k .. k_stop-1
-        u = _U["double"]
-        k, s, c, err = self._next_k, self._sum, self._carry, self._err
-        while k < k_stop:
-            term, scale = _r(math.log, k)
-            err += _ERR_DOUBLE * scale + 2.0 * u * term
-            y = term - c
-            t = s + y
-            c = (t - s) - y
-            s = t
-            k += 1
-            if (k - 3) % SUM_R_CHECKPOINT_EVERY == 0:
-                s -= c  # fold: the compensated value becomes the plain sum
-                c = 0.0
-                err += u * abs(s)
-                self._checkpoints.append((k, s, err))
-        self._next_k, self._sum, self._carry, self._err = k, s, c, err
-
-    def value_at(self, n: int) -> RealEval:
-        """Sum of r(k) for 3 <= k <= n-1 (empty when n == 3)."""
-        return self.values_at([n])[0]
-
-    def values_at(self, ns: list[int]) -> list[RealEval]:
-        """value_at of each of the ascending ns; a query that starts below the
-        head replays once, on a copy, from the best checkpoint at or below ns[0]."""
-        if ns[0] < 3 or any(b < a for a, b in zip(ns, ns[1:])):
-            raise DomainError("sum_r needs n >= 3, in ascending order")
-        cache = self
-        if ns[0] < self._next_k:
-            cache = SumRCache()
-            cache._next_k, cache._sum, cache._err = [ck for ck in self._checkpoints if ck[0] <= ns[0]][-1]
-        out = []
-        for n in ns:
-            cache._advance(n)
-            out.append(cache._settled())
-        return out
-
-    def _settled(self) -> RealEval:
-        val = self._sum - self._carry
-        return RealEval(val, self._err + _U["double"] * abs(val), "double")
-
-    def head(self) -> int:
-        """First k not yet consumed."""
-        return self._next_k
-
-
-# every double-precision sum_r in the process reads this one; value_at is a
-# pure function of n, so the order of queries never changes a result
-_default_sum_r = SumRCache()
+    k0 = 3 + b * SUM_R_BLOCK
+    ks = np.arange(k0, min(k0 + SUM_R_BLOCK, SUM_R_MAX), dtype=np.int64)
+    q = np.ldexp(np.stack(_r(_log, ks)), 50).astype(np.int64)
+    lanes = np.zeros((2, 2, ks.size + 1), dtype=np.int64)
+    np.cumsum((q >> 32, q & 0xFFFFFFFF), axis=2, out=lanes[:, :, 1:])
+    return lanes
 
 
 def sum_r(n: int, precision: str = "double") -> RealEval:
-    """Compensated sum of r(k) over 3 <= k <= n-1 with a tracked error bound."""
-    if n < 3:
-        raise DomainError("sum_r needs n >= 3")
-    if precision == "double":
-        return _default_sum_r.value_at(n)
+    """Sum of r(k) over 3 <= k <= n-1 with a tracked error bound; n <= SUM_R_MAX at double precision."""
+    _check(n, 3, "sum_r")
     return _evaluate(_r_sum, precision, n)
 
 

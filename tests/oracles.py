@@ -2,7 +2,8 @@
 Eratosthenes, the reference for the base-prime table, a window sieve with
 one bool per integer, an open-interval prime count, backward and forward
 compensated sums of mbound's gaps with a linear-scan M(n) on the backward
-ones, scalar Miller-Rabin, the reference for the vectorised kernel, campaign
+ones, scalar Miller-Rabin, the reference for the vectorised kernel, the
+running sum of r(k) as an exact Python-int sum of the double terms, campaign
 rows built one n at a time from the scalar analytic functions, the reference
 for the chunk row builders, reports folded one row at a time, the reference
 for the column folds, and the margin CSV formatted one row tuple at a time,
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from primesq.analytic import (
     lemma1_proof_sides,
     lemma1_sides,
     lemma2_lhs,
+    r_term,
     theorem_floor,
 )
 from primesq.counting import MILLER_RABIN_BASES, MILLER_RABIN_PSI
@@ -206,6 +209,28 @@ def miller_rabin(x: int) -> bool:
     return True
 
 
+def exact_sum_r(ns) -> dict[int, tuple[float, Fraction]]:
+    """For each n >= 3 of ns, the sum of r_term(k) over 3 <= k < n: the exact
+    sum of the double terms rounded once, and a sound bound on its distance
+    from the real sum, the exact sum of the terms' error bounds plus half an
+    ulp of the rounded value. Terms are summed as Python ints over one
+    power-of-two denominator."""
+    den_bits = 128
+    out, total, err, k = {}, 0, 0, 3
+    for n in sorted(set(ns)):
+        while k < n:
+            term = r_term(k)
+            for x in (term.value, term.abs_err):
+                if (1 << den_bits) % x.as_integer_ratio()[1]:
+                    raise ValueError(f"r_term({k}) is finer than 2^-{den_bits}")
+            total += int(term.value * 2**den_bits)
+            err += int(term.abs_err * 2**den_bits)
+            k += 1
+        value = total / (1 << den_bits)
+        out[n] = value, Fraction(err, 1 << den_bits) + Fraction(math.ulp(value)) / 2
+    return out
+
+
 def _classify(margin: float, err: float) -> int:
     if abs(margin) <= err:
         return CLS_BOUNDARY
@@ -242,7 +267,7 @@ def margin_row(n: int, f: int, pi: int, strict: bool) -> MarginRecord:
 
 
 def lemma_row(n: int, pi: int, strict: bool) -> LemmaRecord:
-    """The lemma row of n, evaluated on its own; n must come in ascending order."""
+    """The lemma row of n, evaluated on its own."""
     lhs, rhs = lemma1_sides(n)
     plhs, prhs = lemma1_proof_sides(n)
     display = (rhs.value - lhs.value, rhs.abs_err + lhs.abs_err)

@@ -1,11 +1,15 @@
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from mpmath import mp
 
+import primesq.analytic as analytic
 from primesq.analytic import (
-    SumRCache,
+    SUM_R_BLOCK,
+    SUM_R_MAX,
     c1_rhs,
     c2_lhs,
     delta,
@@ -23,6 +27,8 @@ from primesq.analytic import (
 )
 from primesq.errors import DomainError
 from primesq.mbound import bound_gap
+
+from oracles import exact_sum_r
 
 # expected values frozen from a 60-digit mpmath evaluation of the formulas
 DELTA_3 = 1.6747036437350853582
@@ -173,22 +179,92 @@ def test_sum_r_small_values():
         sum_r(2)
 
 
-def test_sum_r_query_order_independent():
-    a = SumRCache()
-    a.value_at(57)
-    a.value_at(1200)
-    a.value_at(400)  # rewind path
-    a.value_at(25_000)  # crosses two checkpoint folds
-    b = SumRCache()
-    for n in (400, 1200, 12_000, 25_000, 26_000):  # a replays 12_000 from a fold
-        assert a.value_at(n).value == b.value_at(n).value
+@pytest.fixture
+def fresh_sum_r(monkeypatch):
+    """The running sum of r(k) as a fresh process has it: no block filled."""
+    monkeypatch.setattr(analytic, "_block_starts", [(0, 0)])
+    analytic._block_prefix.cache_clear()
+
+
+# each side of the first block edges (block b starts at n = 3 + 4096 b) and of later ones
+BLOCK_EDGES = (4098, 4099, 4100, 8194, 8195, 8196, 12291, 65538, 65539, 65540)
+
+
+def test_sum_r_query_order_independent(fresh_sum_r):
+    ns = [3, 4, 57, 400, 1200, *BLOCK_EDGES, 25_000, 69_999]
+    shuffled = random.Random(23).sample(ns, len(ns))
+    got = {n: sum_r(n) for n in shuffled}
+    analytic._block_starts[:] = [(0, 0)]
+    analytic._block_prefix.cache_clear()
+    assert [sum_r(n) for n in ns] == [got[n] for n in ns]
+
+
+def test_sum_r_matches_exact_oracle(fresh_sum_r):
+    # sampled prefixes of 3..70000, read in shuffled order, then as one unsorted array
+    ns = random.Random(5).sample(range(3, 70_001), 300) + list(BLOCK_EDGES)
+    want = exact_sum_r(ns)
+    for n in ns:
+        s = sum_r(n)
+        value, bound = want[n]
+        assert s.value == value, n
+        # the bound's own two roundings, each within a relative 2^-53, stay inside _ERR_C's headroom
+        assert Fraction(s.abs_err) * (1 + Fraction(1, 2**51)) >= bound, n
+    arr = sum_r(np.array(ns))
+    assert (arr.value.tolist(), arr.abs_err.tolist()) == ([sum_r(n).value for n in ns], [sum_r(n).abs_err for n in ns])
+
+
+def test_sum_r_terms_fit_the_fixed_point():
+    # r(k) and its error scale grow from k = 16 on, so the first blocks and the
+    # last one hold the extremes over 3 <= k < SUM_R_MAX: r(k) in [4, 128) and the
+    # scale in [4, 256) are multiples of 2^-50, integers below 2^58 once scaled,
+    # and the lanes sum them exactly
+    top = (SUM_R_MAX - 3) // SUM_R_BLOCK
+    for b in (*range(18), top):
+        k0 = 3 + b * SUM_R_BLOCK
+        ks = np.arange(k0, min(k0 + SUM_R_BLOCK, SUM_R_MAX), dtype=np.int64)
+        val, scale = analytic._r(analytic._log, ks)
+        assert 4 <= val.min() and val.max() < 128 and 4 <= scale.min() and scale.max() < 256
+        hi, lo = analytic._block_prefix(b)[:, :, -1].tolist()
+        for x, h, low in zip((val, scale), hi, lo):
+            assert (h << 32) + low == sum(int(v * 2**50) for v in x.tolist())
+    assert analytic._block_prefix(top).shape == (2, 2, (SUM_R_MAX - 3) % SUM_R_BLOCK + 1)
+
+
+def test_sum_r_reads_one_block_below_the_head(fresh_sum_r, monkeypatch):
+    sum_r(200_000)
+    terms, real_r = [], analytic._r
+
+    def counted(log, n):
+        terms.append(np.size(n))
+        return real_r(log, n)
+
+    monkeypatch.setattr(analytic, "_r", counted)
+    sum_r(5000)
+    assert sum(terms) <= SUM_R_BLOCK
+
+
+def test_sum_r_range():
+    assert SUM_R_MAX == 10**7
+    for fn in (sum_r, lemma1_sides, lemma2_lhs):
+        with pytest.raises(DomainError, match="needs n <= 10000000"):
+            fn(SUM_R_MAX + 1)
+    with pytest.raises(DomainError, match="needs n <= 10000000"):
+        lemma1_forms(np.array([5, SUM_R_MAX + 1]))
 
 
 def test_sum_r_single_term_matches_quad():
-    for n in (10, 500, 2000):
+    for n in (10, 500, 2000, 20000):
         d = sum_r(n)
         q = sum_r(n, "quad")
         assert abs(d.value - q.value) <= d.abs_err
+
+
+def test_unknown_precision_raises_value_error():
+    for precision in ("extended", "bogus"):
+        with pytest.raises(ValueError, match="precision must be one of double, quad"):
+            delta(5, precision)
+    with pytest.raises(ValueError):
+        sum_r(50, "extended")
 
 
 def test_lemma1_holds_small_range():
@@ -275,11 +351,8 @@ def test_array_evaluation_matches_scalar_bits():
     assert type(floors.tolist()[0]) is int and type(flags.tolist()[0]) is bool
 
 
-def test_array_lemma_sides_match_scalar_bits(monkeypatch):
-    import primesq.analytic as analytic
-
-    ns = np.arange(3, 10200)  # crosses the first fold of the running sum, at n = 10003
-    monkeypatch.setattr(analytic, "_default_sum_r", SumRCache())
+def test_array_lemma_sides_match_scalar_bits():
+    ns = np.arange(3, 10200)  # crosses two block edges of the running sum, at n = 4099 and 8195
     scalar = [(_bits(lemma1_sides(n)[0]), _bits(lemma1_sides(n)[1]), _bits(lemma1_proof_sides(n)[0]),
                _bits(lemma2_lhs(n))) for n in ns.tolist()]
     (lhs, rhs), (plhs, prhs) = lemma1_sides(ns), lemma1_proof_sides(ns)
@@ -288,8 +361,8 @@ def test_array_lemma_sides_match_scalar_bits(monkeypatch):
     assert [_bits(side) for side in lemma1_forms(ns)] == [_bits(side) for side in (lhs, rhs, plhs, prhs)]
     two = np.array([2, 3])  # an empty sum at both
     assert _bits(lemma1_sides(two)[0]) == _bits(lemma1_sides(2)[0]) + _bits(lemma1_sides(3)[0])
-    with pytest.raises(DomainError):  # the running sum is read in ascending n
-        lemma1_sides(np.array([5, 3]))
+    down = ns[::-1]  # the running sum is read in any order
+    assert _bits(lemma1_sides(down)[0]) == [row[0][0] for row in reversed(scalar)]
 
 
 def test_margin_sides_match_separate_calls_bits():

@@ -305,16 +305,17 @@ def test_one_chunk_campaign_same_bytes_on_the_pool(tmp_path, capsys, n_from, n_t
 def test_lemma_chunks_read_the_running_sum_once(monkeypatch):
     import primesq.analytic as analytic
 
-    terms, real_advance = [], analytic.SumRCache._advance
+    terms, real_r = [], analytic._r
 
-    def advance(cache, k_stop):
-        terms.append(max(0, k_stop - cache._next_k))
-        real_advance(cache, k_stop)
+    def counted(log, n):
+        terms.append(n.tolist())
+        return real_r(log, n)
 
-    monkeypatch.setattr(analytic, "_default_sum_r", analytic.SumRCache())
-    monkeypatch.setattr(analytic.SumRCache, "_advance", advance)
-    verify_lemmas(3, 2000)
-    assert sum(terms) == 2000 - 3  # r(3) .. r(1999), each once
+    monkeypatch.setattr(analytic, "_block_starts", [(0, 0)])
+    analytic._block_prefix.cache_clear()
+    monkeypatch.setattr(analytic, "_r", counted)
+    verify_lemmas(3, 2000)  # four chunks, every n in block 0 of the running sum
+    assert terms == [list(range(3, 3 + analytic.SUM_R_BLOCK))]
 
 
 def test_checkpoint_campaign_mismatch(tmp_path):
@@ -350,10 +351,9 @@ def test_strict_re_evaluates_every_boundary(monkeypatch):
     import primesq.analytic as analytic
 
     # blur every double-precision error bound that rows, floors and the running
-    # sum of r(k) read (on a fresh sum, so the blur stays out of the shared one),
-    # and let no tier clear a floor, so every floor climbs to quad and is flagged
+    # sum of r(k) read, and let no tier clear a floor, so every floor climbs to
+    # quad and is flagged
     monkeypatch.setattr(analytic, "_ERR_DOUBLE", 2.0 ** 100)
-    monkeypatch.setattr(analytic, "_default_sum_r", analytic.SumRCache())
     monkeypatch.setattr(analytic, "BOUNDARY_DIST", 1.0)
     ns = list(range(180, 201))
     for target in ("c1", "c2"):
@@ -407,16 +407,11 @@ def test_margin_rows_match_scalar_rows(strict):
 
 
 @pytest.mark.parametrize("strict", [False, True], ids=["fast", "strict"])
-def test_lemma_rows_match_scalar_rows(monkeypatch, strict):
-    import primesq.analytic as analytic
-
-    # fresh running sums, which the scalar rows read in n-order before the chunk reads them
-    monkeypatch.setattr(analytic, "_default_sum_r", analytic.SumRCache())
+def test_lemma_rows_match_scalar_rows(strict):
     ns, fs, pis = _chunk(3, 2000)
     want = _scalar_lemma_rows(ns, pis, strict)
     assert _bits(v._lemma_rows(ns, fs, pis, strict)) == _bits(want)
     assert want[0].cls_l2 == v.CLS_BOUNDARY  # the exact tie at n = 3, judged at quad too under strict
-    monkeypatch.setattr(analytic, "_default_sum_r", analytic.SumRCache())
     want = _scalar_lemma_rows(ns, pis // 2, strict)  # counts far too low for lemma 2
     assert _bits(v._lemma_rows(ns, fs, pis // 2, strict)) == _bits(want)
     assert v.CLS_VIOLATION in {r.cls_l2 for r in want}
@@ -441,7 +436,6 @@ def test_rows_match_scalar_rows_when_every_margin_is_boundary(monkeypatch):
     import primesq.analytic as analytic
 
     monkeypatch.setattr(analytic, "_ERR_DOUBLE", 2.0 ** 100)
-    monkeypatch.setattr(analytic, "_default_sum_r", analytic.SumRCache())
     ns, fs, pis = _chunk(3, 400)
     for strict in (False, True):
         want = _scalar_margin_rows(ns, fs, pis, strict)
