@@ -21,9 +21,11 @@ The one place rounding can flip a verdict is the floor of a near-integer
 argument, so theorem_floor evaluates at 160 bits each argument the double
 tier leaves undecided, and flags those within 1e-30 of an integer there.
 
-The lemmas' running sum of r(k) at double precision sums the double terms
-exactly, in two int64 lanes of prefix sums over blocks of SUM_R_BLOCK k, and
-rounds once; so every read is a pure function of n, in any order.
+The lemmas' running sum of r(k) is one exact sum of the double terms, kept
+in two int64 lanes of prefix sums over blocks of SUM_R_BLOCK k, for n up to
+SUM_R_MAX; so every read is a pure function of n, in any order. The double
+path rounds it once; the 160-bit path reads it exactly and carries the double
+terms' own error bound, so neither precision loops over k.
 """
 
 from __future__ import annotations
@@ -117,11 +119,6 @@ def _memo_log():
     return log
 
 
-def _as_float(x):
-    """A value as a float; float arrays pass through."""
-    return x if isinstance(x, np.ndarray) else float(x)
-
-
 def _evaluate(formula, precision: str, *args, log=_log) -> RealEval:
     """Value and error bound of formula(log, *args) -> (value, error scale) at
     precision; the double path calls log, which must return what _log does."""
@@ -176,31 +173,36 @@ def _floor_offset(log, n: int, k: int):
 
 
 def _r_sum(log, n: int):
-    """Sum of r(k) over 3 <= k < n (none for n <= 3) and its error scale.
+    """Sum of r(k) over 3 <= k < n (none for n <= 3) and its error scale, for
+    n <= SUM_R_MAX; on the double path n may be an int64 array in any order.
 
-    On the double path, n <= SUM_R_MAX and may be an int64 array in any order.
-    Each double r(k) is within _ERR_DOUBLE*scale(k) of r(k), and their exact
-    sum S is rounded once, within u*|S| = _ERR_DOUBLE*|S|/_ERR_C; the exact sum
-    of the scales is rounded once too, a relative 2^-53 inside _ERR_C's headroom.
+    Both precisions read S, the exact sum of the double terms r(k). Each is
+    within _ERR_DOUBLE*scale(k) of r(k), so S is within _ERR_DOUBLE times the
+    exact sum of the scales, which is rounded once, a relative 2^-53 inside
+    _ERR_C's headroom. The double path rounds S once too, within
+    u*|S| = _ERR_DOUBLE*|S|/_ERR_C. The 160-bit path holds S exactly, as
+    S < 2^83, and states the terms' bound in units of its own _ERR_C*u.
     """
-    if log is not _log:
-        total = 0
-        for k in range(3, n):
-            total += _r(log, k)[0]
-        return total, float(total) * max(1, n - 3)
     ns = np.atleast_1d(np.maximum(n, 3))
     if ns.max() > SUM_R_MAX:
-        raise DomainError(f"sum_r at double precision needs n <= {SUM_R_MAX}")
+        raise DomainError(f"sum_r needs n <= {SUM_R_MAX}")
     blocks, offsets = np.divmod(ns - 3, SUM_R_BLOCK)
-    sums = np.empty((2, ns.size))
+    quad = log is not _log
+    # S and the scale sum of each n: at 160 bits the exact ints times 2^50, else each rounded once
+    sums = np.empty((2, ns.size), dtype=object if quad else float)
     for b in sorted(set(blocks.tolist())):
         while len(_block_starts) <= b:  # each block below b, once
             hi, lo = _block_prefix(len(_block_starts) - 1)[:, :, -1].tolist()
             _block_starts.append(tuple(s + (h << 32) + x for s, h, x in zip(_block_starts[-1], hi, lo)))
         at = np.flatnonzero(blocks == b)
         hi, lo = _block_prefix(b)[:, :, offsets[at]].tolist()
-        for i, start in enumerate(_block_starts[b]):  # int / int rounds the exact quotient once
-            sums[i, at] = [(start + (h << 32) + x) / 2**50 for h, x in zip(hi[i], lo[i])]
+        for i, start in enumerate(_block_starts[b]):
+            exact = (start + (h << 32) + x for h, x in zip(hi[i], lo[i]))
+            sums[i, at] = list(exact) if quad else [s / 2**50 for s in exact]  # int / int rounds once
+    if quad:
+        from mpmath import mp
+
+        return mp.ldexp(sums[0, 0], -50), sums[1, 0] / 2**50 * (_ERR_DOUBLE / (_ERR_C * _U["quad"]))
     total, scale = (sums[0], sums[1]) if isinstance(n, np.ndarray) else (sums[0, 0].item(), sums[1, 0].item())
     return total, scale + total / _ERR_C
 
@@ -210,12 +212,12 @@ def _lemma_const(log):
     return 4 - 9 / log(9), 9
 
 
-def _lemma_lhs(log, n: int, total=None):
-    """n^2/(2 log n) + (4 - 9/log 9) - sum_r(n); total is _r_sum(log, n) if already read."""
-    total, total_scale = total or _r_sum(log, n)
+def _lemma_lhs(log, n: int):
+    """n^2/(2 log n) + (4 - 9/log 9) - sum_r(n)."""
+    total, total_scale = _r_sum(log, n)
     const, const_scale = _lemma_const(log)
     main = (n * n) / (2 * log(n))
-    return main + const - total, _as_float(main) + const_scale + total_scale
+    return main + const - total, main + const_scale + total_scale
 
 
 def _lemma1_rhs(log, n: int):
@@ -224,11 +226,11 @@ def _lemma1_rhs(log, n: int):
     return val, val
 
 
-def _proof_lhs(log, n: int, total=None):
-    total, total_scale = total or _r_sum(log, n)
+def _proof_lhs(log, n: int):
+    total, total_scale = _r_sum(log, n)
     lg = log(n)
     main = (n * n) / (4 * lg * lg) + 9 * (n * n) / (40 * lg * lg * lg)
-    return main + total, _as_float(main) + total_scale
+    return main + total, main + total_scale
 
 
 # --- public quantities ----------------------------------------------------------
@@ -331,7 +333,7 @@ def margin_sides(n: np.ndarray) -> tuple[RealEval, RealEval, RealEval, np.ndarra
 
 # --- exact running sum of r(k) ------------------------------------------------
 
-SUM_R_MAX = 10**7  # the greatest n whose sum_r is served at double precision
+SUM_R_MAX = 10**7  # the greatest n whose sum_r is served
 SUM_R_BLOCK = 4096  # k per block of prefix sums
 
 # the exact sums of r(k) and of its error scale, times 2^50, before each block reached so far
@@ -356,7 +358,7 @@ def _block_prefix(b: int) -> np.ndarray:
 
 
 def sum_r(n: int, precision: str = "double") -> RealEval:
-    """Sum of r(k) over 3 <= k <= n-1 with a tracked error bound; n <= SUM_R_MAX at double precision."""
+    """Sum of r(k) over 3 <= k <= n-1 with a tracked error bound; n <= SUM_R_MAX."""
     _check(n, 3, "sum_r")
     return _evaluate(_r_sum, precision, n)
 
@@ -374,15 +376,6 @@ def lemma1_proof_sides(n: int, precision: str = "double") -> tuple[RealEval, Rea
     """Rearranged form: n^2/(4 log^2 n) + 9 n^2/(40 log^3 n) + sum_r(n) > 4 - 9/log 9."""
     _check(n, 2, "lemma1_proof_sides")
     return _evaluate(_proof_lhs, precision, n), _evaluate(_lemma_const, precision)
-
-
-def lemma1_forms(n: np.ndarray) -> tuple[RealEval, RealEval, RealEval, RealEval]:
-    """lemma1_sides(n) and lemma1_proof_sides(n) on the double path, from one
-    read of the running sum of r(k) and one math.log pass over n."""
-    _check(n, 2, "lemma1_forms")
-    total, log = _r_sum(_log, n), _memo_log()
-    return (_evaluate(_lemma_lhs, "double", n, total, log=log), _evaluate(_lemma1_rhs, "double", n, log=log),
-            _evaluate(_proof_lhs, "double", n, total, log=log), _evaluate(_lemma_const, "double"))
 
 
 def lemma2_lhs(n: int, precision: str = "double") -> RealEval:

@@ -42,7 +42,7 @@ from .analytic import (
     c2_lhs,
     dusart_lower,
     dusart_upper,
-    lemma1_forms,
+    lemma1_proof_sides,
     lemma1_sides,
     lemma2_lhs,
     margin_sides,
@@ -146,7 +146,7 @@ def _margin_rows(ns: np.ndarray, fs: np.ndarray, pis: np.ndarray, strict: bool) 
 
 
 def _lemma_rows(ns: np.ndarray, fs: np.ndarray, pis: np.ndarray, strict: bool) -> LemmaRecord:
-    lhs, rhs, plhs, prhs = lemma1_forms(ns)
+    (lhs, rhs), (plhs, prhs) = lemma1_sides(ns), lemma1_proof_sides(ns)
     # the lemma holds only if both forms do; judge the tighter margin
     disp, proof = rhs.value - lhs.value, plhs.value - prhs.value
     display_tighter = disp <= proof

@@ -3,7 +3,8 @@ Eratosthenes, the reference for the base-prime table, a window sieve with
 one bool per integer, an open-interval prime count, backward and forward
 compensated sums of mbound's gaps with a linear-scan M(n) on the backward
 ones, scalar Miller-Rabin, the reference for the vectorised kernel, the
-running sum of r(k) as an exact Python-int sum of the double terms, campaign
+running sum of r(k) as an exact Python-int sum of the double terms and as a
+160-bit sum of the real terms, campaign
 rows built one n at a time from the scalar analytic functions, the reference
 for the chunk row builders, reports folded one row at a time, the reference
 for the column folds, and the margin CSV formatted one row tuple at a time,
@@ -16,6 +17,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from mpmath import mp
 
 from primesq import mbound
 from primesq.analytic import (
@@ -229,6 +231,21 @@ def exact_sum_r(ns) -> dict[int, tuple[float, Fraction]]:
         value = total / (1 << den_bits)
         out[n] = value, Fraction(err, 1 << den_bits) + Fraction(math.ulp(value)) / 2
     return out
+
+
+# _quad_prefix[i] is the 160-bit sum of r(k) over 3 <= k < 3 + i
+_quad_prefix = [mp.mpf(0)]
+
+
+def quad_sum_r(n: int):
+    """The sum of r(k) = log^2 k / loglog k over 3 <= k < n (none for n <= 3)
+    as an mpf, one mp.log per term and every operation at 160 bits: within a
+    relative n*2^-155 of the real sum. Compare it under mp.workprec(160)."""
+    with mp.workprec(160):
+        while len(_quad_prefix) < n - 2:
+            lg = mp.log(len(_quad_prefix) + 2)
+            _quad_prefix.append(_quad_prefix[-1] + lg * lg / mp.log(lg))
+    return _quad_prefix[max(n - 3, 0)]
 
 
 def _classify(margin: float, err: float) -> int:

@@ -15,7 +15,6 @@ from primesq.analytic import (
     delta,
     dusart_lower,
     dusart_upper,
-    lemma1_forms,
     lemma1_proof_sides,
     lemma1_sides,
     SQUARE_N_MAX,
@@ -28,7 +27,7 @@ from primesq.analytic import (
 from primesq.errors import DomainError
 from primesq.mbound import bound_gap
 
-from oracles import exact_sum_r
+from oracles import exact_sum_r, quad_sum_r
 
 # expected values frozen from a 60-digit mpmath evaluation of the formulas
 DELTA_3 = 1.6747036437350853582
@@ -245,11 +244,12 @@ def test_sum_r_reads_one_block_below_the_head(fresh_sum_r, monkeypatch):
 
 def test_sum_r_range():
     assert SUM_R_MAX == 10**7
-    for fn in (sum_r, lemma1_sides, lemma2_lhs):
+    for fn in (sum_r, lemma1_sides, lemma1_proof_sides, lemma2_lhs):
+        for precision in ("double", "quad"):
+            with pytest.raises(DomainError, match="needs n <= 10000000"):
+                fn(SUM_R_MAX + 1, precision)
         with pytest.raises(DomainError, match="needs n <= 10000000"):
-            fn(SUM_R_MAX + 1)
-    with pytest.raises(DomainError, match="needs n <= 10000000"):
-        lemma1_forms(np.array([5, SUM_R_MAX + 1]))
+            fn(np.array([5, SUM_R_MAX + 1]))
 
 
 def test_sum_r_single_term_matches_quad():
@@ -257,6 +257,32 @@ def test_sum_r_single_term_matches_quad():
         d = sum_r(n)
         q = sum_r(n, "quad")
         assert abs(d.value - q.value) <= d.abs_err
+
+
+# an empty sum's neighbours, small sums, both sides of the first block edge, and a later block
+ORACLE_NS = (4, 5, 6, 10, 17, 4098, 4099, 20000)
+
+
+def test_sum_r_and_lemma2_within_bounds_of_quad_oracle():
+    ns = [*ORACLE_NS, *random.Random(24).sample(range(3, 20_001), 40)]
+    for n in ns:
+        want = quad_sum_r(n)
+        with mp.workprec(160):
+            lemma2 = (n * n) / (2 * mp.log(n)) + 4 - 9 / mp.log(9) - want
+            for precision in ("double", "quad"):
+                s, l2 = sum_r(n, precision), lemma2_lhs(n, precision)
+                assert abs(s.value - want) <= s.abs_err, (n, precision)
+                assert abs(l2.value - lemma2) <= l2.abs_err, (n, precision)
+
+
+def test_quad_lemma_sides_take_a_handful_of_logs(monkeypatch):
+    # the 160-bit sides read the exact running sum, not one mp.log per k
+    calls, log = [], mp.log
+    monkeypatch.setattr(mp, "log", lambda x: calls.append(x) or log(x))
+    for fn in (lemma1_sides, lemma1_proof_sides, lemma2_lhs, sum_r):
+        calls.clear()
+        fn(10**5, "quad")
+        assert len(calls) <= 4, fn.__name__
 
 
 def test_unknown_precision_raises_value_error():
@@ -358,7 +384,6 @@ def test_array_lemma_sides_match_scalar_bits():
     (lhs, rhs), (plhs, prhs) = lemma1_sides(ns), lemma1_proof_sides(ns)
     assert list(zip(*([[b] for b in _bits(side)] for side in (lhs, rhs, plhs, lemma2_lhs(ns))))) == scalar
     assert _bits(prhs) == _bits(lemma1_proof_sides(2)[1])
-    assert [_bits(side) for side in lemma1_forms(ns)] == [_bits(side) for side in (lhs, rhs, plhs, prhs)]
     two = np.array([2, 3])  # an empty sum at both
     assert _bits(lemma1_sides(two)[0]) == _bits(lemma1_sides(2)[0]) + _bits(lemma1_sides(3)[0])
     down = ns[::-1]  # the running sum is read in any order
@@ -376,7 +401,7 @@ def test_margin_sides_match_separate_calls_bits():
 ARRAY_SQUARING = [
     ("delta", delta), ("c1_rhs", c1_rhs), ("c2_lhs", c2_lhs), ("theorem_floor", theorem_floor),
     ("margin_sides", margin_sides), ("lemma1_sides", lemma1_sides), ("lemma1_proof_sides", lemma1_proof_sides),
-    ("lemma2_lhs", lemma2_lhs), ("lemma1_forms", lemma1_forms), ("bound_gap", bound_gap),
+    ("lemma2_lhs", lemma2_lhs), ("bound_gap", bound_gap),
 ]
 
 
@@ -386,7 +411,7 @@ def test_array_squares_range_checked(name, fn):
     assert SQUARE_N_MAX == 3037000498 and (SQUARE_N_MAX + 1) ** 2 < 2**63 <= (SQUARE_N_MAX + 2) ** 2
     for top in (SQUARE_N_MAX + 1, 4_000_000_000):
         # the greatest element, not the first, is out of range; an int64 element wraps as its array does
-        inputs = [np.array([1000, top])] + ([] if name in ("margin_sides", "lemma1_forms") else [np.int64(top)])
+        inputs = [np.array([1000, top])] + ([] if name == "margin_sides" else [np.int64(top)])
         for n in inputs:
             with pytest.raises(DomainError, match=f"{name} over an int64 array needs every element <= 3037000498"):
                 fn(n)
@@ -396,7 +421,7 @@ def test_array_squares_range_checked(name, fn):
 def test_narrow_integers_refused(name, fn):
     # int32 squares wrap far below SQUARE_N_MAX: delta over int32 [100000] gave 8632.73, not 8308.70
     for dtype in (np.int32, np.int16, np.uint64):
-        inputs = [np.array([1000], dtype=dtype)] + ([] if name in ("margin_sides", "lemma1_forms") else [dtype(1000)])
+        inputs = [np.array([1000], dtype=dtype)] + ([] if name == "margin_sides" else [dtype(1000)])
         for n in inputs:
             with pytest.raises(DomainError, match=f"{name} needs int64 numpy integers"):
                 fn(n)

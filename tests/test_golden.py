@@ -31,6 +31,14 @@ kept every bit. ANALYTIC_DOUBLE was pinned again when the running sum of
 r(k) became exact: no value moved, and the error bounds of sum_r and of the
 lemma sides that read it (lemma1_lhs, proof_lhs, lemma2_lhs) fell by up to
 14% at each grid n above 3.
+
+ANALYTIC_MP_VALUES and ANALYTIC_MP_ERRORS were pinned again when the 160-bit
+sum of r(k) came to read the same exact sum of the double terms as the double
+path, in place of a 160-bit sum of the real terms. Only the sum_r, lemma1_lhs,
+proof_lhs and lemma2_lhs lines moved: sum_r's values now equal the double
+ones, and every bound of the four carries the double terms' summed bound
+(lemma2_lhs: 1.3e-13 at n = 4, where half an ulp was 4.4e-16). Each moved value lies within its new bound of the
+160-bit reference sum (oracles.quad_sum_r).
 """
 
 import hashlib
@@ -61,8 +69,8 @@ C2_CSV = "3e0b6bf6a7e00c66b0147e4c41c14b7b94141080eafa2a85e82995e27ebeac91"
 C2_CHECKPOINT = "539a30438be909e12ea18471264ec99c63ccb4200f59cca83eff6032aeebc6b3"
 
 ANALYTIC_DOUBLE = "3038c2d13eb274cc8219e5d0aa9cb996f432b1d9e6b9a65f907fdf687296ba64"
-ANALYTIC_MP_VALUES = "ba319f2cdafc6b6839e74058f484a156e641bc89d869f1919aeb3a867eac4bc3"
-ANALYTIC_MP_ERRORS = "70da42b5b9883e99a64d2d95b326a559e0a396e1c186ead4d09b8c500ed81a4c"
+ANALYTIC_MP_VALUES = "4aa8f904cd770e0ab4fdd28742a637bc4dde9549d8e729eb60d0b0b771e99bab"
+ANALYTIC_MP_ERRORS = "edd3566431c6bc552272480485f70d9765848f64f89b15b52de09d189f038f78"
 THEOREM_FLOOR_3_20000 = "a48e703dff016abf9ec2b0954ed389bd62ce4e31e267c54c59cb848222467294"
 
 ANALYTIC_GRID = (3, 4, 5, 6, 10, 17, 50, 179, 180, 597, 1234, 2000, 9999, 10000)

@@ -347,13 +347,29 @@ def test_strict_mode_runs_clean():
     assert report.violations == [] and report.boundary_cases == []
 
 
+def _blur_double_bounds(monkeypatch) -> None:
+    """Scale every double-precision error bound that rows, floors and the running
+    sum of r(k) read to 2^100 times its error scale; the 160-bit bounds, which
+    carry the double terms' bound of that sum, stay as they are."""
+    import primesq.analytic as analytic
+
+    evaluate = analytic._evaluate
+
+    def blurred(formula, precision, *args, **kw):
+        ev = evaluate(formula, precision, *args, **kw)
+        if precision != "double":
+            return ev
+        return RealEval(ev.value, ev.abs_err * (2.0 ** 100 / analytic._ERR_DOUBLE), precision)
+
+    monkeypatch.setattr(analytic, "_evaluate", blurred)
+
+
 def test_strict_re_evaluates_every_boundary(monkeypatch):
     import primesq.analytic as analytic
 
-    # blur every double-precision error bound that rows, floors and the running
-    # sum of r(k) read, and let no tier clear a floor, so every floor climbs to
-    # quad and is flagged
-    monkeypatch.setattr(analytic, "_ERR_DOUBLE", 2.0 ** 100)
+    # blur every double-precision error bound, and let no tier clear a floor,
+    # so every floor climbs to quad and is flagged
+    _blur_double_bounds(monkeypatch)
     monkeypatch.setattr(analytic, "BOUNDARY_DIST", 1.0)
     ns = list(range(180, 201))
     for target in ("c1", "c2"):
@@ -433,9 +449,7 @@ def test_rows_match_scalar_rows_when_every_floor_escalates(monkeypatch):
 
 
 def test_rows_match_scalar_rows_when_every_margin_is_boundary(monkeypatch):
-    import primesq.analytic as analytic
-
-    monkeypatch.setattr(analytic, "_ERR_DOUBLE", 2.0 ** 100)
+    _blur_double_bounds(monkeypatch)
     ns, fs, pis = _chunk(3, 400)
     for strict in (False, True):
         want = _scalar_margin_rows(ns, fs, pis, strict)
