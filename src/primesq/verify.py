@@ -13,13 +13,16 @@ margin reports and builds the lemma rows of `report all` from one margin
 pass. Reports fold the columns in n-order, never in completion order, and
 the margin CSV formats them whole; no row is ever a tuple of its own.
 
+A checkpoint names only its range and chunk size, so every margin and lemma
+target, at either precision, resumes a checkpoint of the same range.
+
 A run that computed any chunk checks its final sum against the combinatorial
 pi((to+1)^2), so campaigns need (to+1)^2 <= COMBINATORIAL_MAX. The last chunk
 reaches the checkpoint only after that check passes, and a resume checks that
 the chunks it loads chain into the pi(n^2) it seeds, so a checkpoint that
 failed its check can never be resumed into rows. A complete resume seeds
-nothing and rewrites nothing, but still checks its chunks' chain and the
-last window.
+nothing and rewrites nothing, but still checks its chunks' chain and counts
+the last window again.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .counting import COMBINATORIAL_MAX, _window_counts, pi_exact
 from .errors import DomainError
 
 CHUNK_SIZE = 512
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 LEMMA2_MIN_N = 180
 
 CLS_PASS, CLS_VIOLATION, CLS_BOUNDARY = 0, 1, 2
@@ -226,15 +229,13 @@ def write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _checkpoint_header(command: str, from_n: int, to_n: int, precision: str) -> dict:
+def _checkpoint_header(from_n: int, to_n: int) -> dict:
     return {
         "format": "primesq-checkpoint",
         "version": CHECKPOINT_VERSION,
-        "command": command,
         "from": from_n,
         "to": to_n,
         "chunk_size": CHUNK_SIZE,
-        "precision": precision,
     }
 
 
@@ -256,14 +257,16 @@ def _load_checkpoint(path: str, header: dict, chunks: list[tuple[int, int]]) -> 
         found = json.loads(lines[0])
     except (FileNotFoundError, IndexError, json.JSONDecodeError):  # no file, an empty one, a torn header
         return []
+    except UnicodeDecodeError:
+        raise DomainError(f"checkpoint {path} is not UTF-8 text") from None
     if not isinstance(found, dict):
         raise DomainError(f"checkpoint {path} has a header that is not a JSON object")
-    if found != header and {**found, "version": header["version"]} == header:
-        raise DomainError(f"checkpoint {path} has format version {found['version']}, this primesq reads "
+    if found.get("format") == header["format"] and found.get("version") != header["version"]:
+        raise DomainError(f"checkpoint {path} has format version {found.get('version')}, this primesq reads "
                           f"version {header['version']}; run the campaign again without --resume")
     if found != header:
-        raise DomainError(f"checkpoint {path} belongs to a different campaign "
-                          f"({found.get('command')} over {found.get('from')}..{found.get('to')})")
+        raise DomainError(f"checkpoint {path} belongs to a different range "
+                          f"({found.get('from')}..{found.get('to')})")
     done: list[dict] = []
     for line, (start, end) in zip(lines[1:], chunks):
         try:
@@ -274,8 +277,6 @@ def _load_checkpoint(path: str, header: dict, chunks: list[tuple[int, int]]) -> 
             raise DomainError(f"checkpoint {path} has a record that is not a JSON object")
         if rec.get("chunk_start") != start:
             break
-        if _int_column([rec.get("pi_at_start")], 1) is None:
-            raise DomainError(f"checkpoint {path}: chunk {start} has no pi_at_start that int64 holds")
         for key in ("f", "pi_n2"):
             rec[key] = _int_column(rec.get(key), end - start + 1)
             if rec[key] is None:
@@ -285,19 +286,11 @@ def _load_checkpoint(path: str, header: dict, chunks: list[tuple[int, int]]) -> 
     return done
 
 
-def _loaded_end(done: list[dict], last_n: int) -> int:
-    """pi((last_n+1)^2) from the loaded chunks, which must chain; last_n ends
-    the last of them on the campaign's chunk grid.
-
-    Each chunk's pi_at_start must be the sum of the counts before it, and so
-    must each of its pi(n^2). Nothing else checks the last f, so its window
-    is counted again.
-    """
-    pi = done[0]["pi_at_start"]
+def _loaded_end(done: list[dict]) -> int:
+    """pi((n+1)^2) at the last n of the loaded chunks, which must chain: each
+    pi(n^2) must be the first one plus the counts before n."""
+    pi = done[0]["pi_n2"][0]
     for rec in done:
-        if rec["pi_at_start"] != pi:
-            raise RuntimeError(f"checkpoint chunk {rec['chunk_start']} starts at pi = {rec['pi_at_start']}, "
-                               f"the chunks before it end at {pi}")
         fs = rec["f"]
         sums = pi + np.cumsum(fs) - fs  # the counts before each n
         off = rec["pi_n2"] != sums
@@ -306,8 +299,6 @@ def _loaded_end(done: list[dict], last_n: int) -> int:
             raise RuntimeError(f"checkpoint row n = {rec['chunk_start'] + i} has pi(n^2) = {rec['pi_n2'][i]}, "
                                f"the counts before it sum to {sums[i]}")
         pi = int(sums[-1] + fs[-1])
-    if (last := done[-1]["f"][-1]) != (f := int(_window_counts(last_n, last_n)[0])):
-        raise RuntimeError(f"checkpoint row n = {last_n} has f = {last}, its window holds {f}")
     return pi
 
 
@@ -330,8 +321,8 @@ def _checkpoint_writer(path: str | None, header: dict, done: list[dict]):
     return append
 
 
-def _run_chunked(command: str, from_n: int, to_n: int, *, workers: int, strict: bool,
-                 checkpoint_path: str | None, resume: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _run_chunked(from_n: int, to_n: int, *, workers: int, checkpoint_path: str | None,
+                 resume: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """n, f(n) and pi(n^2) over [from_n, to_n] as int64 arrays, in n-order.
 
     The chunks still to do need the combinatorial pi(n^2) at the first of
@@ -340,18 +331,21 @@ def _run_chunked(command: str, from_n: int, to_n: int, *, workers: int, strict: 
     pool jobs, the start seed first, so this process only sums the counts and
     checkpoints each chunk as soon as its counts are in, the last one only
     once the sum equals the end seed. A complete resume seeds nothing and
-    leaves the checkpoint as it is; its chunks must still chain.
+    leaves the checkpoint as it is; its chunks must still chain, and nothing
+    else checks the last f, so its window is counted again.
     """
     if to_n < from_n:
         raise DomainError("need from <= to")
     if (to_n + 1) ** 2 > COMBINATORIAL_MAX:
         raise DomainError(f"campaigns need (to+1)^2 <= {COMBINATORIAL_MAX} (combinatorial pi range)")
-    header = _checkpoint_header(command, from_n, to_n, "strict" if strict else "fast")
+    header = _checkpoint_header(from_n, to_n)
     chunks = _chunks(from_n, to_n)
     done = _load_checkpoint(checkpoint_path, header, chunks) if (checkpoint_path and resume) else []
     todo = chunks[len(done):]
     if not todo:  # the checkpoint is complete and stays as it is
-        _loaded_end(done, to_n)
+        _loaded_end(done)
+        if (last := done[-1]["f"][-1]) != (f := int(_window_counts(to_n, to_n)[0])):
+            raise RuntimeError(f"checkpoint row n = {to_n} has f = {last}, its window holds {f}")
     else:
         append = _checkpoint_writer(checkpoint_path, header, done)
         seeds = (todo[0][0] ** 2, (to_n + 1) ** 2)
@@ -369,14 +363,13 @@ def _run_chunked(command: str, from_n: int, to_n: int, *, workers: int, strict: 
                     start_seed, end_seed = (partial(_seed_job, x) for x in seeds)
                     counts = map(_counts_job, todo)
                 # a broken chain fails before the seed is in
-                loaded = _loaded_end(done, todo[0][0] - 1) if done else None
+                loaded = _loaded_end(done) if done else None
                 pi = start_seed()
                 if done and loaded != pi:
                     raise RuntimeError(f"checkpoint chunks sum to pi({todo[0][0]}^2) = {loaded}, "
                                        f"the combinatorial pi gives {pi}")
                 for (s, e), fs in zip(todo, counts):
-                    rec = {"chunk_start": s, "chunk_end": e, "pi_at_start": pi, "f": fs,
-                           "pi_n2": pi + np.cumsum(fs) - fs}
+                    rec = {"chunk_start": s, "f": fs, "pi_n2": pi + np.cumsum(fs) - fs}
                     pi = int(rec["pi_n2"][-1] + fs[-1])
                     done.append(rec)
                     if e < to_n:  # the last chunk waits for the final check
@@ -449,8 +442,7 @@ def run_margin_campaign(target: str, from_n: int, to_n: int, *, workers: int = 1
     if from_n < min_from:
         raise DomainError(f"{target} campaigns need from >= {min_from}")
     strict = _strict_flag(precision_mode)
-    counts = _run_chunked(f"verify {target}", from_n, to_n, workers=workers,
-                          strict=strict, checkpoint_path=checkpoint_path, resume=resume)
+    counts = _run_chunked(from_n, to_n, workers=workers, checkpoint_path=checkpoint_path, resume=resume)
     rows = _margin_rows(*counts, strict)
     return fold_margin_report(target, from_n, to_n, rows, strict), rows
 
@@ -493,8 +485,7 @@ def run_lemma_campaign(from_n: int, to_n: int, *, workers: int = 1,
     if from_n < 3:
         raise DomainError("lemma campaigns need from >= 3")
     strict = _strict_flag(precision_mode)
-    counts = _run_chunked("verify lemmas", from_n, to_n, workers=workers,
-                          strict=strict, checkpoint_path=checkpoint_path, resume=resume)
+    counts = _run_chunked(from_n, to_n, workers=workers, checkpoint_path=checkpoint_path, resume=resume)
     return _lemma_reports(from_n, to_n, _lemma_rows(*counts, strict), strict)
 
 

@@ -189,15 +189,15 @@ def test_cli_checkpoint_resume(tmp_path):
 def test_margin_commands_run_one_campaign(monkeypatch, capsys, target, first):
     calls, real_run = [], verify._run_chunked
 
-    def counted_run(command, from_n, to_n, **kwargs):
-        calls.append((command, from_n, to_n))
-        return real_run(command, from_n, to_n, **kwargs)
+    def counted_run(from_n, to_n, **kwargs):
+        calls.append((from_n, to_n))
+        return real_run(from_n, to_n, **kwargs)
 
     monkeypatch.setattr(verify, "_run_chunked", counted_run)
     for fmt in ("csv", "json", "table"):
         calls.clear()
         assert run_cli("verify", target, "--from", first, "--to", "1100", "--format", fmt) == 0
-        assert calls == [(f"verify {target}", int(first), 1100)]
+        assert calls == [(int(first), 1100)]
 
 
 def test_written_files_get_the_mode_open_gives(tmp_path, capsys):

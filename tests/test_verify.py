@@ -1,5 +1,6 @@
 import concurrent.futures
 import functools
+import hashlib
 import json
 import math
 import os
@@ -28,6 +29,10 @@ from primesq.verify import (
 )
 
 from oracles import count_primes_open, fold_items, lemma_row, margin_csv, margin_report, margin_row, records
+
+
+# test_golden's C2_CHECKPOINT while checkpoints were format version 2
+VERSION_2_C2_CHECKPOINT = "539a30438be909e12ea18471264ec99c63ccb4200f59cca83eff6032aeebc6b3"
 
 
 def trial_f(n: int) -> int:
@@ -321,10 +326,12 @@ def test_lemma_chunks_read_the_running_sum_once(monkeypatch):
 def test_checkpoint_campaign_mismatch(tmp_path):
     ck = tmp_path / "ck.txt"
     run_margin_campaign("c2", 3, 600, checkpoint_path=str(ck))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="different range"):
         run_margin_campaign("c2", 3, 700, checkpoint_path=str(ck), resume=True)
-    with pytest.raises(DomainError):
-        run_margin_campaign("theorem", 3, 600, checkpoint_path=str(ck), resume=True)
+    # a checkpoint holds only its range's counts, so another target resumes it
+    want = run_margin_campaign("theorem", 3, 600)[0]
+    got = run_margin_campaign("theorem", 3, 600, checkpoint_path=str(ck), resume=True)[0]
+    assert report_json(got) == report_json(want)
 
 
 def test_domain_checks():
@@ -590,15 +597,32 @@ def test_failed_lemma_check_leaves_no_resumable_checkpoint(tmp_path, monkeypatch
         verify_lemmas(3, 1100, checkpoint_path=ck, resume=True)
 
 
-def test_partial_resume_requires_chained_chunks(tmp_path):
+def _forbid_counting(monkeypatch):
+    """Make any seed or window count of a campaign fail the test."""
+    def forbidden(*args):
+        raise AssertionError("a campaign counted or seeded")
+
+    monkeypatch.setattr(v, "_seed_job", forbidden)
+    monkeypatch.setattr(v, "_counts_job", forbidden)
+
+
+def _raised_pi_n2(line: str) -> str:
+    """A checkpoint record with every pi(n^2) raised by one: its own chain holds,
+    the counts before it no longer end where it starts."""
+    rec = json.loads(line)
+    rec["pi_n2"] = [pi + 1 for pi in rec["pi_n2"]]
+    return json.dumps(rec)
+
+
+def test_partial_resume_requires_chained_chunks(tmp_path, monkeypatch):
     ck = tmp_path / "ck.txt"
     full, _ = run_margin_campaign("c2", 3, 1100, checkpoint_path=str(ck))
     header, first, second, _ = ck.read_text().splitlines()
-    rec = json.loads(second)
-    rec["pi_at_start"] += 1
-    ck.write_text("\n".join([header, first, json.dumps(rec)]) + "\n")
-    with pytest.raises(RuntimeError, match="chunks before it end"):
+    ck.write_text("\n".join([header, first, _raised_pi_n2(second)]) + "\n")
+    _forbid_counting(monkeypatch)
+    with pytest.raises(RuntimeError, match="row n = 515 .* the counts before it sum"):
         run_margin_campaign("c2", 3, 1100, checkpoint_path=str(ck), resume=True)
+    monkeypatch.undo()
     ck.write_text("\n".join([header, first, second]) + "\n")
     resumed, _ = run_margin_campaign("c2", 3, 1100, checkpoint_path=str(ck), resume=True)
     assert report_json(resumed) == report_json(full)
@@ -615,24 +639,23 @@ def test_unchained_partial_resume_exits_3_on_the_pool(tmp_path):
             "--format", "csv"]
     run_margin_campaign("c2", 3, 1600, checkpoint_path=str(ck))
     header, first, second, *_ = ck.read_text().splitlines()
-    rec = json.loads(second)
-    rec["pi_at_start"] += 1
-    ck.write_text("\n".join([header, first, json.dumps(rec)]) + "\n")  # two of four chunks left
+    ck.write_text("\n".join([header, first, _raised_pi_n2(second)]) + "\n")  # two of four chunks left
     # in a child process, so a pool that never shuts down fails the test instead of hanging it
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(primesq.__file__)))
     done = subprocess.run([sys.executable, "-m", "primesq", *argv, "--resume"], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 3
-    assert done.stdout == "" and "chunks before it end" in done.stderr and done.stderr.count("\n") == 1
+    assert done.stdout == "" and "the counts before it sum" in done.stderr and done.stderr.count("\n") == 1
 
 
-# checkpoint edits: (chunk, row, field) to raise by one
+# checkpoint edits: (chunk, row, field) to raise by one; row None raises the whole field
 _CHAIN_EDITS = {
     "0-f": (0, 5, "f"),
     "1-f": (1, 5, "f"),
     "1-pi_n2": (1, 5, "pi_n2"),
     "2-f": (2, 5, "f"),
     "2-pi_n2": (2, 5, "pi_n2"),
+    "2-whole-pi_n2": (2, None, "pi_n2"),  # chained within, not to the chunk before it
     "2-last-f": (2, -1, "f"),  # f(1100): no later pi(n^2) depends on it
 }
 
@@ -650,9 +673,13 @@ def test_complete_resume_checks_its_chain(tmp_path, capsys, target, chunk, row, 
     assert cli.main(argv) == 0
     good = capsys.readouterr().out
     lines = ck.read_text().splitlines()
-    rec = json.loads(lines[1 + chunk])
-    rec[field][row] += 1
-    ck.write_text("\n".join(lines[:1 + chunk] + [json.dumps(rec)] + lines[2 + chunk:]) + "\n")
+    if row is None:
+        edited = _raised_pi_n2(lines[1 + chunk])
+    else:
+        rec = json.loads(lines[1 + chunk])
+        rec[field][row] += 1
+        edited = json.dumps(rec)
+    ck.write_text("\n".join(lines[:1 + chunk] + [edited] + lines[2 + chunk:]) + "\n")
     assert cli.main(argv + ["--resume"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "RuntimeError" in captured.err and captured.err.count("\n") == 1
@@ -683,8 +710,7 @@ def _set(key: str, i: int, value):
     pytest.param(1, _set("pi_n2", 0, True), id="pi_n2-with-a-bool"),
     pytest.param(1, _set("pi_n2", 0, 2**63), id="pi_n2-beyond-int64"),
     pytest.param(1, _edited_record(lambda rec: rec.pop("pi_n2")), id="record-without-pi_n2"),
-    pytest.param(1, _edited_record(lambda rec: rec.pop("pi_at_start")), id="record-without-pi_at_start"),
-    pytest.param(2, _edited_record(lambda rec: rec.update(pi_at_start=2**64)), id="pi_at_start-beyond-int64"),
+    pytest.param(None, b"\xff\xfe{}\n", id="not-utf-8"),  # the whole file
 ])
 def test_malformed_checkpoint_exits_2(tmp_path, capsys, at, malform):
     from primesq import cli
@@ -693,31 +719,97 @@ def test_malformed_checkpoint_exits_2(tmp_path, capsys, at, malform):
     argv = ["verify", "c2", "--from", "3", "--to", "1100", "--checkpoint", str(ck), "--format", "csv"]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    lines = ck.read_text().splitlines()
-    lines[at] = malform(lines[at])
-    ck.write_text("\n".join(lines) + "\n")
+    if at is None:
+        ck.write_bytes(malform)
+    else:
+        lines = ck.read_text().splitlines()
+        lines[at] = malform(lines[at])
+        ck.write_text("\n".join(lines) + "\n")
+    before = ck.read_bytes()
     assert cli.main(argv + ["--resume"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("primesq: error: checkpoint " + str(ck)) and captured.err.count("\n") == 1
+    assert ck.read_bytes() == before
 
 
-def test_version_1_checkpoint_exits_2(tmp_path, capsys):
+def _as_version_2(lines: list[str]) -> list[str]:
+    """A `verify c2` checkpoint's lines as format version 2 wrote them: its header
+    also named the command and the precision, and each record its chunk_end and
+    pi_at_start."""
+    header = json.loads(lines[0])
+    out = [json.dumps({"format": header["format"], "version": 2, "command": "verify c2", "from": header["from"],
+                       "to": header["to"], "chunk_size": header["chunk_size"], "precision": "fast"})]
+    for line in lines[1:]:
+        rec = json.loads(line)
+        start, fs, pis = rec["chunk_start"], rec["f"], rec["pi_n2"]
+        out.append(json.dumps({"chunk_start": start, "chunk_end": start + len(fs) - 1, "pi_at_start": pis[0],
+                               "f": fs, "pi_n2": pis}))
+    return out
+
+
+@pytest.mark.parametrize("version", [1, 2], ids=["version-1", "version-2"])
+def test_older_checkpoint_version_exits_2(tmp_path, capsys, version):
     from primesq import cli
 
     ck = tmp_path / "ck.txt"
     argv = ["verify", "c2", "--from", "3", "--to", "1100", "--checkpoint", str(ck)]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    header, *records = ck.read_text().splitlines()
-    ck.write_text("\n".join([json.dumps({**json.loads(header), "version": 1}), *records]) + "\n")
+    lines = ck.read_text().splitlines()
+    if version == 1:
+        lines[0] = json.dumps({**json.loads(lines[0]), "version": 1})
+    else:
+        lines = _as_version_2(lines)
+    ck.write_text("\n".join(lines) + "\n")
     before = ck.read_bytes()
+    if version == 2:  # the bytes version 2 wrote for this campaign
+        assert hashlib.sha256(before).hexdigest() == VERSION_2_C2_CHECKPOINT
     assert cli.main(argv + ["--resume"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert captured.err.startswith("primesq: error: checkpoint " + str(ck))
-    assert "version 1" in captured.err and "version 2" in captured.err and "without --resume" in captured.err
+    assert f"version {version}" in captured.err and "version 3" in captured.err
+    assert "without --resume" in captured.err
     assert ck.read_bytes() == before
+
+
+def test_one_checkpoint_serves_every_target(tmp_path, capsys, monkeypatch):
+    from primesq import cli
+
+    ck = tmp_path / "ck.txt"
+    span = ["--from", "5", "--to", "1600", "--workers", "2"]  # four chunks
+    assert cli.main(["verify", "c2", *span, "--checkpoint", str(ck), "--format", "csv"]) == 0
+    whole = ck.read_bytes()
+    runs = [["verify", "c1", *span, "--format", "csv"],
+            ["verify", "theorem", *span, "--format", "json"],
+            ["verify", "implication", *span, "--precision", "strict", "--format", "csv"],
+            ["verify", "lemmas", *span, "--format", "json"]]
+    fresh = []
+    for argv in runs:
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        fresh.append(capsys.readouterr().out)
+    _forbid_counting(monkeypatch)
+    for argv, want in zip(runs, fresh):
+        assert cli.main([*argv, "--checkpoint", str(ck), "--resume"]) == 0
+        assert capsys.readouterr().out == want
+    assert ck.read_bytes() == whole
+    monkeypatch.undo()
+    # two of four chunks: the lemma campaign counts only the other two
+    real_job, jobs = v._counts_job, []
+
+    def job(chunk):
+        jobs.append(chunk)
+        return real_job(chunk)
+
+    monkeypatch.setattr(v, "_counts_job", job)
+    ck.write_bytes(b"".join(whole.splitlines(keepends=True)[:3]))
+    lemmas = ["verify", "lemmas", "--from", "5", "--to", "1600", "--format", "json"]  # job runs here
+    assert cli.main([*lemmas, "--checkpoint", str(ck), "--resume"]) == 0
+    assert capsys.readouterr().out == fresh[-1]
+    assert jobs == [(1029, 1540), (1541, 1600)]
+    assert ck.read_bytes() == whole
 
 
 def test_complete_resume_leaves_the_checkpoint_alone(tmp_path, capsys):
@@ -838,14 +930,14 @@ def test_suite_reports_equal_separate_campaigns(monkeypatch, precision):
 
     calls, real_run = [], v._run_chunked
 
-    def counted_run(command, from_n, to_n, **kwargs):
-        calls.append((command, from_n, to_n))
-        return real_run(command, from_n, to_n, **kwargs)
+    def counted_run(from_n, to_n, **kwargs):
+        calls.append((from_n, to_n))
+        return real_run(from_n, to_n, **kwargs)
 
     monkeypatch.setattr(v, "run_lemma_campaign", no_lemma_campaign)
     monkeypatch.setattr(v, "_run_chunked", counted_run)
     got = v.suite_reports(ranges, (3, 600), precision_mode=precision)
-    assert calls == [("verify c2", 3, 1100)]  # one pass over the union of the ranges
+    assert calls == [(3, 1100)]  # one pass over the union of the ranges
     assert list(got) == [*ranges, "lemma1", "lemma2"]
     assert {t: repr(r) for t, r in got.items()} == {t: repr(r) for t, r in want.items()}
 
