@@ -15,7 +15,7 @@ It applies math.log to each element, not np.log, which can differ in the
 last bit; elementwise + - * /, np.floor and np.rint round as the scalar
 operations do, so every element is bit-identical to the scalar result.
 margin_sides gives a campaign's n delta, c1_rhs, c2_lhs and theorem_floor
-from one evaluation each of delta and r.
+from one evaluation each of delta and r, _lemma_sides its lemma sides at once.
 
 The one place rounding can flip a verdict is the floor of a near-integer
 argument, so theorem_floor evaluates at 160 bits each argument the double
@@ -120,19 +120,29 @@ def _memo_log():
 
 
 def _evaluate(formula, precision: str, *args, log=_log) -> RealEval:
-    """Value and error bound of formula(log, *args) -> (value, error scale) at
-    precision; the double path calls log, which must return what _log does."""
+    """Value and error bound at precision of formula(log, *args) -> (value, error scale)."""
+    return _bounded(*_run(formula, precision, *args, log=log), precision)
+
+
+def _run(formula, precision: str, *args, log=_log):
+    """formula(log, *args) on the double path, where log must return what _log
+    does, and formula(mp.log, *args) under mp.workprec at 160 bits."""
     if precision == "double":
-        val, scale = formula(log, *args)
-        return RealEval(val, _ERR_DOUBLE * scale, "double")
+        return formula(log, *args)
     if precision not in PRECISION_BITS:
         raise ValueError(f"precision must be one of {', '.join(PRECISION_BITS)}, got {precision!r}")
     from mpmath import mp  # only the 160-bit path needs it
 
     with mp.workprec(PRECISION_BITS[precision]):
-        val, scale = formula(mp.log, *args)
-        v = float(val)
-        return RealEval(v, _ERR_C * _U[precision] * float(scale) + 0.5 * math.ulp(abs(v)), precision)
+        return formula(mp.log, *args)
+
+
+def _bounded(val, scale, precision: str) -> RealEval:
+    """val and _ERR_C*u*scale, plus at 160 bits half an ulp for rounding val to a float."""
+    if precision == "double":
+        return RealEval(val, _ERR_DOUBLE * scale, "double")
+    v = float(val)
+    return RealEval(v, _ERR_C * _U[precision] * float(scale) + 0.5 * math.ulp(abs(v)), precision)
 
 
 # --- formulas, generic over the log implementation ----------------------------
@@ -172,65 +182,50 @@ def _floor_offset(log, n: int, k: int):
     return d - r - k, d_scale + r_scale
 
 
-def _r_sum(log, n: int):
+def _r_sum(n: int, precision: str):
     """Sum of r(k) over 3 <= k < n (none for n <= 3) and its error scale, for
     n <= SUM_R_MAX; on the double path n may be an int64 array in any order.
 
     Both precisions read S, the exact sum of the double terms r(k). Each is
     within _ERR_DOUBLE*scale(k) of r(k), so S is within _ERR_DOUBLE times the
     exact sum of the scales, which is rounded once, a relative 2^-53 inside
-    _ERR_C's headroom. The double path rounds S once too, within
-    u*|S| = _ERR_DOUBLE*|S|/_ERR_C. The 160-bit path holds S exactly, as
-    S < 2^83, and states the terms' bound in units of its own _ERR_C*u.
+    _ERR_C's headroom. The 160-bit path holds S exactly, as S < 2^83, and
+    states the terms' bound in units of its own _ERR_C*u. The double path
+    rounds S once, within u*|S| = _ERR_DOUBLE*|S|/_ERR_C: S*2^50 = A*2^32 + B
+    with A, B < 2^53, exact doubles, so A*2^-18 + B*2^-50 rounds once.
     """
     ns = np.atleast_1d(np.maximum(n, 3))
     if ns.max() > SUM_R_MAX:
         raise DomainError(f"sum_r needs n <= {SUM_R_MAX}")
     blocks, offsets = np.divmod(ns - 3, SUM_R_BLOCK)
-    quad = log is not _log
-    # S and the scale sum of each n: at 160 bits the exact ints times 2^50, else each rounded once
-    sums = np.empty((2, ns.size), dtype=object if quad else float)
+    sums = np.empty((2, ns.size))  # S and the scale sum of each n, each rounded once
     for b in sorted(set(blocks.tolist())):
         while len(_block_starts) <= b:  # each block below b, once
-            hi, lo = _block_prefix(len(_block_starts) - 1)[:, :, -1].tolist()
-            _block_starts.append(tuple(s + (h << 32) + x for s, h, x in zip(_block_starts[-1], hi, lo)))
-        at = np.flatnonzero(blocks == b)
-        hi, lo = _block_prefix(b)[:, :, offsets[at]].tolist()
-        for i, start in enumerate(_block_starts[b]):
-            exact = (start + (h << 32) + x for h, x in zip(hi[i], lo[i]))
-            sums[i, at] = list(exact) if quad else [s / 2**50 for s in exact]  # int / int rounds once
-    if quad:
+            hi, lo = _block_starts[-1] + _block_prefix(len(_block_starts) - 1)[:, :, -1]
+            _block_starts.append(np.stack([hi + (lo >> 32), lo & 0xFFFFFFFF]))
+        at = blocks == b
+        hi, lo = _block_prefix(b)[:, :, offsets[at]] + _block_starts[b][:, :, None]
+        sums[:, at] = np.ldexp(hi, -18) + np.ldexp(lo, -50)
+    if precision != "double":  # one n: its two exact sums from the last block's lanes
         from mpmath import mp
 
-        return mp.ldexp(sums[0, 0], -50), sums[1, 0] / 2**50 * (_ERR_DOUBLE / (_ERR_C * _U["quad"]))
-    total, scale = (sums[0], sums[1]) if isinstance(n, np.ndarray) else (sums[0, 0].item(), sums[1, 0].item())
+        total, scale = ((h << 32) + x for h, x in zip(hi[:, 0].tolist(), lo[:, 0].tolist()))
+        return mp.ldexp(total, -50), scale / 2**50 * (_ERR_DOUBLE / (_ERR_C * _U["quad"]))
+    total, scale = sums if isinstance(n, np.ndarray) else sums[:, 0].tolist()
     return total, scale + total / _ERR_C
 
 
-def _lemma_const(log):
-    """4 - 9/log 9, the lemma's negative constant."""
-    return 4 - 9 / log(9), 9
-
-
-def _lemma_lhs(log, n: int):
-    """n^2/(2 log n) + (4 - 9/log 9) - sum_r(n)."""
-    total, total_scale = _r_sum(log, n)
-    const, const_scale = _lemma_const(log)
-    main = (n * n) / (2 * log(n))
-    return main + const - total, main + const_scale + total_scale
-
-
-def _lemma1_rhs(log, n: int):
+def _lemma(log, n: int, precision: str):
+    """(value, error scale) of each lemma side: the display's lhs
+    n^2/(2 log n) + (4 - 9/log 9) - sum_r(n) and rhs, then the proof form's."""
+    total, total_scale = _r_sum(n, precision)
     lg = log(n)
-    val = (n * n) / (2 * lg) * (1 + 1 / (2 * lg) + 9 / (20 * lg * lg))
-    return val, val
-
-
-def _proof_lhs(log, n: int):
-    total, total_scale = _r_sum(log, n)
-    lg = log(n)
-    main = (n * n) / (4 * lg * lg) + 9 * (n * n) / (40 * lg * lg * lg)
-    return main + total, main + total_scale
+    const = 4 - 9 / log(9)
+    main = (n * n) / (2 * lg)
+    rhs = main * (1 + 1 / (2 * lg) + 9 / (20 * lg * lg))
+    proof = (n * n) / (4 * lg * lg) + 9 * (n * n) / (40 * lg * lg * lg)
+    return [(main + const - total, main + 9 + total_scale), (rhs, rhs), (proof + total, proof + total_scale),
+            (const, 9)]
 
 
 # --- public quantities ----------------------------------------------------------
@@ -336,8 +331,9 @@ def margin_sides(n: np.ndarray) -> tuple[RealEval, RealEval, RealEval, np.ndarra
 SUM_R_MAX = 10**7  # the greatest n whose sum_r is served
 SUM_R_BLOCK = 4096  # k per block of prefix sums
 
-# the exact sums of r(k) and of its error scale, times 2^50, before each block reached so far
-_block_starts = [(0, 0)]
+# the exact sums of r(k) and of its error scale before each block reached so far, times 2^50,
+# as A0*2^32 + B0 with A0 < 2^51 and B0 < 2^32: int64 of shape (A0/B0, quantity)
+_block_starts = [np.zeros((2, 2), dtype=np.int64)]
 
 
 @functools.lru_cache(maxsize=1)
@@ -360,25 +356,29 @@ def _block_prefix(b: int) -> np.ndarray:
 def sum_r(n: int, precision: str = "double") -> RealEval:
     """Sum of r(k) over 3 <= k <= n-1 with a tracked error bound; n <= SUM_R_MAX."""
     _check(n, 3, "sum_r")
-    return _evaluate(_r_sum, precision, n)
+    return _evaluate(lambda log, n: _r_sum(n, precision), precision, n)
 
 
 # --- lemma sides ----------------------------------------------------------------
 
 
+def _lemma_sides(n, precision: str = "double", name: str = "lemma sides") -> list[RealEval]:
+    """lemma1_sides(n) then lemma1_proof_sides(n), from one log pass over n and one read of sum_r."""
+    _check(n, 2, name)
+    return [_bounded(*pair, precision) for pair in _run(_lemma, precision, n, precision)]
+
+
 def lemma1_sides(n: int, precision: str = "double") -> tuple[RealEval, RealEval]:
     """Both sides of the summed-floor lemma's displayed inequality (lhs < rhs)."""
-    _check(n, 2, "lemma1_sides")
-    return _evaluate(_lemma_lhs, precision, n), _evaluate(_lemma1_rhs, precision, n)
+    return tuple(_lemma_sides(n, precision, "lemma1_sides")[:2])
 
 
 def lemma1_proof_sides(n: int, precision: str = "double") -> tuple[RealEval, RealEval]:
     """Rearranged form: n^2/(4 log^2 n) + 9 n^2/(40 log^3 n) + sum_r(n) > 4 - 9/log 9."""
-    _check(n, 2, "lemma1_proof_sides")
-    return _evaluate(_proof_lhs, precision, n), _evaluate(_lemma_const, precision)
+    return tuple(_lemma_sides(n, precision, "lemma1_proof_sides")[2:])
 
 
 def lemma2_lhs(n: int, precision: str = "double") -> RealEval:
     """Left side of the pi(n^2) lower estimate; equals lemma1_sides(n)[0]."""
     _check(n, 3, "lemma2_lhs")
-    return _evaluate(_lemma_lhs, precision, n)
+    return _lemma_sides(n, precision)[0]

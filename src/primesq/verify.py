@@ -6,12 +6,12 @@ first chunk not yet in the checkpoint; with more than one worker, the seed
 and the counts are jobs on a process pool. The campaign process sums f(n)
 from the seed in n-order; a checkpoint holds these counts and nothing else.
 Rows are built once from n, f(n) and pi(n^2), counted or loaded alike, as
-pure functions of n into a column block: one array per row field. So any
-worker count and any resume point give bit-identical results, and one pass
-over a range serves every report drawn from it: suite_reports folds the
-margin reports and builds the lemma rows of `report all` from one margin
-pass. Reports fold the columns in n-order, never in completion order, and
-the margin CSV formats them whole; no row is ever a tuple of its own.
+pure functions of n into a column block (one array per row field) by one
+margin_sides or _lemma_sides pass. So any worker count and any resume point
+give bit-identical results, and one pass over a range serves every report
+drawn from it: suite_reports folds the margin reports and builds the lemma
+rows of `report all` from one margin pass. Reports fold columns in n-order,
+never in completion order, and the margin CSV formats them whole.
 
 A checkpoint names only its range and chunk size, so every margin and lemma
 target, at either precision, resumes a checkpoint of the same range.
@@ -41,11 +41,11 @@ import numpy as np
 from .analytic import (
     DUSART_LOWER_MIN_X,
     RealEval,
+    _lemma_sides,
     c1_rhs,
     c2_lhs,
     dusart_lower,
     dusart_upper,
-    lemma1_proof_sides,
     lemma1_sides,
     lemma2_lhs,
     margin_sides,
@@ -149,7 +149,7 @@ def _margin_rows(ns: np.ndarray, fs: np.ndarray, pis: np.ndarray, strict: bool) 
 
 
 def _lemma_rows(ns: np.ndarray, fs: np.ndarray, pis: np.ndarray, strict: bool) -> LemmaRecord:
-    (lhs, rhs), (plhs, prhs) = lemma1_sides(ns), lemma1_proof_sides(ns)
+    lhs, rhs, plhs, prhs = _lemma_sides(ns)
     # the lemma holds only if both forms do; judge the tighter margin
     disp, proof = rhs.value - lhs.value, plhs.value - prhs.value
     display_tighter = disp <= proof
@@ -249,16 +249,16 @@ def _int_column(values, size: int) -> np.ndarray | None:
 
 def _load_checkpoint(path: str, header: dict, chunks: list[tuple[int, int]]) -> list[dict]:
     """The checkpoint's records of chunks[0], chunks[1], ... up to the first
-    missing or torn one, with f and pi_n2 as int64 arrays; [] when absent. A
-    header or record that is not the JSON this module writes raises DomainError."""
+    missing or torn one, with f and pi_n2 as int64 arrays; [] for no file or
+    an empty one. Any other header, or a record, not as written raises DomainError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
         found = json.loads(lines[0])
-    except (FileNotFoundError, IndexError, json.JSONDecodeError):  # no file, an empty one, a torn header
+    except (FileNotFoundError, IndexError):  # no file, an empty one
         return []
-    except UnicodeDecodeError:
-        raise DomainError(f"checkpoint {path} is not UTF-8 text") from None
+    except ValueError:  # not UTF-8, or not JSON: write_atomic never tears a header
+        raise DomainError(f"checkpoint {path} does not start with a JSON header") from None
     if not isinstance(found, dict):
         raise DomainError(f"checkpoint {path} has a header that is not a JSON object")
     if found.get("format") == header["format"] and found.get("version") != header["version"]:

@@ -3,7 +3,7 @@ Eratosthenes, the reference for the base-prime table, a window sieve with
 one bool per integer, an open-interval prime count, backward and forward
 compensated sums of mbound's gaps with a linear-scan M(n) on the backward
 ones, scalar Miller-Rabin, the reference for the vectorised kernel, the
-running sum of r(k) as an exact Python-int sum of the double terms and as a
+running sum of r(k) as an exact integer sum of the double terms and as a
 160-bit sum of the real terms, campaign
 rows built one n at a time from the scalar analytic functions, the reference
 for the chunk row builders, reports folded one row at a time, the reference
@@ -215,22 +215,28 @@ def exact_sum_r(ns) -> dict[int, tuple[float, Fraction]]:
     """For each n >= 3 of ns, the sum of r_term(k) over 3 <= k < n: the exact
     sum of the double terms rounded once, and a sound bound on its distance
     from the real sum, the exact sum of the terms' error bounds plus half an
-    ulp of the rounded value. Terms are summed as Python ints over one
-    power-of-two denominator."""
-    den_bits = 128
+    ulp of the rounded value. The terms, evaluated an array of k at a time,
+    are integers over 2^50 and their bounds over 2^100, summed exactly."""
     out, total, err, k = {}, 0, 0, 3
     for n in sorted(set(ns)):
         while k < n:
-            term = r_term(k)
-            for x in (term.value, term.abs_err):
-                if (1 << den_bits) % x.as_integer_ratio()[1]:
-                    raise ValueError(f"r_term({k}) is finer than 2^-{den_bits}")
-            total += int(term.value * 2**den_bits)
-            err += int(term.abs_err * 2**den_bits)
-            k += 1
-        value = total / (1 << den_bits)
-        out[n] = value, Fraction(err, 1 << den_bits) + Fraction(math.ulp(value)) / 2
+            term = r_term(np.arange(k, min(n, k + 2**16), dtype=np.int64))
+            total += _exact_sum(term.value, 50)
+            err += _exact_sum(term.abs_err, 100)
+            k += term.value.size
+        value = total / (1 << 50)
+        out[n] = value, Fraction(err, 1 << 100) + Fraction(math.ulp(value)) / 2
     return out
+
+
+def _exact_sum(x: np.ndarray, bits: int) -> int:
+    """The sum of the floats x times 2^bits, each an integer below 2^58: in
+    int64, 32 terms at a time, then as Python ints."""
+    q = np.ldexp(x, bits)
+    if not (np.array_equal(q, np.floor(q)) and q.max() < 2**58):
+        raise ValueError(f"terms are not multiples of 2^-{bits} below 2^{58 - bits}")
+    q = np.concatenate([q.astype(np.int64), np.zeros(-q.size % 32, dtype=np.int64)])
+    return sum(q.reshape(-1, 32).sum(axis=1).tolist())
 
 
 # _quad_prefix[i] is the 160-bit sum of r(k) over 3 <= k < 3 + i

@@ -181,7 +181,7 @@ def test_sum_r_small_values():
 @pytest.fixture
 def fresh_sum_r(monkeypatch):
     """The running sum of r(k) as a fresh process has it: no block filled."""
-    monkeypatch.setattr(analytic, "_block_starts", [(0, 0)])
+    monkeypatch.setattr(analytic, "_block_starts", analytic._block_starts[:1])
     analytic._block_prefix.cache_clear()
 
 
@@ -193,23 +193,28 @@ def test_sum_r_query_order_independent(fresh_sum_r):
     ns = [3, 4, 57, 400, 1200, *BLOCK_EDGES, 25_000, 69_999]
     shuffled = random.Random(23).sample(ns, len(ns))
     got = {n: sum_r(n) for n in shuffled}
-    analytic._block_starts[:] = [(0, 0)]
+    del analytic._block_starts[1:]
     analytic._block_prefix.cache_clear()
     assert [sum_r(n) for n in ns] == [got[n] for n in ns]
 
 
 def test_sum_r_matches_exact_oracle(fresh_sum_r):
-    # sampled prefixes of 3..70000, read in shuffled order, then as one unsorted array
-    ns = random.Random(5).sample(range(3, 70_001), 300) + list(BLOCK_EDGES)
+    # sampled prefixes of 3..70000, each side of block edges near and far (the
+    # block of k from 999427, the last from 9998339) and the top of the range,
+    # where the hi lanes of the sums times 2^50 pass 2^48; read in shuffled
+    # order, then as one unsorted array
+    far = [999426, 999427, 999428, 9998338, 9998339, 9998340, SUM_R_MAX - 1, SUM_R_MAX]
+    ns = random.Random(5).sample(range(3, 70_001), 300) + list(BLOCK_EDGES) + far
+    random.Random(6).shuffle(ns)
     want = exact_sum_r(ns)
-    for n in ns:
-        s = sum_r(n)
+    got = [sum_r(n) for n in ns]
+    for n, s in zip(ns, got):
         value, bound = want[n]
         assert s.value == value, n
         # the bound's own two roundings, each within a relative 2^-53, stay inside _ERR_C's headroom
         assert Fraction(s.abs_err) * (1 + Fraction(1, 2**51)) >= bound, n
     arr = sum_r(np.array(ns))
-    assert (arr.value.tolist(), arr.abs_err.tolist()) == ([sum_r(n).value for n in ns], [sum_r(n).abs_err for n in ns])
+    assert (arr.value.tolist(), arr.abs_err.tolist()) == ([s.value for s in got], [s.abs_err for s in got])
 
 
 def test_sum_r_terms_fit_the_fixed_point():

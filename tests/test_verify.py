@@ -316,11 +316,53 @@ def test_lemma_chunks_read_the_running_sum_once(monkeypatch):
         terms.append(n.tolist())
         return real_r(log, n)
 
-    monkeypatch.setattr(analytic, "_block_starts", [(0, 0)])
+    monkeypatch.setattr(analytic, "_block_starts", analytic._block_starts[:1])
     analytic._block_prefix.cache_clear()
     monkeypatch.setattr(analytic, "_r", counted)
     verify_lemmas(3, 2000)  # four chunks, every n in block 0 of the running sum
     assert terms == [list(range(3, 3 + analytic.SUM_R_BLOCK))]
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["fast", "strict"])
+def test_lemma_rows_read_the_sum_once(monkeypatch, strict):
+    import primesq.analytic as analytic
+
+    # a chunk across the block edge at k = 999427, counts around lemma 2's left side
+    ns = np.arange(998976, 999488, dtype=np.int64)
+    pis = np.floor(analytic.lemma2_lhs(ns).value).astype(np.int64) + np.resize([-1, 0, 1, 2, 1000], ns.size)
+    want = _scalar_lemma_rows(ns, pis, strict)
+    reads, passes = [], []
+    real_r_sum, real_lemma = analytic._r_sum, analytic._lemma
+
+    def counted_r_sum(n, precision):
+        reads.append(isinstance(n, np.ndarray))
+        return real_r_sum(n, precision)
+
+    def counted_lemma(log, n, precision):
+        def counted_log(x):
+            passes.append(isinstance(x, np.ndarray) and np.array_equal(x, ns))
+            return log(x)
+
+        return real_lemma(counted_log, n, precision)
+
+    monkeypatch.setattr(analytic, "_r_sum", counted_r_sum)
+    monkeypatch.setattr(analytic, "_lemma", counted_lemma)
+    got = v._lemma_rows(ns, np.zeros_like(ns), pis, strict)
+    assert reads.count(True) == 1 and passes.count(True) == 1
+    assert _bits(got) == _bits(want)
+    assert {v.CLS_PASS, v.CLS_VIOLATION} <= {r.cls_l2 for r in want}
+
+
+@pytest.mark.parametrize("precision", ["fast", "strict"])
+def test_margin_campaigns_never_read_the_running_sum(monkeypatch, precision):
+    import primesq.analytic as analytic
+
+    def no_read(n, precision):
+        raise AssertionError("a margin campaign read the running sum of r(k)")
+
+    monkeypatch.setattr(analytic, "_r_sum", no_read)
+    for target in v.MARGIN_TARGETS:
+        run_margin_campaign(target, 5, 1100, precision_mode=precision)
 
 
 def test_checkpoint_campaign_mismatch(tmp_path):
@@ -360,15 +402,14 @@ def _blur_double_bounds(monkeypatch) -> None:
     carry the double terms' bound of that sum, stay as they are."""
     import primesq.analytic as analytic
 
-    evaluate = analytic._evaluate
+    bounded = analytic._bounded
 
-    def blurred(formula, precision, *args, **kw):
-        ev = evaluate(formula, precision, *args, **kw)
+    def blurred(val, scale, precision):
         if precision != "double":
-            return ev
-        return RealEval(ev.value, ev.abs_err * (2.0 ** 100 / analytic._ERR_DOUBLE), precision)
+            return bounded(val, scale, precision)
+        return RealEval(val, scale * 2.0 ** 100, precision)
 
-    monkeypatch.setattr(analytic, "_evaluate", blurred)
+    monkeypatch.setattr(analytic, "_bounded", blurred)
 
 
 def test_strict_re_evaluates_every_boundary(monkeypatch):
@@ -711,6 +752,7 @@ def _set(key: str, i: int, value):
     pytest.param(1, _set("pi_n2", 0, 2**63), id="pi_n2-beyond-int64"),
     pytest.param(1, _edited_record(lambda rec: rec.pop("pi_n2")), id="record-without-pi_n2"),
     pytest.param(None, b"\xff\xfe{}\n", id="not-utf-8"),  # the whole file
+    pytest.param(None, b"my notes\n", id="not-a-checkpoint"),
 ])
 def test_malformed_checkpoint_exits_2(tmp_path, capsys, at, malform):
     from primesq import cli
