@@ -63,6 +63,13 @@ for n in 15000 100000 300000; do
   test "$out" = "$n"
 done
 
+step "Combinatorial pi at its documented limit in a cold process"
+# pi(10^12) from a fresh interpreter: the rough-index recurrence with its
+# largest tables, 168 compacting steps and 1061 over the primes after them
+out=$(primesq compute pi --x 1000000000000 --method combinatorial)
+echo "pi(10^12) = $out"
+test "$out" = "37607912018"
+
 step "f(n) at the top of its range in a cold process"
 # the window (9999999^2, 10^14) from an empty base-prime table, which the
 # window sieve builds once, at 9999999 rounded up to a block of 2^16

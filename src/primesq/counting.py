@@ -96,13 +96,30 @@ def stream_f(from_n: int, to_n: int) -> list[FRecord]:
 # Legendre's recurrence: S(v, p), the count of 2 <= m <= v that are prime or
 # have no prime factor <= p, is S(v, p-1) - (S(v // p, p-1) - S(p-1, p-1)) for
 # a prime p <= isqrt(v), and pi(x) = S(x, isqrt(x)). Only v = x // i occur:
-# small[v] for v <= isqrt(x), large[i] for x // i. Per prime, large then small
-# update in place; numpy evaluates each right side first, so it reads S(., p-1).
-# Meissel's split (Lehmer, Illinois J. Math. 1959) stops the loop at
-# y = icbrt(x): then small[v] = pi(v) for every v, and each prime q in (y, r]
-# has x // q < q^2, so large[q] = pi(x // q) and the steps left sum at once:
-# pi(x) = large[1] - sum(large[q] - small[q] + 1). Time O(x^(3/4) / log x)
-# with one Python step per prime <= x^(1/3), not x^(1/2); memory O(sqrt(x)).
+# small[v] for v <= r = isqrt(x), large for x // i. Meissel's split (Lehmer,
+# Illinois J. Math. 1959) stops the steps at y = icbrt(x): then small[v] =
+# pi(v) for every v, and each prime q in (y, r] has x // q < q^2, so
+# S(x // q, y) = pi(x // q) and the steps left sum at once:
+# pi(x) = S(x, y) - sum(S(x // q, y) - pi(q) + 1).
+# As in the phi leaves of Lagarias, Miller & Odlyzko (Math. Comp. 1985),
+# after step p only S(x // i) for i = 1 and the rough i <= r, those with no
+# prime factor <= p, are read again, so each step updates only those. The
+# list holds them by i ascending: quot = x // i, from which i = x // quot
+# (exact for i <= r), and large = S(x // i, p). Before step p,
+# small[v] - pi(p-1) counts the listed i in [2, v], so that is the position
+# of a listed v; for i * p > r, x // (i * p) = quot // p <= r and small
+# holds its S. Each step reads its right sides before it writes.
+# - p <= x^(1/4): every listed i has x // i >= p^2, so every one updates.
+#   The multiples of p in the list are i * p for the listed i <= r // p:
+#   they are read at their positions, and then they leave the list.
+#   small[v] for v >= p^2 updates through an (m, p) view whose rows share
+#   v // p.
+# - p > x^(1/4): the list is 1 and the primes in (x^(1/4), r], and stays so.
+#   p is its own entry, small holds pi and no longer changes, and only 1
+#   and the primes in (p, x // p^2] update.
+# Time O(x^(3/4) / log x), from the small updates (the list updates take
+# O(x^(3/4) / log^2 x)), with one Python step per prime <= x^(1/3); memory
+# O(sqrt(x)).
 
 
 def _icbrt(x: int) -> int:
@@ -122,26 +139,43 @@ def _pi_combinatorial(x: int) -> int:
     # small[v] <= v - 1 < r <= 10^6 for x <= COMBINATORIAL_MAX, so int32 holds it
     # and halves the traffic of its updates; large and quot reach x and stay int64
     small = np.maximum(np.arange(-1, r, dtype=np.int32), 0)
-    quot = x // np.maximum(np.arange(r + 1, dtype=np.int64), 1)  # x // i; x // (i * p) is quot[i] // p
-    large = quot - 1  # large[0] is unused
-    for p in range(2, y + 1):
+    quot = x // np.arange(1, r + 1, dtype=np.int64)  # every i <= r is listed before p = 2
+    large = quot - 1
+    for p in range(2, math.isqrt(r) + 1):  # the p with p^4 <= x
         if small[p] == small[p - 1]:
             continue  # p is composite: S(p, p-1) = S(p-1, p-1)
-        sp, last = small[p - 1], min(r, x // (p * p))
-        k = min(r // p, last)  # large[i * p] holds S(x // (i * p)) for i <= k
-        large[1:k + 1] -= large[p:k * p + 1:p] - sp
-        large[k + 1:last + 1] -= small[quot[k + 1:last + 1] // p] - sp
-        # small[v // p] for v = p^2..r: each small[w], p <= w <= r // p, p times in a row
-        small[p * p:] -= np.repeat(small[p:r // p + 1], p)[:r + 1 - p * p] - sp
-    q = y + 1 + np.flatnonzero(small[y + 1:] > small[y:-1])  # the primes in (y, r]
-    return int(large[1] - (large[q] - small[q] + 1).sum())
+        sp = small[p - 1]
+        at = small[x // quot[:small[r // p] - sp + 1] * p]  # i * p for the listed i <= r // p
+        at -= sp
+        keep = np.ones(quot.size, dtype=bool)
+        keep[at] = False
+        held = large[at[keep[:at.size]]]  # S(x // (i * p), p-1) for the i that stay
+        held -= sp
+        quot = quot[keep]
+        large = large[keep]
+        large[:held.size] -= held
+        large[held.size:] -= small[quot[held.size:] // p] - sp
+        w = (r + 1) // p  # rows w' = p..w - 1 hold v = w' * p .. w' * p + p - 1, row w the tail to r
+        cut = small[p:w + 1] - sp
+        rows = small[p * p:w * p].reshape(-1, p)
+        rows -= cut[:-1, None]
+        small[w * p:] -= cut[-1]
+    pi0 = int(small[math.isqrt(r)])  # entry j >= 1 is the prime with pi = pi0 + j
+    last = int(small[y]) - pi0  # entry last is the last prime <= y
+    for j in range(1, last + 1):  # the primes p in (x^(1/4), y]
+        p, sp = x // int(quot[j]), pi0 + j - 1
+        large[0] -= large[j] - sp
+        end = int(small[x // (p * p)]) - pi0 + 1
+        large[j + 1:end] -= small[quot[j + 1:end] // p] - sp
+    q = x // quot[last + 1:]  # the primes in (y, r]
+    return int(large[0] - (large[last + 1:] - small[q] + 1).sum())
 
 
 def pi_exact(x: int, method: PiMethod = "combinatorial") -> int:
-    """Exact pi(x). Both methods agree wherever both are supported."""
+    """Exact pi(x) for an integer x. Both methods agree wherever both are supported."""
+    x = operator.index(x)
     if x < 0:
         raise ValueError("need x >= 0")
-    x = int(x)
     if method == "window_sieve":
         return pi_exact_many([x])[0]
     if method == "combinatorial":
@@ -152,7 +186,8 @@ def pi_exact(x: int, method: PiMethod = "combinatorial") -> int:
 
 
 def pi_exact_many(xs: list[int]) -> list[int]:
-    """Window-sieve pi at many points in a single streaming pass."""
+    """Window-sieve pi at many integer points in a single streaming pass."""
+    xs = [operator.index(x) for x in xs]
     if not xs:
         return []
     if min(xs) < 0:

@@ -175,8 +175,8 @@ def _pin_malloc() -> None:
     they have risen depends on that process's heap layout (the environment's
     size, the length of the sources it compiled). Left low, every seed
     temporary is mapped and faulted afresh: the workers of one two-chunk
-    campaign near n = 1e5 took 19k to 76k minor faults by layout, and 14k
-    with the thresholds fixed.
+    campaign near n = 1e5 took 19k to 76k minor faults by layout, and take
+    9.9k to 10.1k with the thresholds fixed.
     """
     import ctypes
 

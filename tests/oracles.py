@@ -2,13 +2,14 @@
 Eratosthenes, the reference for the base-prime table, a window sieve with
 one bool per integer, an open-interval prime count, backward and forward
 compensated sums of mbound's gaps with a linear-scan M(n) on the backward
-ones, scalar Miller-Rabin, the reference for the vectorised kernel, the
-running sum of r(k) as an exact integer sum of the double terms and as a
-160-bit sum of the real terms, campaign
-rows built one n at a time from the scalar analytic functions, the reference
-for the chunk row builders, reports folded one row at a time, the reference
-for the column folds, and the margin CSV formatted one row tuple at a time,
-the reference for the column formatter."""
+ones, scalar Miller-Rabin, the reference for the vectorised kernel,
+Legendre's recurrence over every x // i, the reference for the combinatorial
+pi, which updates only the rough i, the running sum of r(k) as an exact
+integer sum of the double terms and as a 160-bit sum of the real terms,
+campaign rows built one n at a time from the scalar analytic functions, the
+reference for the chunk row builders, reports folded one row at a time, the
+reference for the column folds, and the margin CSV formatted one row tuple
+at a time, the reference for the column formatter."""
 
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from primesq.analytic import (
     r_term,
     theorem_floor,
 )
-from primesq.counting import MILLER_RABIN_BASES, MILLER_RABIN_PSI
+from primesq.counting import MILLER_RABIN_BASES, MILLER_RABIN_PSI, _icbrt
 from primesq.errors import DomainError
 from primesq.sieve import DEFAULT_SEGMENT_SLOTS, SegmentBitmap, count_primes_below
 from primesq.verify import (
@@ -209,6 +210,29 @@ def miller_rabin(x: int) -> bool:
         else:
             return False
     return True
+
+
+def dense_pi(x: int) -> int:
+    """pi(x) by Legendre's recurrence with Meissel's split, as in
+    counting._pi_combinatorial, but each step p updates S(x // i) for every
+    i <= isqrt(x) with x // i >= p^2, rough or not."""
+    if x < 2:
+        return 0
+    r, y = math.isqrt(x), _icbrt(x)
+    small = np.maximum(np.arange(-1, r, dtype=np.int32), 0)
+    quot = x // np.maximum(np.arange(r + 1, dtype=np.int64), 1)  # x // i; x // (i * p) is quot[i] // p
+    large = quot - 1  # large[0] is unused
+    for p in range(2, y + 1):
+        if small[p] == small[p - 1]:
+            continue  # p is composite: S(p, p-1) = S(p-1, p-1)
+        sp, last = small[p - 1], min(r, x // (p * p))
+        k = min(r // p, last)  # large[i * p] holds S(x // (i * p)) for i <= k
+        large[1:k + 1] -= large[p:k * p + 1:p] - sp
+        large[k + 1:last + 1] -= small[quot[k + 1:last + 1] // p] - sp
+        # small[v // p] for v = p^2..r: each small[w], p <= w <= r // p, p times in a row
+        small[p * p:] -= np.repeat(small[p:r // p + 1], p)[:r + 1 - p * p] - sp
+    q = y + 1 + np.flatnonzero(small[y + 1:] > small[y:-1])  # the primes in (y, r]
+    return int(large[1] - (large[q] - small[q] + 1).sum())
 
 
 def exact_sum_r(ns) -> dict[int, tuple[float, Fraction]]:

@@ -29,7 +29,7 @@ from primesq.counting import (
 from primesq.errors import DomainError, Unsupported
 from primesq.sieve import PrimeTable, shared_table, sieve_window
 
-from oracles import is_prime, marked_values, miller_rabin
+from oracles import dense_pi, is_prime, marked_values, miller_rabin
 
 
 def naive_pi(limit: int) -> list[int]:
@@ -124,10 +124,42 @@ def test_combinatorial_pi_matches_window_sieve():
     assert [_pi_combinatorial(x) for x in xs] == pi_exact_many(xs)
 
 
+def test_combinatorial_pi_matches_dense_recurrence():
+    rng = random.Random(20261020)
+    xs = [rng.randrange(10**9, 10**11) for _ in range(6)]
+    # the last prime p with p^4 <= x, whose step ends the compaction, changes at q^4
+    primes = [q for q in range(2, 301) if is_prime(q)]
+    xs += [q**4 + d for q in primes for d in (-1, 0, 1)]
+    xs += [k * k + d for k in rng.sample(range(31623, 316228), 6) for d in (-1, 0, 1)]
+    xs += [k**3 + d for k in rng.sample(range(1001, 4642), 6) for d in (-1, 0, 1)]
+    assert [_pi_combinatorial(x) for x in xs] == [dense_pi(x) for x in xs]
+
+
+def test_combinatorial_pi_at_powers_of_ten():
+    # OEIS A006880
+    expected = [4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534, 455052511,
+                4118054813, 37607912018]
+    assert [_pi_combinatorial(10**k) for k in range(1, 13)] == expected
+    assert _pi_combinatorial(10**13) == 346065536839  # above COMBINATORIAL_MAX, which only pi_exact enforces
+
+
 def test_pi_exact_many_matches_singles():
     rng = random.Random(3)
     xs = [rng.randrange(0, 200_000) for _ in range(30)] + [1, 2, 199_999]
     assert pi_exact_many(xs) == [pi_exact(x, "combinatorial") for x in xs]
+
+
+def test_pi_takes_integers_only():
+    for bad in (2.5, 10.9, np.float64(10.0), "10"):
+        with pytest.raises(TypeError):
+            pi_exact(bad)
+        with pytest.raises(TypeError):
+            pi_exact(bad, "window_sieve")
+        with pytest.raises(TypeError):
+            pi_exact_many([4, bad])
+    for x in (np.int64(10), np.int32(10), np.uint16(10)):
+        assert pi_exact(x) == pi_exact(x, "window_sieve") == pi_exact_many([x])[0] == pi_exact(int(x))
+    assert pi_exact_many(np.array([10, 100])) == [4, 25]
 
 
 def test_pi_unsupported_ranges():
