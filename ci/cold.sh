@@ -70,6 +70,14 @@ out=$(primesq compute pi --x 1000000000000 --method combinatorial)
 echo "pi(10^12) = $out"
 test "$out" = "37607912018"
 
+step "Window-sieve pi at its documented limit in a cold process"
+# pi(10^10) from a fresh interpreter by both methods: the window sieve's 3179
+# full segments, each copied from the pre-sieve pattern, must agree with the
+# combinatorial counter, or the command exits 3
+out=$(primesq compute pi --x 10000000000 --method both)
+echo "pi(10^10) = $out"
+test "$out" = "455052511"
+
 step "f(n) at the top of its range in a cold process"
 # the window (9999999^2, 10^14) from an empty base-prime table, which the
 # window sieve builds once, at 9999999 rounded up to a block of 2^16

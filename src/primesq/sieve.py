@@ -6,9 +6,11 @@ Windows store one boolean per integer prime to 6 (the 6k+1 and 6k+5
 slots), with 2 and 3 special-cased, so multiples of 2 and 3 are never
 stored.
 
-Each base prime p >= 5 strikes two progressions, its multiples p*m with
-m = 1 and m = 5 mod 6, each a step of 2p slots. A few in-place numpy
-operations find every base prime's first two such multiples in the window.
+A window starts as copies of a 10010-slot pattern with the multiples of 5,
+7, 11 and 13 struck (the pre-sieve of Walisch's primesieve). Each base prime
+p >= 17 then strikes two progressions, its multiples p*m with m = 1 and
+m = 5 mod 6, each a step of 2p slots. A few in-place numpy operations find
+every base prime's first two such multiples in the window.
 How a prime strikes depends on how often it strikes the window at hand: in
 a window of n slots, a prime p <= n // (2 * MAX_ROUNDS) hits each of its
 progressions at least MAX_ROUNDS times and strikes by slice assignment;
@@ -16,7 +18,7 @@ all larger ones strike together, one fancy-index round per multiple, in at
 most MAX_ROUNDS rounds. An index past the window is clamped to one sentinel
 slot after it, and each round takes only the prefix of primes that can
 still strike, so the Python steps per window do not grow with the number
-of base primes. A full segment of 2^20 slots splits at 16384.
+of base primes. A full segment of 2^20 slots splits at 10922.
 
 The base-prime table is itself one such window over [0, limit], whose
 base primes come from base_primes itself at isqrt(limit). The package-wide
@@ -28,6 +30,7 @@ window is ever turned into a list of primes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,7 +42,9 @@ from .errors import InsufficientTable
 DEFAULT_SEGMENT_SLOTS = 1 << 20
 # A base prime that hits each of its progressions in a window at least this
 # many times strikes by slice assignment; the others take at most this many rounds.
-MAX_ROUNDS = 32
+MAX_ROUNDS = 48
+# Every window starts from one periodic pattern with the multiples of these struck.
+PRESIEVE = (5, 7, 11, 13)
 # The package-wide table grows to a multiple of this limit.
 SHARED_BLOCK = 1 << 16
 
@@ -86,6 +91,17 @@ def shared_table(limit: int) -> PrimeTable:
     if _shared.limit < limit:
         _shared = base_primes(max(2 * _shared.limit, -(-limit // SHARED_BLOCK) * SHARED_BLOCK))
     return _shared
+
+
+@functools.cache
+def _presieve_pattern() -> np.ndarray:
+    """Slots 2j and 2j + 1 mark 6j + 1 and 6j + 5 iff prime to PRESIEVE, for j < 5005."""
+    pattern = np.ones(2 * math.prod(PRESIEVE), dtype=bool)
+    for p in PRESIEVE:  # p * m for m = 1 and m = 5 mod 6, steps of 2p slots
+        pattern[p // 3 :: 2 * p] = False
+        pattern[5 * p // 3 :: 2 * p] = False
+    pattern.setflags(write=False)
+    return pattern
 
 
 # m0 mod 6 -> how far the least m >= m0 prime to 6, and the next one, lie above m0
@@ -140,13 +156,24 @@ def sieve_window(lo: int, hi: int, table: PrimeTable) -> SegmentBitmap:
         )
     base = lo - lo % 6
     n = _slots_below(hi - base)
-    bits = np.ones(n + 1, dtype=bool)  # bits[n] is the sentinel
+    pattern = _presieve_pattern()
+    start = base // 3 % pattern.size  # base's slot in the pattern's period
+    bits = np.empty(n + 1, dtype=bool)  # bits[n] is the sentinel
+    filled = min(n + 1, pattern.size)  # one period from start, wrapping, then doubled
+    head = min(filled, pattern.size - start)
+    bits[:head] = pattern[start : start + head]
+    bits[head:filled] = pattern[: filled - head]
+    while filled <= n:
+        bits[filled : 2 * filled] = bits[: min(filled, n + 1 - filled)]
+        filled *= 2
     if base + 1 < max(lo, 2):  # slot 0 holds 1 or an integer below lo
         bits[0] = False
-    if hi > 25:
-        # 25 is the least composite prime to 6; below that nothing needs marking
+    if lo <= PRESIEVE[-1]:  # struck in the pattern, but prime
+        bits[[(p - base) // 3 for p in PRESIEVE if lo <= p < hi]] = True
+    if hi > 289:
+        # 17^2 is the least composite prime to 2..13; below that nothing needs marking
         cut = int(np.searchsorted(table.primes, math.isqrt(hi - 1), side="right"))
-        p = table.primes[2:cut]  # the base primes from 5 on
+        p = table.primes[6:cut]  # the base primes from 17 on
         # the multiples m*p >= max(p^2, lo) with m prime to 6 start at the least
         # two such m >= m0 = max(p, ceil(lo/p)); all arithmetic is in place
         m = np.floor_divide(-lo, p)

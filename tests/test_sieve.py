@@ -210,10 +210,10 @@ def test_far_windows_match_trial_division():
         _check_window(lo, lo + 40, table)
 
 
-@pytest.mark.parametrize("p", [3, 127, 16381, 16411, 999983])
+@pytest.mark.parametrize("p", [3, 127, 10909, 10937, 999983])
 def test_windows_at_a_prime_square(p):
     # p is the last base prime each window needs; a full segment's slices stop
-    # between 16381 and 16411
+    # between 10909 and 10937
     sq = p * p
     for lo in range(sq - 2, sq + 3):
         for width in (0, 1, 2, 3, 40):
@@ -223,13 +223,13 @@ def test_windows_at_a_prime_square(p):
 
 def test_slice_split_sits_between_the_test_primes():
     split = sieve.DEFAULT_SEGMENT_SLOTS // (2 * sieve.MAX_ROUNDS)  # the largest prime a full segment slices
-    assert 16381 < split == 16384 < 16411
+    assert 10909 < split == 10922 < 10937
 
 
 def test_wide_far_windows_match_miller_rabin():
-    # wide enough that primes which strike in rounds, up to 16411, strike several times
-    for lo in (16411**2 - 5, 10**12 + 12345):
-        hi = lo + 4 * 16411 + 7
+    # wide enough that primes which strike in rounds, up to 10937, strike several times
+    for lo in (10937**2 - 5, 10**12 + 12345):
+        hi = lo + 4 * 10937 + 7
         _check_window(lo, hi, shared_table(math.isqrt(hi)), miller_rabin)
 
 
@@ -295,7 +295,7 @@ def test_rounds_clamp_only_primes_that_can_strike_again(monkeypatch):
     rec = Recorder()
     monkeypatch.setattr(sieve, "np", rec)
     seg = sieve_window(lo, hi, table)
-    n, p = seg.bits.size, table.primes[2:]
+    n, p = seg.bits.size, table.primes[6:]  # the base primes from 17 on; 5..13 come from the pattern
     assert n // (2 * 15) == 100  # the primes from 101 on take rounds
     large = p[p >= 101]
     expected, r = [], 1
@@ -324,3 +324,34 @@ def test_small_segments_advance_and_count(monkeypatch, lo, slots):
     assert calls[0][0] == lo and calls[-1][1] == bounds[-1]
     assert all(a < b <= a + 3 * slots for a, b in calls)  # every segment advances
     assert all(x[1] == y[0] for x, y in zip(calls, calls[1:]))
+
+
+def test_presieve_pattern_is_trial_division_over_one_period():
+    # slot 2j holds 6j + 1 and slot 2j + 1 holds 6j + 5, for 6 * 5 * 7 * 11 * 13 integers
+    expected = [all(v % d for d in (5, 7, 11, 13)) for j in range(5005) for v in (6 * j + 1, 6 * j + 5)]
+    assert sieve._presieve_pattern().tolist() == expected
+
+
+@pytest.mark.parametrize(("anchor", "phase"), [(10**8, 5003), (10**10, 5004), (10**12, 0)])
+def test_windows_where_the_presieve_wraps(anchor, phase):
+    # a window copies the pattern from slot 2 * phase, with phase = base // 6 % 5005;
+    # at 5003 and 5004 the copy wraps to slot 0 after 12 and 6 integers
+    start = anchor - anchor % 30030 + 6 * phase
+    table = shared_table(math.isqrt(start + (3 << 20)))
+    for lo in (start, start + 1, start + 5):
+        assert (lo - lo % 6) // 6 % 5005 == phase
+        for width in (1, 40):
+            _check_window(lo, lo + width, table, miller_rabin)
+    hi = start + 1 + (3 << 20)  # a full segment's width, from one period copied and doubled
+    assert marked_values(sieve_window(start + 1, hi, table)).tolist() == window_primes(start + 1, hi)
+
+
+def test_windows_from_the_presieved_primes_keep_them():
+    # 5, 7, 11 and 13 are struck in the pattern and put back when they lie in [lo, hi)
+    table = shared_table(math.isqrt(3 << 20))
+    for lo in range(15):
+        for hi in (*range(lo, 40), 289, 290, 30031, 30036, 3 << 20):
+            seg = sieve_window(lo, hi, table)
+            inside = [p for p in (5, 7, 11, 13) if lo <= p < hi]
+            assert [p for p in inside if is_marked(seg, p)] == inside, (lo, hi)
+            assert [v for v in marked_values(seg).tolist() if v < 300] == window_primes(lo, min(hi, 300))
