@@ -52,6 +52,14 @@ out=$(primesq verify lemmas --from 99840 --to 100351 --precision strict --worker
 echo "$out"
 test "$out" = "310d00063de15d06337a2a2944cfe2fdbe59b59d858e19676262c45c19db0391  -"
 
+step "Far margin campaign in a cold process"
+# c2 rows at n near 1e6, each n's delta, r and log^2 n loglog n from one
+# formula; one floor there escalates to 160 bits. The CSV keeps the bytes
+# recorded when delta, r and log^2 n loglog n were three formulas
+out=$(primesq verify c2 --from 999488 --to 999999 --workers 2 --format csv | sha256sum)
+echo "$out"
+test "$out" = "b7d9b4d81ccba0919414ddd3952cbc17d9095b1d538f4eb4dd019fb3f036a202  -"
+
 step "g(n) in cold processes"
 # whole g runs: 15000 is the benchmark's two blocks of windows; 100000 and
 # 300000 take 13 and 37 blocks, candidates up to 1e10 and 9e10 and batches

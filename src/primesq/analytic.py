@@ -14,8 +14,9 @@ range and mbound a chunk at a time; (n+1)^2 must fit an int64, so n <= SQUARE_N_
 It applies math.log to each element, not np.log, which can differ in the
 last bit; elementwise + - * /, np.floor and np.rint round as the scalar
 operations do, so every element is bit-identical to the scalar result.
-margin_sides gives a campaign's n delta, c1_rhs, c2_lhs and theorem_floor
-from one evaluation each of delta and r, _lemma_sides its lemma sides at once.
+One formula, _margin, gives delta, r and log^2 n loglog n from one log each of
+n, n+1 and log n: margin_sides reads a campaign's delta, c1_rhs, c2_lhs and
+theorem_floor from it, _lemma_sides its lemma sides from one formula of their own.
 
 The one place rounding can flip a verdict is the floor of a near-integer
 argument, so theorem_floor evaluates at 160 bits each argument the double
@@ -103,32 +104,16 @@ def _check(n, least: int, name: str) -> None:
     _check_squares(n, name)
 
 
-def _memo_log():
-    """A _log that evaluates each distinct array once: an array's formulas take
-    log n, log(n+1) and log log n several times each."""
-    seen = {}
-
-    def log(x):
-        if not isinstance(x, np.ndarray):
-            return _log(x)
-        key = (x.dtype.str, x.tobytes())
-        if key not in seen:
-            seen[key] = _log(x)
-        return seen[key]
-
-    return log
-
-
-def _evaluate(formula, precision: str, *args, log=_log) -> RealEval:
+def _evaluate(formula, precision: str, *args) -> RealEval:
     """Value and error bound at precision of formula(log, *args) -> (value, error scale)."""
-    return _bounded(*_run(formula, precision, *args, log=log), precision)
+    return _bounded(*_run(formula, precision, *args), precision)
 
 
-def _run(formula, precision: str, *args, log=_log):
-    """formula(log, *args) on the double path, where log must return what _log
-    does, and formula(mp.log, *args) under mp.workprec at 160 bits."""
+def _run(formula, precision: str, *args):
+    """formula(_log, *args) on the double path, and formula(mp.log, *args)
+    under mp.workprec at 160 bits."""
     if precision == "double":
-        return formula(log, *args)
+        return formula(_log, *args)
     if precision not in PRECISION_BITS:
         raise ValueError(f"precision must be one of {', '.join(PRECISION_BITS)}, got {precision!r}")
     from mpmath import mp  # only the 160-bit path needs it
@@ -148,23 +133,26 @@ def _bounded(val, scale, precision: str) -> RealEval:
 # --- formulas, generic over the log implementation ----------------------------
 
 
-def _delta(log, n: int):
-    a = ((n + 1) * (n + 1)) / log(n + 1)
-    b = (n * n) / log(n)
-    return (a - b) / 2, a + b
-
-
-def _r(log, n: int):
-    lg = log(n)
-    ll = log(lg)
+def _r_of(lg, ll):
+    """r = log^2 n / loglog n and its error scale, from lg = log n and ll = log lg."""
     val = lg * lg / ll
     return val, val * (1 + 1 / ll)
 
 
-def _s(log, n: int):
+def _r(log, n: int):
     lg = log(n)
-    val = lg * lg * log(lg)
-    return val, abs(val) + lg * lg
+    return _r_of(lg, log(lg))
+
+
+def _margin(log, n: int):
+    """(value, error scale) of delta(n), r(n) and s(n) = log^2 n loglog n, from
+    one log each of n, n+1 and log n."""
+    lg = log(n)
+    ll = log(lg)
+    a = ((n + 1) * (n + 1)) / log(n + 1)
+    b = (n * n) / lg
+    s = lg * lg * ll
+    return ((a - b) / 2, a + b), _r_of(lg, ll), (s, abs(s) + lg * lg)
 
 
 def _dusart(log, x, c: str):
@@ -177,8 +165,7 @@ def _dusart(log, x, c: str):
 def _floor_offset(log, n: int, k: int):
     """delta(n) - r(n) - k; with k the integer nearest the argument, the
     difference keeps its digits when rounded to a float."""
-    d, d_scale = _delta(log, n)
-    r, r_scale = _r(log, n)
+    (d, d_scale), (r, r_scale), _ = _margin(log, n)
     return d - r - k, d_scale + r_scale
 
 
@@ -234,7 +221,7 @@ def _lemma(log, n: int, precision: str):
 def delta(n: int, precision: str = "double") -> RealEval:
     """Half the increment of x^2/log x from n to n+1; positive for n >= 2."""
     _check(n, 2, "delta")
-    return _evaluate(_delta, precision, n)
+    return _margin_sides(n, precision)[0]
 
 
 def r_term(n: int, precision: str = "double") -> RealEval:
@@ -255,13 +242,15 @@ def _c2(d: RealEval, r: RealEval) -> RealEval:
 def c1_rhs(n: int, precision: str = "double") -> RealEval:
     """Upper-conjecture right side: delta(n) + log^2(n)*loglog(n)."""
     _check(n, 3, "c1_rhs")
-    return _c1(delta(n, precision), _evaluate(_s, precision, n))
+    d, _, s = _margin_sides(n, precision)
+    return _c1(d, s)
 
 
 def c2_lhs(n: int, precision: str = "double") -> RealEval:
     """Lower-conjecture left side: delta(n) - r(n) - 1."""
     _check(n, 3, "c2_lhs")
-    return _c2(delta(n, precision), r_term(n, precision))
+    d, r, _ = _margin_sides(n, precision)
+    return _c2(d, r)
 
 
 def dusart_lower(x: float, precision: str = "double") -> tuple[RealEval, bool]:
@@ -285,7 +274,7 @@ def theorem_floor(n: int) -> tuple[int, bool]:
     takes one 160-bit evaluation of the argument less k."""
     _check(n, 3, "theorem_floor")
     if isinstance(n, np.ndarray):
-        return _floors(n, _evaluate(_floor_offset, "double", n, 0, log=_memo_log()))
+        return _floors(n, _evaluate(_floor_offset, "double", n, 0))
     ev = _evaluate(_floor_offset, "double", n, 0)
     k = round(ev.value)
     if abs(ev.value - k) < max(ESCALATE_DIST, 4.0 * ev.abs_err):
@@ -310,18 +299,22 @@ def _floors(n: np.ndarray, ev: RealEval) -> tuple[np.ndarray, np.ndarray]:
     return floors, flags
 
 
+def _margin_sides(n, precision: str = "double") -> list[RealEval]:
+    """delta(n), r(n) and log^2 n loglog n, from one log pass each over n, n+1 and log n."""
+    return [_bounded(*pair, precision) for pair in _run(_margin, precision, n)]
+
+
 def margin_sides(n: np.ndarray) -> tuple[RealEval, RealEval, RealEval, np.ndarray, np.ndarray]:
     """delta(n), c1_rhs(n), c2_lhs(n) and theorem_floor(n) over an int64 array
     of n >= 3, bit-identical to those calls.
 
-    delta, r and log^2 n loglog n are each evaluated once, from one math.log
-    pass each over n, n+1 and log n. The floor argument delta - r carries the
+    One formula gives delta, r and log^2 n loglog n, from one math.log pass
+    each over n, n+1 and log n. The floor argument delta - r carries the
     error bound d.abs_err + r.abs_err, which equals _floor_offset's because
     _ERR_DOUBLE is a power of two.
     """
     _check(n, 3, "margin_sides")
-    log = _memo_log()
-    d, r, s = (_evaluate(formula, "double", n, log=log) for formula in (_delta, _r, _s))
+    d, r, s = _margin_sides(n)
     floors, flags = _floors(n, RealEval(d.value - r.value, d.abs_err + r.abs_err, "double"))
     return d, _c1(d, s), _c2(d, r), floors, flags
 

@@ -261,12 +261,18 @@ def _load_checkpoint(path: str, header: dict, chunks: list[tuple[int, int]]) -> 
         raise DomainError(f"checkpoint {path} does not start with a JSON header") from None
     if not isinstance(found, dict):
         raise DomainError(f"checkpoint {path} has a header that is not a JSON object")
-    if found.get("format") == header["format"] and found.get("version") != header["version"]:
+    if found.get("format") != header["format"]:
+        raise DomainError(f"checkpoint {path} is not a primesq checkpoint")
+    if found.get("version") != header["version"]:
         raise DomainError(f"checkpoint {path} has format version {found.get('version')}, this primesq reads "
                           f"version {header['version']}; run the campaign again without --resume")
-    if found != header:
+    if (found.get("from"), found.get("to")) != (header["from"], header["to"]):
         raise DomainError(f"checkpoint {path} belongs to a different range "
                           f"({found.get('from')}..{found.get('to')})")
+    if found != header:  # the range agrees: name the first field that does not
+        key = next(k for k in {**header, **found} if k not in found or k not in header or found[k] != header[k])
+        raise DomainError(f"checkpoint {path} has header field {key} = {json.dumps(found.get(key))}, "
+                          f"this primesq writes {json.dumps(header.get(key))}")
     done: list[dict] = []
     for line, (start, end) in zip(lines[1:], chunks):
         try:

@@ -290,6 +290,31 @@ def test_quad_lemma_sides_take_a_handful_of_logs(monkeypatch):
         assert len(calls) <= 4, fn.__name__
 
 
+def test_margin_formulas_take_one_log_pass_per_argument(fresh_sum_r, monkeypatch):
+    # delta, r and log^2 n loglog n share one math.log pass each over n, n+1
+    # and log n; a block of the running sum takes two, over k and log k
+    elements, log = [], analytic._log
+    monkeypatch.setattr(analytic, "_log", lambda x: elements.append(np.size(x)) or log(x))
+    ns = np.arange(1000, 3000, dtype=np.int64)
+    for fn in (margin_sides, theorem_floor):
+        elements.clear()
+        fn(ns)
+        assert sum(elements) == 3 * ns.size, fn.__name__
+    elements.clear()
+    analytic._block_prefix(0)
+    assert sum(elements) == 2 * SUM_R_BLOCK
+
+
+def test_quad_margin_sides_take_three_logs(monkeypatch):
+    # one 160-bit formula gives delta, r and log^2 n loglog n: log n, log(n+1) and log log n
+    calls, log = [], mp.log
+    monkeypatch.setattr(mp, "log", lambda x: calls.append(x) or log(x))
+    for fn in (delta, c1_rhs, c2_lhs):
+        calls.clear()
+        fn(10**5, "quad")
+        assert len(calls) <= 3, fn.__name__
+
+
 def test_unknown_precision_raises_value_error():
     for precision in ("extended", "bogus"):
         with pytest.raises(ValueError, match="precision must be one of double, quad"):

@@ -31,6 +31,11 @@ refactor of the analytic layer must keep every bit. The quad error digest
 leaves out the Dusart bounds and bound_gap: their mpmath error scale was
 2x/log x where the double path used the bound itself.
 
+ANALYTIC_MP_FAR hashes float.hex of the 160-bit value and error bound of
+delta, r_term, c1_rhs and c2_lhs at 20 seeded n in 10^5..9999999, beyond the
+grid's 10000. It was recorded from the implementation that evaluated delta,
+r and log^2 n loglog n as three separate formulas.
+
 ANALYTIC_MP_VALUES and ANALYTIC_MP_ERRORS were pinned again, over the quad
 lines alone, when the 96-bit "extended" level was dropped; the quad lines
 kept every bit. ANALYTIC_DOUBLE was pinned again when the running sum of
@@ -48,6 +53,7 @@ ones, and every bound of the four carries the double terms' summed bound
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -78,8 +84,10 @@ ANALYTIC_DOUBLE = "3038c2d13eb274cc8219e5d0aa9cb996f432b1d9e6b9a65f907fdf687296b
 ANALYTIC_MP_VALUES = "4aa8f904cd770e0ab4fdd28742a637bc4dde9549d8e729eb60d0b0b771e99bab"
 ANALYTIC_MP_ERRORS = "edd3566431c6bc552272480485f70d9765848f64f89b15b52de09d189f038f78"
 THEOREM_FLOOR_3_20000 = "a48e703dff016abf9ec2b0954ed389bd62ce4e31e267c54c59cb848222467294"
+ANALYTIC_MP_FAR = "7a666ebc6441809faa74d0f0ee511c625004fda17fd1cebb374ed183104532ab"
 
 ANALYTIC_GRID = (3, 4, 5, 6, 10, 17, 50, 179, 180, 597, 1234, 2000, 9999, 10000)
+ANALYTIC_FAR_NS = sorted(random.Random(30).sample(range(10**5, 10**7), 20))
 
 
 def _sha256(data: bytes) -> str:
@@ -145,3 +153,12 @@ def test_analytic_digests():
 def test_theorem_floor_digest():
     text = "".join(f"{n} {fl} {flag}\n" for n in range(3, 20001) for fl, flag in [theorem_floor(n)])
     assert _sha256(text.encode()) == THEOREM_FLOOR_3_20000
+
+
+def test_analytic_far_quad_digest():
+    digest = hashlib.sha256()
+    for n in ANALYTIC_FAR_NS:
+        for fn in (delta, r_term, c1_rhs, c2_lhs):
+            ev = fn(n, "quad")
+            digest.update(f"{n} {fn.__name__} {ev.value.hex()} {ev.abs_err.hex()}\n".encode())
+    assert digest.hexdigest() == ANALYTIC_MP_FAR

@@ -376,6 +376,23 @@ def test_checkpoint_campaign_mismatch(tmp_path):
     assert report_json(got) == report_json(want)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: h.update(chunk_size=256), "has header field chunk_size = 256, this primesq writes 512$"),
+    (lambda h: h.update(note="x"), 'has header field note = "x", this primesq writes null$'),
+    (lambda h: h.pop("chunk_size"), "has header field chunk_size = null, this primesq writes 512$"),
+    (lambda h: h.clear() or h.update(a=1), "is not a primesq checkpoint$"),
+], ids=["chunk-size", "extra-field", "missing-field", "not-primesq"])
+def test_checkpoint_header_mismatch_names_the_field(tmp_path, edit, message):
+    ck = tmp_path / "ck.txt"
+    run_margin_campaign("c2", 3, 600, checkpoint_path=str(ck))
+    lines = ck.read_text().splitlines()
+    header = json.loads(lines[0])
+    edit(header)
+    ck.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    with pytest.raises(DomainError, match=message):
+        run_margin_campaign("c2", 3, 600, checkpoint_path=str(ck), resume=True)
+
+
 def test_domain_checks():
     with pytest.raises(DomainError):
         verify_conjecture("c1", 4, 10)
@@ -753,6 +770,8 @@ def _set(key: str, i: int, value):
     pytest.param(1, _edited_record(lambda rec: rec.pop("pi_n2")), id="record-without-pi_n2"),
     pytest.param(None, b"\xff\xfe{}\n", id="not-utf-8"),  # the whole file
     pytest.param(None, b"my notes\n", id="not-a-checkpoint"),
+    pytest.param(0, _edited_record(lambda rec: rec.update(chunk_size=256)), id="other-chunk-size"),
+    pytest.param(0, lambda line: '{"a": 1}', id="header-not-primesq"),
 ])
 def test_malformed_checkpoint_exits_2(tmp_path, capsys, at, malform):
     from primesq import cli
