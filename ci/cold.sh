@@ -37,6 +37,48 @@ for run in "theorem --precision strict --format csv" "lemmas --format json"; do
 done
 cmp ck.txt ck-c2.txt
 
+step "A campaign killed mid-run resumes to the fresh bytes"
+# a real kill -9 of a two-worker campaign, its workers with it, once its
+# checkpoint holds a header and 19 chunks of 118; the resume counts the rest
+# and must print the fresh run's CSV. Then two edits of the finished file
+# that a resume must refuse: f(615) raised by one (its counts then miss
+# pi(60001^2), exit 3) and a version-3 header (exit 2)
+span="--from 3 --to 60000 --workers 2"
+primesq verify c2 $span --format csv > fresh.csv
+rm -f ck.txt
+# setsid gives the run a process group of its own, so one kill reaches its workers
+PYTHONPATH="$root/src" setsid python -m primesq verify c2 $span --checkpoint ck.txt --format csv > killed.csv &
+run=$!
+until [ -f ck.txt ] && [ "$(wc -l < ck.txt)" -ge 20 ]; do
+  kill -0 "$run" 2> /dev/null || { echo "the campaign ended before it was killed"; exit 1; }
+  sleep 0.02
+done
+kill -9 -- "-$run"
+wait "$run" || true
+echo "killed with $(wc -l < ck.txt) checkpoint lines"
+primesq verify c2 $span --checkpoint ck.txt --resume --format csv > resumed.csv
+cmp fresh.csv resumed.csv
+edit() {  # edit FILE PYTHON: run PYTHON on the header h and records recs of FILE, then write them back
+  python3 - "$1" "$2" <<'PY'
+import json, sys
+path, code = sys.argv[1:]
+h, *recs = map(json.loads, open(path).read().splitlines())
+exec(code)
+open(path, "w").write("".join(json.dumps(x) + "\n" for x in [h, *recs]))
+PY
+}
+resume_exit() {
+  rc=0
+  primesq verify c2 $span --checkpoint "$1" --resume --format csv > /dev/null || rc=$?
+  echo "$rc"
+}
+cp ck.txt bug2.txt
+edit bug2.txt 'recs[1]["f"][615 - recs[1]["chunk_start"]] += 1'
+test "$(resume_exit bug2.txt)" = 3
+cp ck.txt v3.txt
+edit v3.txt 'h["version"] = 3'
+test "$(resume_exit v3.txt)" = 2
+
 step "Far lemma campaign in a cold process"
 # the exact running sum of r(k) from an empty state to n = 999487, read a
 # chunk at a time; the report keeps the bytes recorded when that sum was

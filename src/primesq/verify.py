@@ -1,28 +1,26 @@
 """Range campaigns over the conjecture, theorem, and lemma inequalities.
 
 Campaigns split [from, to] into fixed chunks. Each chunk's windows f(n) are
-counted, and pi(n^2) is seeded once, by the combinatorial counter at the
-first chunk not yet in the checkpoint; with more than one worker, the seed
-and the counts are jobs on a process pool. The campaign process sums f(n)
-from the seed in n-order; a checkpoint holds these counts and nothing else.
-Rows are built once from n, f(n) and pi(n^2), counted or loaded alike, as
-pure functions of n into a column block (one array per row field) by one
-margin_sides or _lemma_sides pass. So any worker count and any resume point
-give bit-identical results, and one pass over a range serves every report
-drawn from it: suite_reports folds the margin reports and builds the lemma
-rows of `report all` from one margin pass. Reports fold columns in n-order,
-never in completion order, and the margin CSV formats them whole.
+counted, unless a checkpoint holds them; a checkpoint holds these counts and
+nothing else. Every run, fresh, partial or complete, seeds the combinatorial
+pi(from^2) and pi((to+1)^2); with more than one worker, the seeds and the
+counts are jobs on a process pool. The campaign process sums f(n) from the
+start seed in n-order, and that sum must end at the end seed, so campaigns
+need (to+1)^2 <= COMBINATORIAL_MAX. Rows are built once from n, f(n) and
+pi(n^2), counted or loaded alike, as pure functions of n into a column block
+(one array per row field) by one margin_sides or _lemma_sides pass. So any
+worker count and any resume point give bit-identical results, and one pass
+over a range serves every report drawn from it: suite_reports folds the
+margin reports and builds the lemma rows of `report all` from one margin
+pass. Reports fold columns in n-order, never in completion order, and the
+margin CSV formats them whole.
 
 A checkpoint names only its range and chunk size, so every margin and lemma
-target, at either precision, resumes a checkpoint of the same range.
-
-A run that computed any chunk checks its final sum against the combinatorial
-pi((to+1)^2), so campaigns need (to+1)^2 <= COMBINATORIAL_MAX. The last chunk
-reaches the checkpoint only after that check passes, and a resume checks that
-the chunks it loads chain into the pi(n^2) it seeds, so a checkpoint that
-failed its check can never be resumed into rows. A complete resume seeds
-nothing and rewrites nothing, but still checks its chunks' chain and counts
-the last window again.
+target, at either precision, resumes a checkpoint of the same range. The
+last chunk reaches the checkpoint only after the end check passes, and a
+resume's loaded counts face the same check, so a checkpoint whose counts
+miss either seed can never be resumed into rows. A complete resume counts
+nothing and rewrites nothing.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ from .counting import COMBINATORIAL_MAX, _window_counts, pi_exact
 from .errors import DomainError
 
 CHUNK_SIZE = 512
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 LEMMA2_MIN_N = 180
 
 CLS_PASS, CLS_VIOLATION, CLS_BOUNDARY = 0, 1, 2
@@ -80,8 +78,8 @@ class MarginRecord(NamedTuple):
 
     Campaigns hold rows as a column block, a MarginRecord of equal-length
     arrays, from which reports are folded and the CSV is formatted. A
-    checkpoint stores only f and pi_n2; the other fields are rebuilt from
-    them on resume.
+    checkpoint stores only f; the other fields are rebuilt from it and the
+    seeds on resume.
     """
 
     n: int
@@ -239,18 +237,18 @@ def _checkpoint_header(from_n: int, to_n: int) -> dict:
     }
 
 
-def _int_column(values, size: int) -> np.ndarray | None:
-    """values as an int64 array, or None unless it is a list of size ints that int64 holds."""
+def _count_column(values, size: int) -> np.ndarray | None:
+    """values as an int64 array, or None unless it is a list of size counts: ints from 0 below 2^63."""
     listed = isinstance(values, list) and len(values) == size
-    if listed and all(type(x) is int and abs(x) < 2**63 for x in values):
+    if listed and all(type(x) is int and 0 <= x < 2**63 for x in values):
         return np.array(values, dtype=np.int64)
     return None
 
 
-def _load_checkpoint(path: str, header: dict, chunks: list[tuple[int, int]]) -> list[dict]:
-    """The checkpoint's records of chunks[0], chunks[1], ... up to the first
-    missing or torn one, with f and pi_n2 as int64 arrays; [] for no file or
-    an empty one. Any other header, or a record, not as written raises DomainError."""
+def _load_checkpoint(path: str, header: dict, chunks: list[tuple[int, int]]) -> list[np.ndarray]:
+    """The f of chunks[0], chunks[1], ... as int64 arrays, up to the first
+    missing or torn record; [] for no file or an empty one. Any other header,
+    or a record, not as written raises DomainError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -273,7 +271,7 @@ def _load_checkpoint(path: str, header: dict, chunks: list[tuple[int, int]]) -> 
         key = next(k for k in {**header, **found} if k not in found or k not in header or found[k] != header[k])
         raise DomainError(f"checkpoint {path} has header field {key} = {json.dumps(found.get(key))}, "
                           f"this primesq writes {json.dumps(header.get(key))}")
-    done: list[dict] = []
+    done: list[np.ndarray] = []
     for line, (start, end) in zip(lines[1:], chunks):
         try:
             rec = json.loads(line)
@@ -283,46 +281,29 @@ def _load_checkpoint(path: str, header: dict, chunks: list[tuple[int, int]]) -> 
             raise DomainError(f"checkpoint {path} has a record that is not a JSON object")
         if rec.get("chunk_start") != start:
             break
-        for key in ("f", "pi_n2"):
-            rec[key] = _int_column(rec.get(key), end - start + 1)
-            if rec[key] is None:
-                raise DomainError(f"checkpoint {path}: the {key} of chunk {start} is not "
-                                  f"a list of {end - start + 1} integers")
-        done.append(rec)
+        fs = _count_column(rec.get("f"), end - start + 1)
+        if fs is None:
+            raise DomainError(f"checkpoint {path}: the f of chunk {start} is not "
+                              f"a list of {end - start + 1} counts (integers >= 0)")
+        done.append(fs)
     return done
 
 
-def _loaded_end(done: list[dict]) -> int:
-    """pi((n+1)^2) at the last n of the loaded chunks, which must chain: each
-    pi(n^2) must be the first one plus the counts before n."""
-    pi = done[0]["pi_n2"][0]
-    for rec in done:
-        fs = rec["f"]
-        sums = pi + np.cumsum(fs) - fs  # the counts before each n
-        off = rec["pi_n2"] != sums
-        if off.any():
-            i = off.argmax()  # the first n off the chain
-            raise RuntimeError(f"checkpoint row n = {rec['chunk_start'] + i} has pi(n^2) = {rec['pi_n2'][i]}, "
-                               f"the counts before it sum to {sums[i]}")
-        pi = int(sums[-1] + fs[-1])
-    return pi
+def _record_line(start: int, fs: np.ndarray) -> str:
+    """A chunk's checkpoint line: its first n and its f as a JSON integer list."""
+    return json.dumps({"chunk_start": start, "f": fs.tolist()}) + "\n"
 
 
-def _record_line(rec: dict) -> str:
-    """A chunk's checkpoint line: its record, f and pi_n2 as JSON integer lists."""
-    return json.dumps({**rec, "f": rec["f"].tolist(), "pi_n2": rec["pi_n2"].tolist()}) + "\n"
-
-
-def _checkpoint_writer(path: str | None, header: dict, done: list[dict]):
+def _checkpoint_writer(path: str | None, header: dict, chunks: list[tuple[int, int]], done: list[np.ndarray]):
     """Rewrite the checkpoint with header and the loaded chunks, and return the
     function that appends one chunk's record; without a path, nothing is written."""
     if path is None:
-        return lambda rec: None
-    write_atomic(path, json.dumps(header) + "\n" + "".join(map(_record_line, done)))
+        return lambda start, fs: None
+    write_atomic(path, json.dumps(header) + "\n" + "".join(map(_record_line, (s for s, _ in chunks), done)))
 
-    def append(rec: dict) -> None:
+    def append(start: int, fs: np.ndarray) -> None:
         with open(path, "a", encoding="utf-8") as fh:
-            fh.write(_record_line(rec))
+            fh.write(_record_line(start, fs))
 
     return append
 
@@ -331,14 +312,14 @@ def _run_chunked(from_n: int, to_n: int, *, workers: int, checkpoint_path: str |
                  resume: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """n, f(n) and pi(n^2) over [from_n, to_n] as int64 arrays, in n-order.
 
-    The chunks still to do need the combinatorial pi(n^2) at the first of
-    them, which the loaded chunks must chain into, the window counts of each
-    and, for the final check, pi((to+1)^2). With workers > 1 all of these are
-    pool jobs, the start seed first, so this process only sums the counts and
-    checkpoints each chunk as soon as its counts are in, the last one only
-    once the sum equals the end seed. A complete resume seeds nothing and
-    leaves the checkpoint as it is; its chunks must still chain, and nothing
-    else checks the last f, so its window is counted again.
+    Fresh, partial and complete runs take one path: the f of the chunks the
+    checkpoint holds are loaded, the windows of the rest are counted, and
+    pi(n^2) is the combinatorial pi(from^2) plus the counts before n. The
+    counts must sum to the combinatorial pi((to+1)^2). With workers > 1 both
+    seeds and the counts are pool jobs, the start seed first, so this process
+    only sums the counts and checkpoints each counted chunk as soon as its
+    counts are in, the last one only once the sum equals the end seed. A
+    complete resume counts nothing and leaves the checkpoint as it is.
     """
     if to_n < from_n:
         raise DomainError("need from <= to")
@@ -347,49 +328,39 @@ def _run_chunked(from_n: int, to_n: int, *, workers: int, checkpoint_path: str |
     header = _checkpoint_header(from_n, to_n)
     chunks = _chunks(from_n, to_n)
     done = _load_checkpoint(checkpoint_path, header, chunks) if (checkpoint_path and resume) else []
-    todo = chunks[len(done):]
-    if not todo:  # the checkpoint is complete and stays as it is
-        _loaded_end(done)
-        if (last := done[-1]["f"][-1]) != (f := int(_window_counts(to_n, to_n)[0])):
-            raise RuntimeError(f"checkpoint row n = {to_n} has f = {last}, its window holds {f}")
-    else:
-        append = _checkpoint_writer(checkpoint_path, header, done)
-        seeds = (todo[0][0] ** 2, (to_n + 1) ** 2)
-        parallel = workers > 1
-        if parallel:  # a one-worker campaign never loads the pool machinery
-            from concurrent.futures import ProcessPoolExecutor
-        pool_context = (ProcessPoolExecutor(max_workers=min(workers, len(todo) + 2), initializer=_pin_malloc)
-                        if parallel else nullcontext())
-        with pool_context as pool:
-            try:
-                if parallel:
-                    start_seed, end_seed = (pool.submit(_seed_job, x).result for x in seeds)
-                    counts = pool.map(_counts_job, todo)
-                else:
-                    start_seed, end_seed = (partial(_seed_job, x) for x in seeds)
-                    counts = map(_counts_job, todo)
-                # a broken chain fails before the seed is in
-                loaded = _loaded_end(done) if done else None
-                pi = start_seed()
-                if done and loaded != pi:
-                    raise RuntimeError(f"checkpoint chunks sum to pi({todo[0][0]}^2) = {loaded}, "
-                                       f"the combinatorial pi gives {pi}")
-                for (s, e), fs in zip(todo, counts):
-                    rec = {"chunk_start": s, "f": fs, "pi_n2": pi + np.cumsum(fs) - fs}
-                    pi = int(rec["pi_n2"][-1] + fs[-1])
-                    done.append(rec)
-                    if e < to_n:  # the last chunk waits for the final check
-                        append(rec)
-                if pi != (end := end_seed()):
-                    raise RuntimeError(f"window counts sum to pi({to_n + 1}^2) = {pi}, "
-                                       f"the combinatorial pi gives {end}")
-            except BaseException:
-                if parallel:  # drop the queued jobs rather than wait for them
-                    pool.shutdown(cancel_futures=True)
-                raise
-        append(done[-1])
-    return (np.arange(from_n, to_n + 1, dtype=np.int64), np.concatenate([rec["f"] for rec in done]),
-            np.concatenate([rec["pi_n2"] for rec in done]))
+    loaded, todo = len(done), chunks[len(done):]
+    append = _checkpoint_writer(checkpoint_path if todo else None, header, chunks, done)
+    seeds = (from_n**2, (to_n + 1) ** 2)
+    parallel = workers > 1
+    if parallel:  # a one-worker campaign never loads the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+    pool_context = (ProcessPoolExecutor(max_workers=min(workers, len(todo) + 2), initializer=_pin_malloc)
+                    if parallel else nullcontext())
+    with pool_context as pool:
+        try:
+            if parallel:
+                start_seed, end_seed = (pool.submit(_seed_job, x).result for x in seeds)
+                counts = pool.map(_counts_job, todo)
+            else:
+                start_seed, end_seed = (partial(_seed_job, x) for x in seeds)
+                counts = map(_counts_job, todo)
+            for (s, e), chunk_f in zip(todo, counts):
+                done.append(chunk_f)
+                if e < to_n:  # the last chunk waits for the final check
+                    append(s, chunk_f)
+            fs = np.concatenate(done)
+            pis = start_seed() + np.cumsum(fs) - fs
+            if (pi := int(pis[-1] + fs[-1])) != (end := end_seed()):
+                hint = (f"; {loaded} of its {len(chunks)} chunks came from checkpoint {checkpoint_path}, "
+                        f"run the campaign again without --resume" if loaded else "")
+                raise RuntimeError(f"window counts sum to pi({to_n + 1}^2) = {pi}, "
+                                   f"the combinatorial pi gives {end}{hint}")
+        except BaseException:
+            if parallel:  # drop the queued jobs rather than wait for them
+                pool.shutdown(cancel_futures=True)
+            raise
+    append(chunks[-1][0], done[-1])
+    return np.arange(from_n, to_n + 1, dtype=np.int64), fs, pis
 
 
 # --- reports: one fold over the n, margin and class columns -----------------

@@ -15,6 +15,13 @@ longer the command or precision, and a record holds chunk_start, f and pi_n2
 only, since pi_at_start always equalled the chunk's first pi_n2 and nothing
 read chunk_end. C2_CSV kept its digest again.
 
+C2_CHECKPOINT was pinned again when the checkpoint format went to version 4:
+a record holds chunk_start and f only. pi_n2 was the combinatorial pi(from^2)
+plus the counts before n, and every run now seeds pi(from^2) and pi((to+1)^2)
+itself, so a stored pi_n2 could only disagree with them. The version-3 bytes
+of this run are test_verify's VERSION_3_C2_CHECKPOINT. C2_CSV kept its digest
+again.
+
 REPORT_ALL_STRICT_JSON pins `report all --precision strict`; it was recorded
 from the implementation that built campaign rows one n at a time, before rows
 were built a chunk at a time from arrays.
@@ -78,7 +85,7 @@ REPORT_ALL_STRICT_JSON = "a0b0f5ce5550ac0c18844ac2140128ae82b510927b4bbac2839019
 LEMMAS_JSON = "97461facda60028b8df8d2179ff9a7d0b0d1649608af0888fceadd7b0143a18f"
 LEMMAS_STRICT_JSON = "f5adfe3797277c4632805cc567ae6af2d7fc018b38a3ba1feb744fe23862bcb4"
 C2_CSV = "3e0b6bf6a7e00c66b0147e4c41c14b7b94141080eafa2a85e82995e27ebeac91"
-C2_CHECKPOINT = "f0c862f2fd6caeb09050c9fb29d9c052177b383a705a3a229c4101420eab42c1"
+C2_CHECKPOINT = "4cd7d613d94bc3398161b63ba24a5161b389272947640ac23fd5bf44da0ba2fb"
 
 ANALYTIC_DOUBLE = "3038c2d13eb274cc8219e5d0aa9cb996f432b1d9e6b9a65f907fdf687296ba64"
 ANALYTIC_MP_VALUES = "4aa8f904cd770e0ab4fdd28742a637bc4dde9549d8e729eb60d0b0b771e99bab"

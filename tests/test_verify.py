@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 from concurrent.futures import Future
 from dataclasses import asdict
 
@@ -31,8 +32,9 @@ from primesq.verify import (
 from oracles import count_primes_open, fold_items, lemma_row, margin_csv, margin_report, margin_row, records
 
 
-# test_golden's C2_CHECKPOINT while checkpoints were format version 2
+# test_golden's C2_CHECKPOINT while checkpoints were format versions 2 and 3
 VERSION_2_C2_CHECKPOINT = "539a30438be909e12ea18471264ec99c63ccb4200f59cca83eff6032aeebc6b3"
+VERSION_3_C2_CHECKPOINT = "f0c862f2fd6caeb09050c9fb29d9c052177b383a705a3a229c4101420eab42c1"
 
 
 def trial_f(n: int) -> int:
@@ -235,11 +237,13 @@ def test_chunk_checkpointed_as_soon_as_done(tmp_path, monkeypatch):
     assert ck.read_bytes() == whole.read_bytes()
 
 
-def test_one_pi_seed_per_campaign(tmp_path, monkeypatch):
+def _logged_seeds(monkeypatch, log):
+    """Make each combinatorial pi a campaign seeds, in this process or a forked
+    worker, append its pid and x to the file log; return the function that
+    reads back the (pid, x) logged since its last call."""
     import primesq.counting as counting
-    import primesq.verify as v
 
-    real, log = counting.pi_exact, tmp_path / "seeds.txt"
+    real = counting.pi_exact
 
     def counted(x, method="combinatorial"):
         with open(log, "a", encoding="utf-8") as fh:  # forked workers log here too
@@ -248,15 +252,29 @@ def test_one_pi_seed_per_campaign(tmp_path, monkeypatch):
 
     monkeypatch.setattr(counting, "pi_exact", counted)
     monkeypatch.setattr(v, "pi_exact", counted)
+    log.write_text("")
+
+    def calls():
+        got = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        log.write_text("")
+        return got
+
+    return calls
+
+
+def _pool_seeds(calls) -> list[int]:
+    """The x of calls, which must all have run on the pool, sorted, as workers finish in any order."""
+    assert os.getpid() not in {pid for pid, _ in calls}
+    return sorted(x for _, x in calls)
+
+
+def test_one_pi_seed_per_campaign(tmp_path, monkeypatch):
+    calls = _logged_seeds(monkeypatch, tmp_path / "seeds.txt")
 
     def seeds_of(run, *args, workers, **kwargs):
-        log.write_text("")
+        calls()
         run(*args, workers=workers, **kwargs)
-        calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
-        if workers == 1:
-            return [x for _, x in calls]
-        assert os.getpid() not in {pid for pid, _ in calls}  # the seeds ran on the pool
-        return sorted(x for _, x in calls)  # workers finish in any order
+        return [x for _, x in calls()] if workers == 1 else _pool_seeds(calls())
 
     ck = tmp_path / "ck.txt"
     for workers in (1, 2):
@@ -265,8 +283,9 @@ def test_one_pi_seed_per_campaign(tmp_path, monkeypatch):
         assert run() == [9, 2001**2]
         lines = ck.read_text().splitlines()
         ck.write_text("\n".join(lines[:3]) + "\n")  # two of four chunks
-        assert run(resume=True) == [1027**2, 2001**2]
-        assert run(resume=True) == []
+        # partial and complete resumes alike are anchored at from and to + 1
+        assert run(resume=True) == [9, 2001**2]
+        assert run(resume=True) == [9, 2001**2]
         assert seeds_of(verify_lemmas, 3, 1100, workers=workers) == [9, 1101**2]
         assert seeds_of(run_margin_campaign, "c2", 3, 500, workers=workers) == [9, 501**2]  # one chunk
 
@@ -651,36 +670,38 @@ def test_failed_lemma_check_leaves_no_resumable_checkpoint(tmp_path, monkeypatch
     with pytest.raises(RuntimeError):
         verify_lemmas(3, 1100, checkpoint_path=ck)
     monkeypatch.undo()
-    with pytest.raises(RuntimeError, match="checkpoint chunks sum"):
+    with pytest.raises(RuntimeError, match="2 of its 3 chunks came from checkpoint .* without --resume$"):
         verify_lemmas(3, 1100, checkpoint_path=ck, resume=True)
 
 
+def _no_counts_job(chunk):
+    """A campaign job that fails the test if any window is counted; defined at
+    module level, so a process pool can run it."""
+    raise AssertionError(f"a campaign counted the windows of {chunk}")
+
+
 def _forbid_counting(monkeypatch):
-    """Make any seed or window count of a campaign fail the test."""
-    def forbidden(*args):
-        raise AssertionError("a campaign counted or seeded")
-
-    monkeypatch.setattr(v, "_seed_job", forbidden)
-    monkeypatch.setattr(v, "_counts_job", forbidden)
+    """Make any window count of a campaign fail the test; seeds still run."""
+    monkeypatch.setattr(v, "_counts_job", _no_counts_job)
 
 
-def _raised_pi_n2(line: str) -> str:
-    """A checkpoint record with every pi(n^2) raised by one: its own chain holds,
-    the counts before it no longer end where it starts."""
+def _raised_f(line: str, row: int = 5) -> str:
+    """A checkpoint record with one f(n) raised by one: the counts no longer
+    sum to the combinatorial pi((to+1)^2)."""
     rec = json.loads(line)
-    rec["pi_n2"] = [pi + 1 for pi in rec["pi_n2"]]
+    rec["f"][row] += 1
     return json.dumps(rec)
 
 
-def test_partial_resume_requires_chained_chunks(tmp_path, monkeypatch):
+def test_partial_resume_requires_chained_chunks(tmp_path):
     ck = tmp_path / "ck.txt"
     full, _ = run_margin_campaign("c2", 3, 1100, checkpoint_path=str(ck))
     header, first, second, _ = ck.read_text().splitlines()
-    ck.write_text("\n".join([header, first, _raised_pi_n2(second)]) + "\n")
-    _forbid_counting(monkeypatch)
-    with pytest.raises(RuntimeError, match="row n = 515 .* the counts before it sum"):
+    ck.write_text("\n".join([header, first, _raised_f(second)]) + "\n")
+    # the loaded counts face the same end check as counted ones, and the message names them
+    hint = f"2 of its 3 chunks came from checkpoint {ck}, run the campaign again without --resume"
+    with pytest.raises(RuntimeError, match=re.escape(hint) + "$"):
         run_margin_campaign("c2", 3, 1100, checkpoint_path=str(ck), resume=True)
-    monkeypatch.undo()
     ck.write_text("\n".join([header, first, second]) + "\n")
     resumed, _ = run_margin_campaign("c2", 3, 1100, checkpoint_path=str(ck), resume=True)
     assert report_json(resumed) == report_json(full)
@@ -697,32 +718,29 @@ def test_unchained_partial_resume_exits_3_on_the_pool(tmp_path):
             "--format", "csv"]
     run_margin_campaign("c2", 3, 1600, checkpoint_path=str(ck))
     header, first, second, *_ = ck.read_text().splitlines()
-    ck.write_text("\n".join([header, first, _raised_pi_n2(second)]) + "\n")  # two of four chunks left
+    ck.write_text("\n".join([header, first, _raised_f(second)]) + "\n")  # two of four chunks left
     # in a child process, so a pool that never shuts down fails the test instead of hanging it
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(primesq.__file__)))
     done = subprocess.run([sys.executable, "-m", "primesq", *argv, "--resume"], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 3
-    assert done.stdout == "" and "the counts before it sum" in done.stderr and done.stderr.count("\n") == 1
+    assert done.stdout == "" and "without --resume" in done.stderr and done.stderr.count("\n") == 1
 
 
-# checkpoint edits: (chunk, row, field) to raise by one; row None raises the whole field
+# checkpoint edits: (chunk, row) whose f to raise by one
 _CHAIN_EDITS = {
-    "0-f": (0, 5, "f"),
-    "1-f": (1, 5, "f"),
-    "1-pi_n2": (1, 5, "pi_n2"),
-    "2-f": (2, 5, "f"),
-    "2-pi_n2": (2, 5, "pi_n2"),
-    "2-whole-pi_n2": (2, None, "pi_n2"),  # chained within, not to the chunk before it
-    "2-last-f": (2, -1, "f"),  # f(1100): no later pi(n^2) depends on it
+    "0-f": (0, 5),
+    "1-f": (1, 5),
+    "2-f": (2, 5),
+    "2-last-f": (2, -1),  # f(1100), the last count
 }
 
 
-@pytest.mark.parametrize("target, chunk, row, field", [
+@pytest.mark.parametrize("target, chunk, row", [
     pytest.param(target, *edit, id=name if target == "c2" else f"{target}-{name}")
     for target in ("c2", "lemmas") for name, edit in _CHAIN_EDITS.items()
 ])
-def test_complete_resume_checks_its_chain(tmp_path, capsys, target, chunk, row, field):
+def test_complete_resume_checks_its_chain(tmp_path, capsys, target, chunk, row):
     from primesq import cli
 
     ck = tmp_path / "ck.txt"
@@ -731,16 +749,11 @@ def test_complete_resume_checks_its_chain(tmp_path, capsys, target, chunk, row, 
     assert cli.main(argv) == 0
     good = capsys.readouterr().out
     lines = ck.read_text().splitlines()
-    if row is None:
-        edited = _raised_pi_n2(lines[1 + chunk])
-    else:
-        rec = json.loads(lines[1 + chunk])
-        rec[field][row] += 1
-        edited = json.dumps(rec)
-    ck.write_text("\n".join(lines[:1 + chunk] + [edited] + lines[2 + chunk:]) + "\n")
+    ck.write_text("\n".join(lines[:1 + chunk] + [_raised_f(lines[1 + chunk], row)] + lines[2 + chunk:]) + "\n")
     assert cli.main(argv + ["--resume"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "RuntimeError" in captured.err and captured.err.count("\n") == 1
+    assert "3 of its 3 chunks came from checkpoint" in captured.err
     ck.write_text("\n".join(lines) + "\n")
     assert cli.main(argv + ["--resume"]) == 0
     assert capsys.readouterr().out == good
@@ -765,9 +778,10 @@ def _set(key: str, i: int, value):
     pytest.param(1, _edited_record(lambda rec: rec["f"].pop()), id="chunk-one-row-short"),
     pytest.param(1, _set("f", 1, "x"), id="row-with-a-string"),
     pytest.param(1, _set("f", 5, 4.0), id="f-with-a-float"),  # f(8) = 4 written as 4.0
-    pytest.param(1, _set("pi_n2", 0, True), id="pi_n2-with-a-bool"),
-    pytest.param(1, _set("pi_n2", 0, 2**63), id="pi_n2-beyond-int64"),
-    pytest.param(1, _edited_record(lambda rec: rec.pop("pi_n2")), id="record-without-pi_n2"),
+    pytest.param(1, _set("f", 0, True), id="f-with-a-bool"),
+    pytest.param(1, _set("f", 0, 2**63), id="f-beyond-int64"),
+    pytest.param(1, _set("f", 0, -1), id="negative-f"),
+    pytest.param(1, _edited_record(lambda rec: rec.pop("f")), id="record-without-f"),
     pytest.param(None, b"\xff\xfe{}\n", id="not-utf-8"),  # the whole file
     pytest.param(None, b"my notes\n", id="not-a-checkpoint"),
     pytest.param(0, _edited_record(lambda rec: rec.update(chunk_size=256)), id="other-chunk-size"),
@@ -794,22 +808,30 @@ def test_malformed_checkpoint_exits_2(tmp_path, capsys, at, malform):
     assert ck.read_bytes() == before
 
 
-def _as_version_2(lines: list[str]) -> list[str]:
-    """A `verify c2` checkpoint's lines as format version 2 wrote them: its header
-    also named the command and the precision, and each record its chunk_end and
-    pi_at_start."""
+def _as_version(lines: list[str], version: int) -> list[str]:
+    """A `verify c2` checkpoint's lines as an older format version wrote them.
+    Versions 2 and 3 also held each chunk's running pi(n^2) as `pi_n2`; version 2
+    also named the command and the precision in its header, and each record's
+    chunk_end and pi_at_start."""
     header = json.loads(lines[0])
-    out = [json.dumps({"format": header["format"], "version": 2, "command": "verify c2", "from": header["from"],
+    if version == 1:
+        return [json.dumps({**header, "version": 1}), *lines[1:]]
+    out = [json.dumps({**header, "version": 3}) if version == 3 else
+           json.dumps({"format": header["format"], "version": 2, "command": "verify c2", "from": header["from"],
                        "to": header["to"], "chunk_size": header["chunk_size"], "precision": "fast"})]
+    pi = pi_exact(header["from"] ** 2, "combinatorial")
     for line in lines[1:]:
         rec = json.loads(line)
-        start, fs, pis = rec["chunk_start"], rec["f"], rec["pi_n2"]
-        out.append(json.dumps({"chunk_start": start, "chunk_end": start + len(fs) - 1, "pi_at_start": pis[0],
+        start, fs = rec["chunk_start"], rec["f"]
+        pis = (pi + np.cumsum(fs) - fs).tolist()
+        pi = pis[-1] + fs[-1]
+        out.append(json.dumps({"chunk_start": start, "f": fs, "pi_n2": pis} if version == 3 else
+                              {"chunk_start": start, "chunk_end": start + len(fs) - 1, "pi_at_start": pis[0],
                                "f": fs, "pi_n2": pis}))
     return out
 
 
-@pytest.mark.parametrize("version", [1, 2], ids=["version-1", "version-2"])
+@pytest.mark.parametrize("version", [1, 2, 3], ids=["version-1", "version-2", "version-3"])
 def test_older_checkpoint_version_exits_2(tmp_path, capsys, version):
     from primesq import cli
 
@@ -817,20 +839,16 @@ def test_older_checkpoint_version_exits_2(tmp_path, capsys, version):
     argv = ["verify", "c2", "--from", "3", "--to", "1100", "--checkpoint", str(ck)]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    lines = ck.read_text().splitlines()
-    if version == 1:
-        lines[0] = json.dumps({**json.loads(lines[0]), "version": 1})
-    else:
-        lines = _as_version_2(lines)
-    ck.write_text("\n".join(lines) + "\n")
+    ck.write_text("\n".join(_as_version(ck.read_text().splitlines(), version)) + "\n")
     before = ck.read_bytes()
-    if version == 2:  # the bytes version 2 wrote for this campaign
-        assert hashlib.sha256(before).hexdigest() == VERSION_2_C2_CHECKPOINT
+    if version > 1:  # the bytes that version wrote for this campaign
+        want = {2: VERSION_2_C2_CHECKPOINT, 3: VERSION_3_C2_CHECKPOINT}[version]
+        assert hashlib.sha256(before).hexdigest() == want
     assert cli.main(argv + ["--resume"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert captured.err.startswith("primesq: error: checkpoint " + str(ck))
-    assert f"version {version}" in captured.err and "version 3" in captured.err
+    assert f"version {version}" in captured.err and "version 4" in captured.err
     assert "without --resume" in captured.err
     assert ck.read_bytes() == before
 
@@ -852,9 +870,11 @@ def test_one_checkpoint_serves_every_target(tmp_path, capsys, monkeypatch):
         assert cli.main(argv) == 0
         fresh.append(capsys.readouterr().out)
     _forbid_counting(monkeypatch)
+    seeds = _logged_seeds(monkeypatch, tmp_path / "seeds.txt")
     for argv, want in zip(runs, fresh):
         assert cli.main([*argv, "--checkpoint", str(ck), "--resume"]) == 0
         assert capsys.readouterr().out == want
+        assert _pool_seeds(seeds()) == [25, 1601**2]  # a complete resume counts nothing, but seeds
     assert ck.read_bytes() == whole
     monkeypatch.undo()
     # two of four chunks: the lemma campaign counts only the other two
