@@ -16,7 +16,7 @@ step "Default suite"
 primesq report all --workers 2
 
 step "Deferred imports in a cold process"
-# strict runs load mpmath on first use, and --workers 2 the process pool;
+# strict runs load mpmath on first use, and --workers 2 multiprocessing;
 # both must give the one-worker report byte for byte
 for w in 1 2; do
   primesq report all --precision strict --format json --workers "$w" > "strict-$w.json"
@@ -38,24 +38,42 @@ done
 cmp ck.txt ck-c2.txt
 
 step "A campaign killed mid-run resumes to the fresh bytes"
-# a real kill -9 of a two-worker campaign, its workers with it, once its
-# checkpoint holds a header and 19 chunks of 118; the resume counts the rest
-# and must print the fresh run's CSV. Then two edits of the finished file
-# that a resume must refuse: f(615) raised by one (its counts then miss
-# pi(60001^2), exit 3) and a version-3 header (exit 2)
+# a real kill -9 of a two-worker campaign's own process, once its checkpoint
+# holds a header and 19 chunks of 118: its workers must die with it, within
+# 2 s. The resume counts the rest and must print the fresh run's CSV. Then
+# two edits of the finished file that a resume must refuse: f(615) raised by
+# one (its counts then miss pi(60001^2), exit 3) and a version-3 header
+# (exit 2)
 span="--from 3 --to 60000 --workers 2"
 primesq verify c2 $span --format csv > fresh.csv
 rm -f ck.txt
-# setsid gives the run a process group of its own, so one kill reaches its workers
-PYTHONPATH="$root/src" setsid python -m primesq verify c2 $span --checkpoint ck.txt --format csv > killed.csv &
+PYTHONPATH="$root/src" python -m primesq verify c2 $span --checkpoint ck.txt --format csv > killed.csv &
 run=$!
 until [ -f ck.txt ] && [ "$(wc -l < ck.txt)" -ge 20 ]; do
   kill -0 "$run" 2> /dev/null || { echo "the campaign ended before it was killed"; exit 1; }
   sleep 0.02
 done
-kill -9 -- "-$run"
+workers=$(pgrep -P "$run" || true)
+kill -9 "$run"
 wait "$run" || true
-echo "killed with $(wc -l < ck.txt) checkpoint lines"
+echo "killed with $(wc -l < ck.txt) checkpoint lines; workers: $(echo $workers)"
+test -n "$workers" || { echo "the campaign had no workers when it was killed"; exit 1; }
+alive() {  # the pids among $workers still running: gone and zombie ones are not
+  for pid in $workers; do
+    ps -o stat= -p "$pid" | grep -qv '^Z' && echo "$pid"
+  done
+  true
+}
+deadline=$(($(date +%s%N) + 2000000000))
+while [ -n "$(alive)" ] && [ "$(date +%s%N)" -lt "$deadline" ]; do
+  sleep 0.02
+done
+left=$(alive)
+if [ -n "$left" ]; then
+  echo "workers outlived the campaign by 2 s: $(echo $left)"
+  kill -9 $left
+  exit 1
+fi
 primesq verify c2 $span --checkpoint ck.txt --resume --format csv > resumed.csv
 cmp fresh.csv resumed.csv
 edit() {  # edit FILE PYTHON: run PYTHON on the header h and records recs of FILE, then write them back

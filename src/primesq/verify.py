@@ -4,7 +4,7 @@ Campaigns split [from, to] into fixed chunks. Each chunk's windows f(n) are
 counted, unless a checkpoint holds them; a checkpoint holds these counts and
 nothing else. Every run, fresh, partial or complete, seeds the combinatorial
 pi(from^2) and pi((to+1)^2); with more than one worker, the seeds and the
-counts are jobs on a process pool. The campaign process sums f(n) from the
+counts are jobs on forked workers. The campaign process sums f(n) from the
 start seed in n-order, and that sum must end at the end seed, so campaigns
 need (to+1)^2 <= COMBINATORIAL_MAX. Rows are built once from n, f(n) and
 pi(n^2), counted or loaded alike, as pure functions of n into a column block
@@ -165,32 +165,6 @@ def _counts_job(chunk: tuple[int, int]) -> np.ndarray:
     return _window_counts(*chunk)
 
 
-def _pin_malloc() -> None:
-    """Pool initializer: fix glibc's mmap threshold at 32 MiB and its trim
-    threshold at twice that, the state its dynamic thresholds rise to.
-
-    A forked worker inherits the campaign process's thresholds, and how far
-    they have risen depends on that process's heap layout (the environment's
-    size, the length of the sources it compiled). Left low, every seed
-    temporary is mapped and faulted afresh: the workers of one two-chunk
-    campaign near n = 1e5 took 19k to 76k minor faults by layout, and take
-    9.9k to 10.1k with the thresholds fixed.
-    """
-    import ctypes
-
-    try:
-        mallopt = ctypes.CDLL("libc.so.6").mallopt
-    except (OSError, AttributeError):
-        return  # not glibc: nothing to fix
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-
-
-def _seed_job(x: int) -> int:
-    """Worker job: the combinatorial pi(x) that a campaign's running sum starts at or must end at."""
-    return pi_exact(x, "combinatorial")
-
-
 def _chunks(from_n: int, to_n: int) -> list[tuple[int, int]]:
     return [(s, min(s + CHUNK_SIZE - 1, to_n)) for s in range(from_n, to_n + 1, CHUNK_SIZE)]
 
@@ -316,10 +290,10 @@ def _run_chunked(from_n: int, to_n: int, *, workers: int, checkpoint_path: str |
     checkpoint holds are loaded, the windows of the rest are counted, and
     pi(n^2) is the combinatorial pi(from^2) plus the counts before n. The
     counts must sum to the combinatorial pi((to+1)^2). With workers > 1 both
-    seeds and the counts are pool jobs, the start seed first, so this process
-    only sums the counts and checkpoints each counted chunk as soon as its
-    counts are in, the last one only once the sum equals the end seed. A
-    complete resume counts nothing and leaves the checkpoint as it is.
+    seeds, then the counts, are jobs on forked workers, so this process only
+    sums the counts and checkpoints each counted chunk as soon as it reads its
+    counts, the last one only once the sum equals the end seed. A complete
+    resume counts nothing and leaves the checkpoint as it is.
     """
     if to_n < from_n:
         raise DomainError("need from <= to")
@@ -331,34 +305,25 @@ def _run_chunked(from_n: int, to_n: int, *, workers: int, checkpoint_path: str |
     loaded, todo = len(done), chunks[len(done):]
     append = _checkpoint_writer(checkpoint_path if todo else None, header, chunks, done)
     seeds = (from_n**2, (to_n + 1) ** 2)
-    parallel = workers > 1
-    if parallel:  # a one-worker campaign never loads the pool machinery
-        from concurrent.futures import ProcessPoolExecutor
-    pool_context = (ProcessPoolExecutor(max_workers=min(workers, len(todo) + 2), initializer=_pin_malloc)
-                    if parallel else nullcontext())
-    with pool_context as pool:
-        try:
-            if parallel:
-                start_seed, end_seed = (pool.submit(_seed_job, x).result for x in seeds)
-                counts = pool.map(_counts_job, todo)
-            else:
-                start_seed, end_seed = (partial(_seed_job, x) for x in seeds)
-                counts = map(_counts_job, todo)
-            for (s, e), chunk_f in zip(todo, counts):
-                done.append(chunk_f)
-                if e < to_n:  # the last chunk waits for the final check
-                    append(s, chunk_f)
-            fs = np.concatenate(done)
-            pis = start_seed() + np.cumsum(fs) - fs
-            if (pi := int(pis[-1] + fs[-1])) != (end := end_seed()):
-                hint = (f"; {loaded} of its {len(chunks)} chunks came from checkpoint {checkpoint_path}, "
-                        f"run the campaign again without --resume" if loaded else "")
-                raise RuntimeError(f"window counts sum to pi({to_n + 1}^2) = {pi}, "
-                                   f"the combinatorial pi gives {end}{hint}")
-        except BaseException:
-            if parallel:  # drop the queued jobs rather than wait for them
-                pool.shutdown(cancel_futures=True)
-            raise
+    jobs = [*(partial(pi_exact, x, "combinatorial") for x in seeds), *(partial(_counts_job, c) for c in todo)]
+    if workers > 1:  # a one-worker campaign never loads the workers' code
+        from .workers import forked
+    with forked(jobs, workers) if workers > 1 else nullcontext() as results:
+        if results is None:  # this process counts, then seeds
+            start_seed, end_seed, counts = *jobs[:2], (job() for job in jobs[2:])
+        else:  # the workers' results in job order: both seeds, then the counts
+            start_seed, end_seed, counts = partial(int, next(results)), partial(int, next(results)), results
+        for (s, e), chunk_f in zip(todo, counts):
+            done.append(chunk_f)
+            if e < to_n:  # the last chunk waits for the final check
+                append(s, chunk_f)
+        fs = np.concatenate(done)
+        pis = start_seed() + np.cumsum(fs) - fs
+        if (pi := int(pis[-1] + fs[-1])) != (end := end_seed()):
+            hint = (f"; {loaded} of its {len(chunks)} chunks came from checkpoint {checkpoint_path}, "
+                    f"run the campaign again without --resume" if loaded else "")
+            raise RuntimeError(f"window counts sum to pi({to_n + 1}^2) = {pi}, "
+                               f"the combinatorial pi gives {end}{hint}")
     append(chunks[-1][0], done[-1])
     return np.arange(from_n, to_n + 1, dtype=np.int64), fs, pis
 

@@ -1,8 +1,9 @@
-"""Start-up hygiene: mpmath and the process pool load only where a command uses
-them, and import builds no base-prime table.
+"""Start-up hygiene: mpmath and multiprocessing load only where a command uses
+them, concurrent.futures never, and import builds no base-prime table.
 
 Each case runs in a fresh interpreter, since this test process has loaded
-both long ago; a stray top-level import of either would fail the first cases.
+mpmath and multiprocessing long ago; a stray top-level import of either
+would fail the first cases.
 """
 
 import json
@@ -20,7 +21,8 @@ out = io.StringIO()
 with contextlib.redirect_stdout(out):
     {code}
 print(json.dumps({{"mpmath": "mpmath" in sys.modules,
-                  "pool": "concurrent.futures.process" in sys.modules,
+                  "pool": "multiprocessing" in sys.modules,
+                  "executor": "concurrent.futures.process" in sys.modules,
                   "out": out.getvalue()}}))
 """
 
@@ -43,7 +45,7 @@ def test_cold_process_loads_only_what_it_uses(code, mpmath, pool, out):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout)
-    assert (loaded["mpmath"], loaded["pool"]) == (mpmath, pool)
+    assert (loaded["mpmath"], loaded["pool"], loaded["executor"]) == (mpmath, pool, False)
     if out is not None:
         assert loaded["out"] == out
 

@@ -1,12 +1,12 @@
-import concurrent.futures
 import functools
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import random
 import re
-from concurrent.futures import Future
+import signal
 from dataclasses import asdict
 
 import numpy as np
@@ -150,8 +150,9 @@ def test_report_table_renders():
 def test_workers_bit_identical():
     rep1, recs1 = run_margin_campaign("c2", 3, 1100, workers=1)
     rep3, recs3 = run_margin_campaign("c2", 3, 1100, workers=3)
-    assert report_json(rep1) == report_json(rep3)
-    assert margin_rows_csv(recs1) == margin_rows_csv(recs3)
+    same_json = report_json(rep1) == report_json(rep3)  # named, so a failure does not diff two whole outputs
+    same_csv = margin_rows_csv(recs1) == margin_rows_csv(recs3)
+    assert same_json and same_csv
 
 
 def test_checkpoint_resume_equivalence(tmp_path):
@@ -162,7 +163,8 @@ def test_checkpoint_resume_equivalence(tmp_path):
     # simulate a kill: one complete chunk survives plus a torn line
     ck.write_text("\n".join(lines[:2]) + "\n" + lines[2][:40])
     resumed, _ = run_margin_campaign("theorem", 3, 1200, checkpoint_path=str(ck), resume=True)
-    assert report_json(full) == report_json(resumed)
+    same_json = report_json(full) == report_json(resumed)  # named, so a failure does not diff two whole outputs
+    assert same_json
 
 
 @pytest.mark.parametrize("fail_at", ["serialise", "rename"])
@@ -195,8 +197,9 @@ def test_checkpoint_rewrite_is_atomic(tmp_path, monkeypatch, fail_at):
     assert ck.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["ck.txt"]  # no stray temp file
     resumed, resumed_rows = run_margin_campaign("theorem", 3, 1200, checkpoint_path=str(ck), resume=True)
-    assert report_json(resumed) == report_json(full)
-    assert margin_rows_csv(resumed_rows) == margin_rows_csv(full_rows)
+    same_json = report_json(resumed) == report_json(full)  # named, so a failure does not diff two whole outputs
+    same_csv = margin_rows_csv(resumed_rows) == margin_rows_csv(full_rows)
+    assert same_json and same_csv
 
 
 def test_completed_checkpoint_skips_recomputation(tmp_path, monkeypatch):
@@ -209,7 +212,8 @@ def test_completed_checkpoint_skips_recomputation(tmp_path, monkeypatch):
 
     monkeypatch.setattr(v, "_counts_job", boom)
     again, _ = run_margin_campaign("c2", 3, 600, checkpoint_path=str(ck), resume=True)
-    assert report_json(full) == report_json(again)
+    same_json = report_json(full) == report_json(again)  # named, so a failure does not diff two whole outputs
+    assert same_json
 
 
 def test_chunk_checkpointed_as_soon_as_done(tmp_path, monkeypatch):
@@ -232,8 +236,9 @@ def test_chunk_checkpointed_as_soon_as_done(tmp_path, monkeypatch):
     jobs.clear()
     resumed, rows = run_margin_campaign("c2", 3, 2000, checkpoint_path=str(ck), resume=True)
     assert jobs == [(1027, 1538), (1539, 2000)]
-    assert report_json(resumed) == report_json(full)
-    assert margin_rows_csv(rows) == margin_rows_csv(full_rows)
+    same_json = report_json(resumed) == report_json(full)  # named, so a failure does not diff two whole outputs
+    same_csv = margin_rows_csv(rows) == margin_rows_csv(full_rows)
+    assert same_json and same_csv
     assert ck.read_bytes() == whole.read_bytes()
 
 
@@ -291,8 +296,7 @@ def test_one_pi_seed_per_campaign(tmp_path, monkeypatch):
 
 
 def _off_by_one_job(chunk):
-    """The chunk's window counts, with the last count of 3..1100 raised by one;
-    defined at module level, so a process pool can run it."""
+    """The chunk's window counts, with the last count of 3..1100 raised by one."""
     counts = _window_counts(*chunk)
     if chunk[1] == 1100:  # last of the three chunks of 3..1100
         counts[-1] += 1
@@ -310,6 +314,56 @@ def test_campaign_sum_checked_against_combinatorial_pi(monkeypatch, capsys):
         assert cli.main(["verify", "c2", "--from", "3", "--to", "1100", "--workers", str(workers)]) == 3
         err = capsys.readouterr().err
         assert "RuntimeError" in err and err.count("\n") == 1
+        assert multiprocessing.active_children() == []
+
+
+def _refused_second_chunk_job(chunk):
+    """The chunk's window counts, but DomainError for the second chunk of 3..2000."""
+    if chunk[0] == 515:
+        raise DomainError("no counts at 515")
+    return _window_counts(*chunk)
+
+
+def test_worker_domain_error_exits_2(monkeypatch, capsys):
+    from primesq import cli
+
+    monkeypatch.setattr(v, "_counts_job", _refused_second_chunk_job)
+    with pytest.raises(DomainError, match="^no counts at 515$"):  # raised again with its own type
+        run_margin_campaign("c2", 3, 2000, workers=2)
+    assert cli.main(["verify", "c2", "--from", "3", "--to", "2000", "--workers", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "primesq: error: no counts at 515\n"
+    assert multiprocessing.active_children() == []
+
+
+_TEST_PID = os.getpid()
+
+
+def _killed_on_third_chunk_job(chunk):
+    """The chunk's window counts, but the third chunk of 3..2000 sends SIGKILL
+    to the worker counting it."""
+    if chunk[0] == 1027:
+        assert os.getpid() != _TEST_PID, "the job ran in the test process"
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _window_counts(*chunk)
+
+
+def test_worker_killed_mid_campaign_exits_3(tmp_path, monkeypatch, capsys):
+    from primesq import cli
+
+    ck = tmp_path / "ck.txt"
+    argv = ["verify", "c2", "--from", "3", "--to", "2000", "--workers", "2", "--checkpoint", str(ck)]
+    assert cli.main(argv) == 0
+    whole = ck.read_text().splitlines()
+    capsys.readouterr()
+    # jobs: two seeds, then four chunks; the third chunk is job 4, on worker 1 of 2
+    monkeypatch.setattr(v, "_counts_job", _killed_on_third_chunk_job)
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "RuntimeError: campaign worker 1 of 2 died before finishing job 4\n" in captured.err
+    assert ck.read_text().splitlines() == whole[:3]  # the header and the two chunks before that job
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("n_from, n_to", [(3, 500), (700000, 700001)])
@@ -323,7 +377,8 @@ def test_one_chunk_campaign_same_bytes_on_the_pool(tmp_path, capsys, n_from, n_t
                 "--checkpoint", str(ck), "--format", "csv"]
         assert cli.main(argv) == 0
         out[workers] = (capsys.readouterr().out, ck.read_bytes())
-    assert out[1] == out[2]
+    same_bytes = out[1] == out[2]  # named, so a failure does not diff two whole outputs
+    assert same_bytes
 
 
 def test_lemma_chunks_read_the_running_sum_once(monkeypatch):
@@ -547,33 +602,18 @@ def test_rows_match_scalar_rows_when_every_margin_is_boundary(monkeypatch):
 
 
 def test_campaign_pool_capped_at_chunks_left(monkeypatch):
-    import primesq.verify as v
+    import multiprocessing.context
 
-    sizes = []
+    started, real_start = [], multiprocessing.context.ForkProcess.start
 
-    class InProcessPool:
-        def __init__(self, max_workers, initializer):
-            assert initializer is v._pin_malloc
-            sizes.append(max_workers)
+    def start(proc):
+        started.append(proc)
+        real_start(proc)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)  # what _run_chunked imports
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start)  # what the campaign's workers are
     monkeypatch.setattr(v, "CHUNK_SIZE", 4)
     report, _ = run_margin_campaign("c2", 3, 22, workers=64)  # five chunks and two seeds
-    assert sizes == [7]
+    assert len(started) == 7 and {p.exitcode for p in started} == {0}
     assert report.checked == 20 and report.violations == []
 
 
@@ -592,7 +632,7 @@ def test_pin_malloc_serves_large_temporaries_from_the_heap():
     # in a child process, so the test run's own malloc state is left alone
     code = textwrap.dedent("""
         import ctypes, numpy as np
-        from primesq.verify import _pin_malloc
+        from primesq.workers import _pin_malloc
         class Info(ctypes.Structure):
             _fields_ = [(name, ctypes.c_size_t) for name in ("arena", "ordblks", "smblks", "hblks", "hblkhd",
                         "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
@@ -675,8 +715,7 @@ def test_failed_lemma_check_leaves_no_resumable_checkpoint(tmp_path, monkeypatch
 
 
 def _no_counts_job(chunk):
-    """A campaign job that fails the test if any window is counted; defined at
-    module level, so a process pool can run it."""
+    """A campaign job that fails the test if any window is counted."""
     raise AssertionError(f"a campaign counted the windows of {chunk}")
 
 
@@ -704,7 +743,8 @@ def test_partial_resume_requires_chained_chunks(tmp_path):
         run_margin_campaign("c2", 3, 1100, checkpoint_path=str(ck), resume=True)
     ck.write_text("\n".join([header, first, second]) + "\n")
     resumed, _ = run_margin_campaign("c2", 3, 1100, checkpoint_path=str(ck), resume=True)
-    assert report_json(resumed) == report_json(full)
+    same_json = report_json(resumed) == report_json(full)  # named, so a failure does not diff two whole outputs
+    assert same_json
 
 
 def test_unchained_partial_resume_exits_3_on_the_pool(tmp_path):
@@ -719,7 +759,7 @@ def test_unchained_partial_resume_exits_3_on_the_pool(tmp_path):
     run_margin_campaign("c2", 3, 1600, checkpoint_path=str(ck))
     header, first, second, *_ = ck.read_text().splitlines()
     ck.write_text("\n".join([header, first, _raised_f(second)]) + "\n")  # two of four chunks left
-    # in a child process, so a pool that never shuts down fails the test instead of hanging it
+    # in a child process, so workers that never exit fail the test instead of hanging it
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(primesq.__file__)))
     done = subprocess.run([sys.executable, "-m", "primesq", *argv, "--resume"], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -756,7 +796,8 @@ def test_complete_resume_checks_its_chain(tmp_path, capsys, target, chunk, row):
     assert "3 of its 3 chunks came from checkpoint" in captured.err
     ck.write_text("\n".join(lines) + "\n")
     assert cli.main(argv + ["--resume"]) == 0
-    assert capsys.readouterr().out == good
+    fresh_bytes = capsys.readouterr().out == good  # named, so a failure does not diff two whole outputs
+    assert fresh_bytes
 
 
 def _edited_record(edit):
@@ -873,7 +914,8 @@ def test_one_checkpoint_serves_every_target(tmp_path, capsys, monkeypatch):
     seeds = _logged_seeds(monkeypatch, tmp_path / "seeds.txt")
     for argv, want in zip(runs, fresh):
         assert cli.main([*argv, "--checkpoint", str(ck), "--resume"]) == 0
-        assert capsys.readouterr().out == want
+        fresh_bytes = capsys.readouterr().out == want  # named, so a failure does not diff two whole outputs
+        assert fresh_bytes
         assert _pool_seeds(seeds()) == [25, 1601**2]  # a complete resume counts nothing, but seeds
     assert ck.read_bytes() == whole
     monkeypatch.undo()
@@ -888,7 +930,8 @@ def test_one_checkpoint_serves_every_target(tmp_path, capsys, monkeypatch):
     ck.write_bytes(b"".join(whole.splitlines(keepends=True)[:3]))
     lemmas = ["verify", "lemmas", "--from", "5", "--to", "1600", "--format", "json"]  # job runs here
     assert cli.main([*lemmas, "--checkpoint", str(ck), "--resume"]) == 0
-    assert capsys.readouterr().out == fresh[-1]
+    fresh_bytes = capsys.readouterr().out == fresh[-1]  # named, so a failure does not diff two whole outputs
+    assert fresh_bytes
     assert jobs == [(1029, 1540), (1541, 1600)]
     assert ck.read_bytes() == whole
 
@@ -903,7 +946,8 @@ def test_complete_resume_leaves_the_checkpoint_alone(tmp_path, capsys):
     os.utime(ck, ns=(10**18, 10**18))  # a stamp no rewrite could leave behind
     before = ck.read_bytes()
     assert cli.main(argv + ["--resume"]) == 0
-    assert capsys.readouterr().out == good
+    fresh_bytes = capsys.readouterr().out == good  # named, so a failure does not diff two whole outputs
+    assert fresh_bytes
     assert ck.read_bytes() == before and ck.stat().st_mtime_ns == 10**18
     assert [p.name for p in tmp_path.iterdir()] == ["ck.txt"]
 
@@ -978,7 +1022,8 @@ def test_far_campaign_csv_matches_row_csv(tmp_path, capsys):
     argv = ["verify", "c2", "--from", "100355", "--to", "101378", "--format", "csv", "--checkpoint", str(ck)]
     for extra in (["--workers", "1"], ["--workers", "2"], ["--resume"]):  # the last resumes a complete one
         assert cli.main(argv + extra) == 0
-        assert capsys.readouterr().out == want
+        same_csv = capsys.readouterr().out == want  # named, so a failure does not diff two whole outputs
+        assert same_csv
 
 
 def test_lemma_folds_match_row_folds():
