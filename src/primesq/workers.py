@@ -1,48 +1,32 @@
-"""Campaign workers: forked processes that send their jobs' results down a
-pipe each. A fork hands each worker its jobs and the loaded modules without
-pickling or importing them again. Only a campaign with more than one worker
-imports this module."""
+"""Campaign workers: forked processes that send their jobs' results down a pipe each."""
 
 import ctypes
 import multiprocessing
 import os
 import pickle
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 
-def _pin_malloc() -> None:
-    """Each campaign worker's own setup: fix glibc's mmap threshold at 32 MiB
-    and its trim threshold at twice that, the state its dynamic thresholds
-    rise to, and have the kernel kill the worker when the campaign dies.
-
-    A forked worker inherits the campaign process's thresholds, and how far
-    they have risen depends on that process's heap layout (the environment's
-    size, the length of the sources it compiled). Left low, every seed
-    temporary is mapped and faulted afresh: the workers of one two-chunk
-    campaign near n = 1e5 took 19k to 76k minor faults by layout, and take
-    9.9k to 10.1k with the thresholds fixed.
-    """
-    try:
+def _worker_setup() -> None:
+    """Each worker's own setup: die with the campaign, and pin glibc's mmap and trim thresholds at 32
+    and 64 MiB. As forked, they depend on the campaign's heap layout, and the workers of a two-chunk
+    campaign near n = 1e5 took 19k to 76k minor faults where pinned ones take 10k."""
+    with suppress(OSError):  # not glibc: nothing to set
         libc = ctypes.CDLL("libc.so.6")
+        libc.prctl(1, 9)  # PR_SET_PDEATHSIG, SIGKILL
         libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    except (OSError, AttributeError):
-        return  # not glibc: nothing to fix
-    libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-    libc.prctl(1, 9)  # PR_SET_PDEATHSIG, SIGKILL
+        libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
 @contextmanager
 def forked(jobs: list, workers: int):
-    """Yield the results of jobs in job order, job j run on worker j mod w of
-    w = min(workers, len(jobs)) forked processes. A job's exception is raised
-    again here, a worker that dies raises RuntimeError, and leaving early kills
-    the workers; otherwise they exit on their own, which runs multiprocessing's
-    exit finalizers, and are joined."""
+    """Yield the jobs' results in job order, job j run on worker j mod w of w = min(workers, len(jobs))
+    forked processes. A job's exception is raised again here, and a dead worker raises RuntimeError."""
     w, parent, procs, pipes = min(workers, len(jobs)), os.getpid(), [], []
 
-    def work(k: int, out) -> None:  # worker k: pipes holds the read ends it inherited
-        _pin_malloc()
-        if os.getppid() != parent:  # the campaign died before the worker asked to die with it
+    def work(k: int, out) -> None:  # pipes holds the read ends worker k inherited
+        _worker_setup()
+        if os.getppid() != parent:  # the campaign died before the death signal was set
             os._exit(1)
         for pipe in pipes:
             pipe.close()
@@ -68,16 +52,14 @@ def forked(jobs: list, workers: int):
             read_fd, out_fd = os.pipe()
             pipes.append(open(read_fd, "rb"))
             with open(out_fd, "wb") as out:  # only the worker keeps the write end
-                proc = multiprocessing.get_context("fork").Process(target=work, args=(k, out), daemon=True)
-                proc.start()
-            procs.append(proc)
+                procs.append(multiprocessing.get_context("fork").Process(target=work, args=(k, out), daemon=True))
+                procs[-1].start()
         yield map(result, range(len(jobs)))
-    except BaseException:
-        for proc in procs:
-            proc.kill()
-        raise
+        for proc in procs:  # each exits on its own, which runs multiprocessing's exit finalizers
+            proc.join()
     finally:
-        for proc in procs:
+        for proc in procs:  # leaving early kills the workers; after a join this does nothing
+            proc.kill()
             proc.join()
         for pipe in pipes:
             pipe.close()

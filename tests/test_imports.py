@@ -21,7 +21,7 @@ out = io.StringIO()
 with contextlib.redirect_stdout(out):
     {code}
 print(json.dumps({{"mpmath": "mpmath" in sys.modules,
-                  "pool": "multiprocessing" in sys.modules,
+                  "multiprocessing": "multiprocessing" in sys.modules,
                   "executor": "concurrent.futures.process" in sys.modules,
                   "out": out.getvalue()}}))
 """
@@ -29,7 +29,7 @@ print(json.dumps({{"mpmath": "mpmath" in sys.modules,
 _MAIN = "from primesq import cli; assert cli.main({argv!r}) == 0"
 
 
-@pytest.mark.parametrize("code, mpmath, pool, out", [
+@pytest.mark.parametrize("code, mpmath, multiprocessing, out", [
     pytest.param("import primesq", False, False, "", id="import"),
     pytest.param("import primesq.cli", False, False, "", id="import-cli"),
     pytest.param(_MAIN.format(argv=["report", "all", "--workers", "1", "--format", "json"]),
@@ -39,13 +39,13 @@ _MAIN = "from primesq import cli; assert cli.main({argv!r}) == 0"
     pytest.param(_MAIN.format(argv=["compute", "delta", "--n", "9999999"]),
                  True, False, "601174.568648\n", id="delta-at-quad"),
 ])
-def test_cold_process_loads_only_what_it_uses(code, mpmath, pool, out):
+def test_cold_process_loads_only_what_it_uses(code, mpmath, multiprocessing, out):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(primesq.__file__)))
     done = subprocess.run([sys.executable, "-c", _PROBE.format(code=code)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout)
-    assert (loaded["mpmath"], loaded["pool"], loaded["executor"]) == (mpmath, pool, False)
+    assert (loaded["mpmath"], loaded["multiprocessing"], loaded["executor"]) == (mpmath, multiprocessing, False)
     if out is not None:
         assert loaded["out"] == out
 

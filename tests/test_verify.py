@@ -267,8 +267,8 @@ def _logged_seeds(monkeypatch, log):
     return calls
 
 
-def _pool_seeds(calls) -> list[int]:
-    """The x of calls, which must all have run on the pool, sorted, as workers finish in any order."""
+def _worker_seeds(calls) -> list[int]:
+    """The x of calls, which must all have run in forked workers, sorted, as workers finish in any order."""
     assert os.getpid() not in {pid for pid, _ in calls}
     return sorted(x for _, x in calls)
 
@@ -279,7 +279,7 @@ def test_one_pi_seed_per_campaign(tmp_path, monkeypatch):
     def seeds_of(run, *args, workers, **kwargs):
         calls()
         run(*args, workers=workers, **kwargs)
-        return [x for _, x in calls()] if workers == 1 else _pool_seeds(calls())
+        return [x for _, x in calls()] if workers == 1 else _worker_seeds(calls())
 
     ck = tmp_path / "ck.txt"
     for workers in (1, 2):
@@ -601,19 +601,30 @@ def test_rows_match_scalar_rows_when_every_margin_is_boundary(monkeypatch):
         assert {r.cls_l1 for r in want} == {v.CLS_PASS if strict else v.CLS_BOUNDARY}
 
 
-def test_campaign_pool_capped_at_chunks_left(monkeypatch):
+def test_campaign_pool_capped_at_chunks_left(monkeypatch, tmp_path):
     import multiprocessing.context
 
+    import primesq.workers
+
     started, real_start = [], multiprocessing.context.ForkProcess.start
+    log, real_setup = tmp_path / "setup.txt", primesq.workers._worker_setup
+    log.write_text("")
 
     def start(proc):
         started.append(proc)
         real_start(proc)
 
+    def setup():
+        with open(log, "a", encoding="utf-8") as fh:  # written by each forked worker
+            fh.write(f"{os.getpid()}\n")
+        real_setup()
+
     monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start)  # what the campaign's workers are
+    monkeypatch.setattr(primesq.workers, "_worker_setup", setup)
     monkeypatch.setattr(v, "CHUNK_SIZE", 4)
     report, _ = run_margin_campaign("c2", 3, 22, workers=64)  # five chunks and two seeds
     assert len(started) == 7 and {p.exitcode for p in started} == {0}
+    assert sorted(map(int, log.read_text().split())) == sorted(p.pid for p in started)  # each set up once
     assert report.checked == 20 and report.violations == []
 
 
@@ -632,7 +643,7 @@ def test_pin_malloc_serves_large_temporaries_from_the_heap():
     # in a child process, so the test run's own malloc state is left alone
     code = textwrap.dedent("""
         import ctypes, numpy as np
-        from primesq.workers import _pin_malloc
+        from primesq.workers import _worker_setup
         class Info(ctypes.Structure):
             _fields_ = [(name, ctypes.c_size_t) for name in ("arena", "ordblks", "smblks", "hblks", "hblkhd",
                         "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
@@ -643,7 +654,7 @@ def test_pin_malloc_serves_large_temporaries_from_the_heap():
             return libc.mallinfo2().hblkhd - base
         base = libc.mallinfo2().hblkhd
         print(mapped_while_alive(16 << 20) >= 16 << 20)  # above the default threshold: mapped
-        _pin_malloc()
+        _worker_setup()
         print(mapped_while_alive(24 << 20) < 1 << 20)  # above the risen threshold, below 32 MiB: the heap
     """)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(primesq.__file__)))
@@ -916,7 +927,7 @@ def test_one_checkpoint_serves_every_target(tmp_path, capsys, monkeypatch):
         assert cli.main([*argv, "--checkpoint", str(ck), "--resume"]) == 0
         fresh_bytes = capsys.readouterr().out == want  # named, so a failure does not diff two whole outputs
         assert fresh_bytes
-        assert _pool_seeds(seeds()) == [25, 1601**2]  # a complete resume counts nothing, but seeds
+        assert _worker_seeds(seeds()) == [25, 1601**2]  # a complete resume counts nothing, but seeds
     assert ck.read_bytes() == whole
     monkeypatch.undo()
     # two of four chunks: the lemma campaign counts only the other two
