@@ -40,10 +40,11 @@ cmp ck.txt ck-c2.txt
 step "A campaign killed mid-run resumes to the fresh bytes"
 # a real kill -9 of a two-worker campaign's own process, once its checkpoint
 # holds a header and 19 chunks of 118: its workers must die with it, within
-# 2 s. The resume counts the rest and must print the fresh run's CSV. Then
-# two edits of the finished file that a resume must refuse: f(615) raised by
-# one (its counts then miss pi(60001^2), exit 3) and a version-3 header
-# (exit 2)
+# 2 s. A copy of its checkpoint is resumed on one worker, the checkpoint
+# itself on two; each resume counts the rest, must print the fresh run's CSV
+# and leaves the same file. Then two edits of the finished file that a resume
+# must refuse: f(615) raised by one (its counts then miss pi(60001^2), exit 3)
+# and a version-3 header (exit 2)
 span="--from 3 --to 60000 --workers 2"
 primesq verify c2 $span --format csv > fresh.csv
 rm -f ck.txt
@@ -74,8 +75,12 @@ if [ -n "$left" ]; then
   kill -9 $left
   exit 1
 fi
+cp ck.txt one.txt
+primesq verify c2 $span --workers 1 --checkpoint one.txt --resume --format csv > resumed-1.csv
+cmp fresh.csv resumed-1.csv
 primesq verify c2 $span --checkpoint ck.txt --resume --format csv > resumed.csv
 cmp fresh.csv resumed.csv
+cmp ck.txt one.txt
 edit() {  # edit FILE PYTHON: run PYTHON on the header h and records recs of FILE, then write them back
   python3 - "$1" "$2" <<'PY'
 import json, sys

@@ -77,11 +77,6 @@ def _log(x):
     return math.log(x)
 
 
-def _least(x):
-    """x, or the least element of an array."""
-    return x.min() if isinstance(x, np.ndarray) else x
-
-
 # the greatest n whose (n+1)^2 an int64 holds; array formulas square n and n+1 in int64
 SQUARE_N_MAX = math.isqrt(2**63 - 1) - 1
 
@@ -99,7 +94,7 @@ def _check_squares(n, name: str) -> None:
 
 def _check(n, least: int, name: str) -> None:
     """DomainError for any n below least, or above SQUARE_N_MAX in an int64 array."""
-    if _least(n) < least:
+    if np.min(n) < least:
         raise DomainError(f"{name} needs n >= {least}")
     _check_squares(n, name)
 
@@ -226,7 +221,7 @@ def delta(n: int, precision: str = "double") -> RealEval:
 
 def r_term(n: int, precision: str = "double") -> RealEval:
     """log^2(n) / loglog(n), defined for n >= 3 (needs loglog n > 0)."""
-    if _least(n) <= 2:
+    if np.min(n) <= 2:
         raise DomainError("r_term needs n >= 3")
     return _evaluate(_r, precision, n)
 
@@ -255,14 +250,14 @@ def c2_lhs(n: int, precision: str = "double") -> RealEval:
 
 def dusart_lower(x: float, precision: str = "double") -> tuple[RealEval, bool]:
     """Explicit lower bound L(x) on pi(x); the flag marks x >= 32299 validity."""
-    if _least(x) <= 1:
+    if np.min(x) <= 1:
         raise DomainError("dusart_lower needs x > 1")
     return _evaluate(_dusart, precision, x, DUSART_LOWER_C), x >= DUSART_LOWER_MIN_X
 
 
 def dusart_upper(x: float, precision: str = "double") -> tuple[RealEval, bool]:
     """Explicit upper bound U(x) on pi(x); the flag marks x >= 355991 validity."""
-    if _least(x) <= 1:
+    if np.min(x) <= 1:
         raise DomainError("dusart_upper needs x > 1")
     return _evaluate(_dusart, precision, x, DUSART_UPPER_C), x >= DUSART_UPPER_MIN_X
 

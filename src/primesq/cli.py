@@ -78,7 +78,7 @@ def _verify_lemmas(args: argparse.Namespace) -> int:
 
 
 def _verify_dusart(args: argparse.Namespace) -> int:
-    report = verify.verify_dusart(args.samples)
+    report = verify.verify_dusart(args.samples, precision_mode=args.precision)
     text = verify.report_json(report) if args.format == "json" else verify.report_table(report)
     _emit(text, args.out)
     return _report_exit_code(report, args)
@@ -136,7 +136,7 @@ def _table_c3(args: argparse.Namespace) -> int:
 def _report_all(args: argparse.Namespace) -> int:
     reports = verify.suite_reports({t: DEFAULT_RANGES[t] for t in verify.MARGIN_TARGETS},
                                    DEFAULT_RANGES["lemmas"], **_campaign_kwargs(args))
-    reports["dusart"] = verify.verify_dusart(DEFAULT_DUSART_SAMPLES)
+    reports["dusart"] = verify.verify_dusart(DEFAULT_DUSART_SAMPLES, precision_mode=args.precision)
     c3 = mbound.c3_table(DEFAULT_C3_NS)
     if args.format == "json" or args.out is not None:
         text = verify.reports_json({**reports, "c3_table": mbound.c3_json_rows(c3)})

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -21,19 +20,15 @@ from .analytic import (
     _U,
     DUSART_LOWER_C,
     DUSART_UPPER_C,
-    PRECISION_BITS,
     RealEval,
     _check_squares,
     _dusart,
-    _least,
+    _run,
     dusart_lower,
     dusart_upper,
     theorem_floor,
 )
 from .errors import DomainError
-
-if TYPE_CHECKING:
-    from mpmath import mpf
 
 START_K = 597  # least k certifying both L(k^2) and U((k+1)^2)
 
@@ -83,7 +78,7 @@ def s_sum(n: int) -> int:
 
 def bound_gap(k: int, precision: str = "double") -> RealEval:
     """U((k+1)^2) - L(k^2), strictly positive for every k >= 597; k may be an int64 array."""
-    if _least(k) < START_K:
+    if np.min(k) < START_K:
         raise DomainError(f"bound_gap needs k >= {START_K}, bounds are uncertified below")
     _check_squares(k, "bound_gap")
     upper, _ = dusart_upper((k + 1) * (k + 1), precision)
@@ -108,16 +103,17 @@ def _tail(m: int, n: int) -> tuple[float, float]:
     return t, math.nextafter(math.fsum((err, u * t, u * err)), math.inf)
 
 
-def _tail_quad(m: int, n: int) -> mpf:
-    """Tail capacity at quad precision, for deciding near-tie comparisons."""
-    from mpmath import mp, mpf  # only near-ties need it
+def _tail_quad(m: int, n: int):
+    """Tail capacity at quad precision through analytic's evaluator, for deciding near-tie comparisons."""
 
-    with mp.workprec(PRECISION_BITS["quad"]):
-        total = mpf(0)
+    def tail(log):
+        total = 0
         for k in range(m, n + 1):
-            total += _dusart(mp.log, (k + 1) * (k + 1), DUSART_UPPER_C)[0]
-            total -= _dusart(mp.log, k * k, DUSART_LOWER_C)[0]
+            total += _dusart(log, (k + 1) * (k + 1), DUSART_UPPER_C)[0]
+            total -= _dusart(log, k * k, DUSART_LOWER_C)[0]
         return total
+
+    return _run(tail, "quad")
 
 
 def _covers(S: int, m: int, n: int) -> bool:

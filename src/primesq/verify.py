@@ -3,8 +3,8 @@
 Campaigns split [from, to] into fixed chunks. Each chunk's windows f(n) are
 counted, unless a checkpoint holds them; a checkpoint holds these counts and
 nothing else. Every run, fresh, partial or complete, seeds the combinatorial
-pi(from^2) and pi((to+1)^2); with more than one worker, the seeds and the
-counts are jobs on forked workers. The campaign process sums f(n) from the
+pi(from^2) and pi((to+1)^2); the seeds, then the counts, are jobs, run in
+that order here or on forked workers. The campaign process sums f(n) from the
 start seed in n-order, and that sum must end at the end seed, so campaigns
 need (to+1)^2 <= COMBINATORIAL_MAX. Rows are built once from n, f(n) and
 pi(n^2), counted or loaded alike, as pure functions of n into a column block
@@ -104,10 +104,6 @@ class LemmaRecord(NamedTuple):
 
     n: int
     pi_n2: int
-    l1_lhs: float
-    l1_rhs: float
-    proof_lhs: float
-    proof_rhs: float
     margin_l1: float
     cls_l1: int
     margin_l2: float
@@ -156,8 +152,7 @@ def _lemma_rows(ns: np.ndarray, fs: np.ndarray, pis: np.ndarray, strict: bool) -
     cls1 = _judge(m1, e1, strict, lambda i: _excess(*reversed(lemma1_sides(int(ns[i]), "quad"))))
     m2 = pis - lhs.value
     cls2 = _judge(m2, lhs.abs_err, strict, lambda i: _excess(int(pis[i]), lemma2_lhs(int(ns[i]), "quad")))
-    return LemmaRecord(ns, pis, lhs.value, rhs.value, plhs.value, np.full(ns.size, prhs.value),
-                       m1, cls1, m2, cls2)
+    return LemmaRecord(ns, pis, m1, cls1, m2, cls2)
 
 
 def _counts_job(chunk: tuple[int, int]) -> np.ndarray:
@@ -289,11 +284,11 @@ def _run_chunked(from_n: int, to_n: int, *, workers: int, checkpoint_path: str |
     Fresh, partial and complete runs take one path: the f of the chunks the
     checkpoint holds are loaded, the windows of the rest are counted, and
     pi(n^2) is the combinatorial pi(from^2) plus the counts before n. The
-    counts must sum to the combinatorial pi((to+1)^2). With workers > 1 both
-    seeds, then the counts, are jobs on forked workers, so this process only
-    sums the counts and checkpoints each counted chunk as soon as it reads its
-    counts, the last one only once the sum equals the end seed. A complete
-    resume counts nothing and leaves the checkpoint as it is.
+    counts must sum to the combinatorial pi((to+1)^2). The jobs, both seeds
+    then the counts, run in that order here, or on forked workers when
+    workers > 1; each counted chunk is checkpointed as its counts are read,
+    the last one only once the sum equals the end seed. A complete resume
+    counts nothing and leaves the checkpoint as it is.
     """
     if to_n < from_n:
         raise DomainError("need from <= to")
@@ -308,22 +303,19 @@ def _run_chunked(from_n: int, to_n: int, *, workers: int, checkpoint_path: str |
     jobs = [*(partial(pi_exact, x, "combinatorial") for x in seeds), *(partial(_counts_job, c) for c in todo)]
     if workers > 1:  # a one-worker campaign never loads the workers' code
         from .workers import forked
-    with forked(jobs, workers) if workers > 1 else nullcontext() as results:
-        if results is None:  # this process counts, then seeds
-            start_seed, end_seed, counts = *jobs[:2], (job() for job in jobs[2:])
-        else:  # the workers' results in job order: both seeds, then the counts
-            start_seed, end_seed, counts = partial(int, next(results)), partial(int, next(results)), results
-        for (s, e), chunk_f in zip(todo, counts):
+    with forked(jobs, workers) if workers > 1 else nullcontext(job() for job in jobs) as results:
+        start_seed, end_seed = next(results), next(results)  # the results in job order: seeds, then counts
+        for (s, e), chunk_f in zip(todo, results):
             done.append(chunk_f)
             if e < to_n:  # the last chunk waits for the final check
                 append(s, chunk_f)
         fs = np.concatenate(done)
-        pis = start_seed() + np.cumsum(fs) - fs
-        if (pi := int(pis[-1] + fs[-1])) != (end := end_seed()):
+        pis = start_seed + np.cumsum(fs) - fs
+        if (pi := int(pis[-1] + fs[-1])) != end_seed:
             hint = (f"; {loaded} of its {len(chunks)} chunks came from checkpoint {checkpoint_path}, "
                     f"run the campaign again without --resume" if loaded else "")
             raise RuntimeError(f"window counts sum to pi({to_n + 1}^2) = {pi}, "
-                               f"the combinatorial pi gives {end}{hint}")
+                               f"the combinatorial pi gives {end_seed}{hint}")
     append(chunks[-1][0], done[-1])
     return np.arange(from_n, to_n + 1, dtype=np.int64), fs, pis
 
@@ -454,15 +446,17 @@ def suite_reports(margin_ranges: dict[str, tuple[int, int]], lemma_range: tuple[
     return reports
 
 
-def verify_dusart(samples: list[int]) -> ConjectureReport:
+def verify_dusart(samples: list[int], *, precision_mode: str = "fast") -> ConjectureReport:
     """Sandwich pi(x) between the explicit bounds at each sample where L(x)
     applies; U(x) applies from a larger x on.
 
     Each checked sample folds as its smaller applicable margin and its worse
-    class, a violation ranking above a boundary.
+    class, a violation ranking above a boundary. Under strict, boundaries are
+    judged again from the bounds at quad.
     """
     if not samples:
         raise DomainError("need at least one sample")
+    strict = _strict_flag(precision_mode)
     xs = sorted(set(int(x) for x in samples))
     ns = np.array([x for x in xs if x >= DUSART_LOWER_MIN_X], dtype=np.int64)
     margins, cls = np.empty(0), np.empty(0, dtype=np.int64)
@@ -470,8 +464,10 @@ def verify_dusart(samples: list[int]) -> ConjectureReport:
         pis = np.array([pi_exact(x, "combinatorial") for x in ns.tolist()])
         (lower, _), (upper, upper_ok) = dusart_lower(ns), dusart_upper(ns)
         (m_lo, e_lo), (m_up, e_up) = _excess(pis, lower), _excess(upper, pis)
-        c_lo, c_up = _judge(m_lo, e_lo), np.where(upper_ok, _judge(m_up, e_up), CLS_PASS)
-        margins = np.where(upper_ok & (m_up < m_lo), m_up, m_lo)
+        m_up = np.where(upper_ok, m_up, np.inf)  # where U(x) does not apply, it always passes
+        c_lo = _judge(m_lo, e_lo, strict, lambda i: _excess(int(pis[i]), dusart_lower(int(ns[i]), "quad")[0]))
+        c_up = _judge(m_up, e_up, strict, lambda i: _excess(dusart_upper(int(ns[i]), "quad")[0], int(pis[i])))
+        margins = np.where(m_up < m_lo, m_up, m_lo)
         cls = np.where((c_lo == CLS_VIOLATION) | (c_up == CLS_VIOLATION), CLS_VIOLATION, np.maximum(c_lo, c_up))
     return _fold("dusart", xs[0], xs[-1], ns, margins, cls, f"samples={len(xs)};skipped={len(xs) - ns.size}")
 

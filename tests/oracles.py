@@ -2,7 +2,8 @@
 Eratosthenes, the reference for the base-prime table, a window sieve with
 one bool per integer, an open-interval prime count, backward and forward
 compensated sums of mbound's gaps with a linear-scan M(n) on the backward
-ones, scalar Miller-Rabin, the reference for the vectorised kernel,
+ones, the 160-bit tail capacity as one mpmath loop, the reference for
+mbound's, scalar Miller-Rabin, the reference for the vectorised kernel,
 Legendre's recurrence over every x // i, the reference for the combinatorial
 pi, which updates only the rough i, the running sum of r(k) as an exact
 integer sum of the double terms and as a 160-bit sum of the real terms,
@@ -23,6 +24,10 @@ from mpmath import mp
 from primesq import mbound
 from primesq.analytic import (
     _U,
+    DUSART_LOWER_C,
+    DUSART_UPPER_C,
+    PRECISION_BITS,
+    _dusart,
     c1_rhs,
     c2_lhs,
     delta,
@@ -144,6 +149,17 @@ def forward_tail_sum(m: int, n: int) -> tuple[float, float]:
     return s - c, err + u * abs(s)
 
 
+def tail_quad(m: int, n: int):
+    """The tail capacity of k = m..n summed one bound at a time in mpmath at
+    160 bits, the reference for mbound._tail_quad."""
+    with mp.workprec(PRECISION_BITS["quad"]):
+        total = mp.mpf(0)
+        for k in range(m, n + 1):
+            total += _dusart(mp.log, (k + 1) * (k + 1), DUSART_UPPER_C)[0]
+            total -= _dusart(mp.log, k * k, DUSART_LOWER_C)[0]
+        return total
+
+
 def kahan_tail_arrays(n: int) -> tuple[list[float], list[float]]:
     """Suffix capacity sums: tail[i] = sum of gaps for k = 597+i .. n.
 
@@ -178,7 +194,7 @@ def m_of_linear(n: int) -> int | None:
     for m in range(n, mbound.START_K - 1, -1):
         i = m - mbound.START_K
         if abs(tail[i] - S) <= terr[i]:
-            if S <= mbound._tail_quad(m, n):
+            if S <= tail_quad(m, n):
                 return m
         elif S <= tail[i]:
             return m
@@ -330,8 +346,7 @@ def lemma_row(n: int, pi: int, strict: bool) -> LemmaRecord:
         return pi - q.value, q.abs_err
 
     l2 = lemma2_lhs(n)
-    return LemmaRecord(n, pi, lhs.value, rhs.value, plhs.value, prhs.value,
-                       m1, _judged(m1, e1, strict, display_quad),
+    return LemmaRecord(n, pi, m1, _judged(m1, e1, strict, display_quad),
                        pi - l2.value, _judged(pi - l2.value, l2.abs_err, strict, lemma2_quad))
 
 

@@ -19,7 +19,7 @@ from primesq.mbound import (
     s_sum,
 )
 
-from oracles import forward_tail_sum, m_of_linear
+from oracles import forward_tail_sum, m_of_linear, tail_quad
 
 # frozen from a 40-digit term-by-term evaluation with a linear-scan search
 M_ORACLE = {597: 597, 650: 635, 1000: 911, 2000: 1801}
@@ -151,6 +151,12 @@ def test_fsum_tail_within_bound_of_quad():
         s_sum(n)
         tail, err = mbound._tail(m, n)
         assert abs(tail - mbound._tail_quad(m, n)) <= err, (m, n)
+
+
+def test_tail_quad_matches_the_mpmath_loop_bits():
+    for m, n in [(597, 597), (597, 2000), (1000, 1001), (150000, 151200), (9999000, M_OF_MAX)]:
+        got, want = mbound._tail_quad(m, n), tail_quad(m, n)
+        assert got._mpf_ == want._mpf_, (m, n)
 
 
 def test_c3_table_and_csv():

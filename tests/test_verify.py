@@ -295,6 +295,24 @@ def test_one_pi_seed_per_campaign(tmp_path, monkeypatch):
         assert seeds_of(run_margin_campaign, "c2", 3, 500, workers=workers) == [9, 501**2]  # one chunk
 
 
+def test_one_worker_campaign_runs_its_jobs_in_job_order(monkeypatch):
+    calls, real_pi, real_job = [], v.pi_exact, v._counts_job
+
+    def seed(x, method):
+        calls.append(("seed", x))
+        return real_pi(x, method)
+
+    def job(chunk):
+        calls.append(("counts", chunk))
+        return real_job(chunk)
+
+    monkeypatch.setattr(v, "pi_exact", seed)
+    monkeypatch.setattr(v, "_counts_job", job)
+    run_margin_campaign("c2", 3, 1500)  # three chunks, run in this process as the workers run them
+    assert calls == [("seed", 9), ("seed", 1501**2), ("counts", (3, 514)), ("counts", (515, 1026)),
+                     ("counts", (1027, 1500))]
+
+
 def _off_by_one_job(chunk):
     """The chunk's window counts, with the last count of 3..1100 raised by one."""
     counts = _window_counts(*chunk)
@@ -524,6 +542,26 @@ def test_strict_re_evaluates_every_boundary(monkeypatch):
         assert rep.boundary_cases == [] and rep.violations == [] and rep.checked == 21
 
 
+def test_strict_re_evaluates_every_dusart_boundary(monkeypatch):
+    import primesq.analytic as analytic
+    from primesq import cli
+
+    samples = cli.DEFAULT_DUSART_SAMPLES
+    _blur_double_bounds(monkeypatch)  # every default sample's double margins lie within their bounds
+    assert verify_dusart(samples).boundary_cases == samples
+    assert verify_dusart(samples, precision_mode="strict").boundary_cases == []
+    assert cli.main(["verify", "dusart", "--precision", "strict"]) == 0
+    # report all passes its precision on too; its other reports over a short range, and no c3 row
+    monkeypatch.setattr(cli, "DEFAULT_RANGES", dict.fromkeys(cli.DEFAULT_RANGES, (180, 200)))
+    monkeypatch.setattr(cli, "DEFAULT_C3_NS", [])
+    assert cli.main(["report", "all", "--precision", "strict"]) == 0
+    blurred = analytic._bounded  # and now the 160-bit bounds too
+    monkeypatch.setattr(analytic, "_bounded",
+                        lambda val, scale, precision: blurred(val, scale * 2.0**200, precision))
+    assert verify_dusart(samples, precision_mode="strict").boundary_cases == samples
+    assert cli.main(["verify", "dusart", "--precision", "strict"]) == 1
+
+
 def _bits(rows) -> list[tuple]:
     """Rows, or the rows of a column block, with every float as its hex digits and
     every other field tagged with its type."""
@@ -563,7 +601,12 @@ def test_margin_rows_match_scalar_rows(strict):
 
 @pytest.mark.parametrize("strict", [False, True], ids=["fast", "strict"])
 def test_lemma_rows_match_scalar_rows(strict):
+    import primesq.analytic as analytic
+
     ns, fs, pis = _chunk(3, 2000)
+    (lhs, rhs), (plhs, prhs) = analytic.lemma1_sides(ns), analytic.lemma1_proof_sides(ns)
+    display, proof = rhs.value - lhs.value, plhs.value - prhs.value
+    assert (display < proof).any() and (proof < display).any()  # so margin_l1 reads all four sides
     want = _scalar_lemma_rows(ns, pis, strict)
     assert _bits(v._lemma_rows(ns, fs, pis, strict)) == _bits(want)
     assert want[0].cls_l2 == v.CLS_BOUNDARY  # the exact tie at n = 3, judged at quad too under strict
@@ -1043,8 +1086,7 @@ def test_lemma_folds_match_row_folds():
     ns = np.arange(3, 3 + size, dtype=np.int64)
     cls1, cls2 = (rng.choice([v.CLS_PASS] * 6 + [v.CLS_VIOLATION, v.CLS_BOUNDARY], size) for _ in range(2))
     m1, m2 = (rng.choice([-1.0, -0.0, 0.0, 2.0, 2.0], size) for _ in range(2))
-    zeros = np.zeros(size)
-    block = v.LemmaRecord(ns, ns, zeros, zeros, zeros, zeros, m1, cls1, m2, cls2)
+    block = v.LemmaRecord(ns, ns, m1, cls1, m2, cls2)
     rep1, rep2 = v._lemma_reports(3, 2 + size, block, False)
     rows = records(block)
     note = v._campaign_note(3, 2 + size, False)
